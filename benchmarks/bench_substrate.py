@@ -23,9 +23,41 @@ import pytest
 
 from repro.baselines.registry import make_algorithm
 from repro.data.registry import make_federated_dataset
+from repro.exec import ClientWork, available_backends, make_backend, \
+    run_local_steps
 from repro.nn.models import logistic_regression, make_model_factory, mlp
+from repro.obs import Tracer
 from repro.ops.numerics import weighted_average
 from repro.ops.projections import project_capped_simplex, project_simplex
+from repro.sim.builder import build_flat_clients
+from repro.utils.rng import RngFactory
+
+
+def dispatch_rounds(fed, factory, name, *, rounds, steps, workers=2):
+    """Dispatch one ``steps``-step round of every client of ``fed``,
+    ``rounds`` times, on backend ``name``.
+
+    Returns the ``exec_dispatch`` span total (seconds), the last round's
+    stacked end weights and the tracer's metric snapshot, so every backend
+    is timed by one source and checked against the same bits.
+    """
+    engine = factory()
+    clients = build_flat_clients(fed, batch_size=8,
+                                 rng_factory=RngFactory(5))
+    tracer = Tracer(None)  # metrics/span collection only, no JSONL file
+    w = np.zeros(engine.num_parameters)
+    finals = None
+    with make_backend(name, workers=workers) as b:
+        for _ in range(rounds):
+            work = [ClientWork(c, steps) for c in clients]
+            with tracer.span("exec_dispatch", backend=name):
+                results = run_local_steps(b, engine, w, work, lr=0.05,
+                                          obs=tracer)
+            finals = np.stack([r.w_end for r in results])
+    seconds = tracer.span_totals()["exec_dispatch"]["total_s"]
+    snap = tracer.snapshot()
+    tracer.close()
+    return seconds, finals, snap
 
 
 @pytest.fixture(scope="module")
@@ -144,21 +176,13 @@ def test_backend_speedup(save_report, bench_trajectory):
     """Serial-vs-parallel dispatch of a 32-client round (execution backends).
 
     Dispatches the same 32-client × τ1-step local-training round through every
-    execution backend and reports wall-clock, speedup, and worker telemetry.
+    execution backend and reports wall-clock, speedup, and worker busy time.
     Every number is read back from tracer *span data* (an ``exec_dispatch``
     span wraps each round) so all backends share one timing source; the
-    per-backend worker-busy / broadcast-bytes metrics come from the same
-    tracer snapshot.  The dispatch results are also checked bit-identical to
-    serial — the speedup is free, not bought with the determinism contract.
+    worker-busy metric comes from the same tracer snapshot.  The dispatch
+    results are also checked bit-identical to serial — the speedup is free,
+    not bought with the determinism contract.
     """
-    from repro.data.registry import make_federated_dataset
-    from repro.exec import ClientWork, available_backends, make_backend, \
-        run_local_steps
-    from repro.nn.models import make_model_factory
-    from repro.obs import Tracer
-    from repro.sim.builder import build_flat_clients
-    from repro.utils.rng import RngFactory
-
     rounds, steps, workers = 30, 4, 2
     fed = make_federated_dataset("emnist_digits", scale="tiny", seed=0,
                                  num_edges=8, clients_per_edge=4,
@@ -166,55 +190,31 @@ def test_backend_speedup(save_report, bench_trajectory):
     factory = make_model_factory("logistic", fed.input_dim, fed.num_classes)
     assert fed.num_clients == 32
 
-    def dispatch_rounds(name):
-        """Run the round `rounds` times on backend `name`; span-timed."""
-        engine = factory()
-        clients = build_flat_clients(fed, batch_size=8,
-                                     rng_factory=RngFactory(5))
-        tracer = Tracer(None)  # metrics/span collection only, no JSONL file
-        w = np.zeros(engine.params_view().size)
-        finals = None
-        with make_backend(name, workers=workers) as b:
-            for _ in range(rounds):
-                work = [ClientWork(c, steps) for c in clients]
-                with tracer.span("exec_dispatch", backend=name):
-                    results = run_local_steps(b, engine, w, work, lr=0.05,
-                                              obs=tracer)
-                finals = np.stack([r.w_end for r in results])
-        seconds = tracer.span_totals()["exec_dispatch"]["total_s"]
-        snap = tracer.snapshot()
-        telemetry = {
-            "busy_s": snap["histograms"].get("exec_worker_busy_s",
-                                             {}).get("sum", seconds),
-            "broadcast_bytes": snap["counters"].get("exec_broadcast_bytes", 0),
-        }
-        tracer.close()
-        return seconds, finals, telemetry
-
-    serial_s, serial_w, _ = dispatch_rounds("serial")
+    serial_s, serial_w, _ = dispatch_rounds(fed, factory, "serial",
+                                            rounds=rounds, steps=steps,
+                                            workers=workers)
     lines = [f"32 clients x {steps} local steps x {rounds} rounds "
              f"(logistic, d={fed.input_dim * fed.num_classes + fed.num_classes})",
              f"{'backend':<12s} {'seconds':>8s} {'speedup':>8s} "
-             f"{'busy_s':>8s} {'bcast_MB':>9s}  identical"]
+             f"{'busy_s':>8s}  identical"]
     rows = {"serial": {"seconds": serial_s, "speedup": 1.0}}
     speedups = {}
     for name in available_backends():
         if name == "serial":
             lines.append(f"{'serial':<12s} {serial_s:8.3f} {'1.00x':>8s} "
-                         f"{serial_s:8.3f} {0.0:9.2f}  True")
+                         f"{serial_s:8.3f}  True")
             continue
-        seconds, finals, telemetry = dispatch_rounds(name)
+        seconds, finals, snap = dispatch_rounds(fed, factory, name,
+                                                rounds=rounds, steps=steps,
+                                                workers=workers)
+        busy_s = snap["histograms"].get("exec_worker_busy_s",
+                                        {}).get("sum", seconds)
         identical = bool(np.array_equal(serial_w, finals))
         speedups[name] = serial_s / seconds
         rows[name] = {"seconds": seconds, "speedup": speedups[name],
-                      "worker_busy_s": telemetry["busy_s"],
-                      "broadcast_bytes": telemetry["broadcast_bytes"],
-                      "identical": identical}
-        lines.append(
-            f"{name:<12s} {seconds:8.3f} {speedups[name]:7.2f}x "
-            f"{telemetry['busy_s']:8.3f} "
-            f"{telemetry['broadcast_bytes'] / 1e6:9.2f}  "
-            f"{identical}")
+                      "worker_busy_s": busy_s, "identical": identical}
+        lines.append(f"{name:<12s} {seconds:8.3f} {speedups[name]:7.2f}x "
+                     f"{busy_s:8.3f}  {identical}")
         assert identical, f"{name} backend diverged from serial bits"
     report = "\n".join(lines)
     save_report("backend_speedup",
@@ -222,20 +222,17 @@ def test_backend_speedup(save_report, bench_trajectory):
                  "clients": fed.num_clients, "backends": rows}, report)
     # Perf trajectory: the vectorized speedup is the one backend ratio that
     # must hold on any machine (it removes Python overhead, not waits on
-    # cores), so it gates; thread/process depend on the runner's cores and
-    # ride along as context only.  Broadcast bytes are deterministic traffic.
+    # cores), so it gates; thread depends on the runner's cores and rides
+    # along as context only.
     bench_trajectory("substrate", {
         "backend_speedup_vectorized": {
             "value": speedups["vectorized"], "kind": "ratio"},
-        "backend_broadcast_bytes_process": {
-            "value": rows["process"]["broadcast_bytes"], "kind": "bytes"},
         "backend_serial_wall_s": {"value": serial_s, "kind": "seconds"},
     }, context={"clients": fed.num_clients, "rounds": rounds, "steps": steps,
-                "speedup_thread": round(speedups.get("thread", 0.0), 3),
-                "speedup_process": round(speedups.get("process", 0.0), 3)})
+                "speedup_thread": round(speedups.get("thread", 0.0), 3)})
     # Acceptance: ≥2x for a 32-client round.  The vectorized backend removes
     # the per-client Python overhead, so it must deliver even on one core;
-    # thread/process only help with real cores to spread across.
+    # thread only helps with real cores to spread across.
     assert speedups["vectorized"] >= 2.0, (
         f"vectorized speedup {speedups['vectorized']:.2f}x < 2x")
 
@@ -250,13 +247,6 @@ def test_backend_speedup_mlp(save_report, bench_trajectory):
     "pass" the bit-identity check at serial speed), and the dispatch results
     stay bit-identical to serial.
     """
-    from repro.data.registry import make_federated_dataset
-    from repro.exec import ClientWork, make_backend, run_local_steps
-    from repro.nn.models import make_model_factory
-    from repro.obs import Tracer
-    from repro.sim.builder import build_flat_clients
-    from repro.utils.rng import RngFactory
-
     rounds, steps, hidden = 30, 4, (16,)
     fed = make_federated_dataset("emnist_digits", scale="tiny", seed=0,
                                  num_edges=8, clients_per_edge=4,
@@ -265,28 +255,11 @@ def test_backend_speedup_mlp(save_report, bench_trajectory):
                                  hidden=hidden)
     assert fed.num_clients == 32
 
-    def dispatch_rounds(name):
-        engine = factory()
-        clients = build_flat_clients(fed, batch_size=8,
-                                     rng_factory=RngFactory(5))
-        tracer = Tracer(None)
-        w = np.zeros(engine.num_parameters)
-        finals = None
-        with make_backend(name, workers=2) as b:
-            for _ in range(rounds):
-                work = [ClientWork(c, steps) for c in clients]
-                with tracer.span("exec_dispatch", backend=name):
-                    results = run_local_steps(b, engine, w, work, lr=0.05,
-                                              obs=tracer)
-                finals = np.stack([r.w_end for r in results])
-        seconds = tracer.span_totals()["exec_dispatch"]["total_s"]
-        counters = tracer.snapshot()["counters"]
-        tracer.close()
-        return seconds, finals, counters
-
-    serial_s, serial_w, _ = dispatch_rounds("serial")
-    vec_s, vec_w, counters = dispatch_rounds("vectorized")
-    batched = int(counters.get("exec_vectorized_tasks_total", 0))
+    serial_s, serial_w, _ = dispatch_rounds(fed, factory, "serial",
+                                            rounds=rounds, steps=steps)
+    vec_s, vec_w, snap = dispatch_rounds(fed, factory, "vectorized",
+                                         rounds=rounds, steps=steps)
+    batched = int(snap["counters"].get("exec_vectorized_tasks_total", 0))
     assert batched == rounds * fed.num_clients, (
         f"MLP tasks fell back to serial: {batched} of "
         f"{rounds * fed.num_clients} took the batched kernel")
@@ -324,10 +297,7 @@ def test_fused_evaluation(save_report, bench_trajectory):
     contract (``evaluate_per_edge`` byte-identical to the two-pass loop over
     every edge) is asserted alongside, untimed.
     """
-    from repro.data.registry import make_federated_dataset
     from repro.metrics.evaluation import evaluate_per_edge
-    from repro.nn.models import make_model_factory
-    from repro.obs import Tracer
 
     sweeps = 100
     fed = make_federated_dataset("emnist_digits", scale="tiny", seed=0,

@@ -94,11 +94,11 @@ def main() -> None:
                         help="stop after K rounds (simulated kill; rerun "
                              "with --resume to finish)")
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "thread", "process", "vectorized"),
+                        choices=("serial", "thread", "vectorized"),
                         help="execution backend for client local training "
                              "(bit-identical results for every choice)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count for thread/process backends")
+                        help="worker count for the thread backend")
     parser.add_argument("--churn", default=None, metavar="SPEC",
                         help="dynamic-membership plan, e.g. "
                              "'arrive=0.05,depart=0.02,edge_mttf=40,seed=1' "

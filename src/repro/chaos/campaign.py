@@ -1,18 +1,15 @@
 """The chaos acceptance campaign behind ``python -m repro chaos``.
 
-Each scenario interrupts a real training run at a seeded kill-point — a
-worker SIGKILL, a torn checkpoint write, a crash right after a durable save,
-a bit-flipped store shard, a corrupted-but-parseable checkpoint — lets the
-crash-safety machinery recover, and asserts the recovered run is
+Each scenario interrupts a real training run at a seeded kill-point — a torn
+checkpoint write, a crash right after a durable save, a bit-flipped store
+shard, a corrupted-but-parseable checkpoint — lets the crash-safety
+machinery recover, and asserts the recovered run is
 **bit-identical** to the uninterrupted reference: same final model, same
 mixing weights, same evaluation history, same communication totals.  A single
 flipped bit anywhere in the recovery path fails the campaign.
 
 Scenarios (kill-point × backend sweep):
 
-``worker_kill``
-    A ProcessBackend worker is SIGKILLed mid-round; the supervised pool
-    detects the death, respawns, and re-executes the lost unit.
 ``torn_write``
     A checkpoint write is truncated mid-file and the process dies; the resume
     loads the intact previous generation.
@@ -48,7 +45,7 @@ from repro.chaos.hooks import ChaosCrash, chaos, install, uninstall
 from repro.chaos.plan import ChaosInjector, ChaosPlan
 from repro.core.hierminimax import HierMinimax
 from repro.data.registry import make_federated_dataset
-from repro.exec import ProcessBackend, make_backend
+from repro.exec import make_backend
 from repro.faults.checkpoint import (CheckpointError, load_checkpoint_file,
                                      previous_checkpoint_path)
 from repro.nn.models import make_model_factory
@@ -158,24 +155,6 @@ class _Config:
                             checkpoint_path=checkpoint_path,
                             checkpoint_every=_CKPT_EVERY,
                             checkpoint_shard_dir=shard_dir)
-
-
-def _scenario_worker_kill(config: _Config, seed: int, ref: dict,
-                          workdir: Path) -> ScenarioOutcome:
-    plan = ChaosPlan(worker_kill=(1,), seed=seed)
-    backend = ProcessBackend(workers=2)
-    try:
-        with chaos(plan) as injector:
-            result = config.run_clean(backend=backend)
-    finally:
-        backend.close()
-    fired = tuple(injector.fired_sites())
-    if "worker_kill" not in fired:
-        return ScenarioOutcome("worker_kill", "process", False,
-                               "kill-point never fired", fired)
-    mismatch = _identical(ref, _fingerprint(result))
-    return ScenarioOutcome("worker_kill", "process", mismatch is None,
-                           mismatch or "recovered bit-identically", fired)
 
 
 def _scenario_torn_write(config: _Config, seed: int, ref: dict,
@@ -323,14 +302,13 @@ def _scenario_checkpoint_bitflip(config: _Config, seed: int, ref: dict,
 
 
 def run_campaign(*, seed: int = 0, rounds: int = _ROUNDS_DEFAULT,
-                 backends=("serial", "process"),
+                 backends=("serial", "vectorized"),
                  workdir: str | Path | None = None) -> list[ScenarioOutcome]:
     """Run every chaos scenario; return one outcome per scenario.
 
-    ``backends`` selects the ``crash_after_save`` sweep; ``worker_kill``
-    always uses the process backend (it kills OS processes) and the
-    corruption scenarios always use serial (the kill-point is in the
-    persistence layer, not the executor).
+    ``backends`` selects the ``crash_after_save`` sweep; the other
+    scenarios always use serial (the kill-point is in the persistence
+    layer, not the executor).
     """
     if rounds < 2 * _CKPT_EVERY + 1:
         raise ValueError(
@@ -345,7 +323,6 @@ def run_campaign(*, seed: int = 0, rounds: int = _ROUNDS_DEFAULT,
     try:
         eager = _Config(seed=seed, rounds=rounds, virtual=False)
         ref = _fingerprint(eager.run_clean())
-        outcomes.append(_scenario_worker_kill(eager, seed, ref, workdir))
         outcomes.append(_scenario_torn_write(eager, seed, ref, workdir))
         for backend_name in backends:
             outcomes.append(_scenario_crash_after_save(
@@ -375,7 +352,7 @@ def format_campaign(outcomes) -> str:
         status = "ok " if o.ok else "FAIL"
         fired = f"  fired={','.join(o.fired)}" if o.fired else ""
         lines.append(f"  [{status}] {o.name:<{width}s}  "
-                     f"backend={o.backend:<8s} {o.detail}{fired}")
+                     f"backend={o.backend:<10s} {o.detail}{fired}")
     lines.append("")
     good = sum(1 for o in outcomes if o.ok)
     lines.append(f"{good}/{len(outcomes)} scenarios recovered bit-identically"

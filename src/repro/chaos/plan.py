@@ -3,9 +3,9 @@
 A :class:`ChaosPlan` names *where* the runtime is attacked (a site) and *which*
 occurrences of that site fire, exactly like the fault layer's
 :class:`~repro.faults.FaultPlan` names data-plane failures.  The plan never
-draws wall-clock randomness: every parameter of an injected failure (which
-worker is SIGKILLed, at which byte a write is torn, which bit of a shard is
-flipped) is a pure function of ``(plan.seed, site, occurrence)`` via
+draws wall-clock randomness: every parameter of an injected failure (at which
+byte a write is torn, which bit of a shard is flipped) is a pure function of
+``(plan.seed, site, occurrence)`` via
 ``np.random.SeedSequence(entropy=seed, spawn_key=(stable_key(site), occ))`` —
 the same derivation law the rest of the repo uses for reproducible decisions.
 Re-running a chaos campaign with the same plan therefore injects byte-identical
@@ -14,9 +14,6 @@ bit-identical too.
 
 Sites (each counts its own occurrences, starting at 0):
 
-``worker_kill``
-    One :class:`~repro.exec.procs.ProcessBackend` dispatch; a firing occurrence
-    SIGKILLs a deterministically chosen worker right after task submission.
 ``thread_hang``
     One task execution on a :class:`~repro.exec.threads.ThreadBackend` worker;
     a firing occurrence sleeps ``hang_s`` seconds before computing, tripping
@@ -46,8 +43,8 @@ from repro.utils.rng import stable_key
 __all__ = ["ChaosPlan", "ChaosInjector", "CHAOS_SITES"]
 
 #: Every failure site a plan can address, in documentation order.
-CHAOS_SITES = ("worker_kill", "thread_hang", "torn_write",
-               "crash_after_save", "shard_corrupt")
+CHAOS_SITES = ("thread_hang", "torn_write", "crash_after_save",
+               "shard_corrupt")
 
 
 def _as_occurrences(value, name: str) -> tuple[int, ...]:
@@ -69,7 +66,7 @@ class ChaosPlan:
     ----------
     seed:
         Root seed of every injected failure's parameters.
-    worker_kill / thread_hang / torn_write / crash_after_save / shard_corrupt:
+    thread_hang / torn_write / crash_after_save / shard_corrupt:
         Occurrence indices (0-based) at which the site fires; an ``int`` is
         accepted as shorthand for a single occurrence.  Empty (the default)
         disables the site.
@@ -79,7 +76,6 @@ class ChaosPlan:
     """
 
     seed: int = 0
-    worker_kill: tuple[int, ...] = ()
     thread_hang: tuple[int, ...] = ()
     torn_write: tuple[int, ...] = ()
     crash_after_save: tuple[int, ...] = ()
@@ -116,16 +112,13 @@ class ChaosPlan:
     def params(self, site: str, occurrence: int) -> dict:
         """Failure parameters for ``(site, occurrence)``; pure in the seed.
 
-        ``worker_kill`` yields ``victim`` (reduce modulo the live worker
-        count); ``torn_write`` yields ``frac`` (the fraction of the payload
-        that survives, in ``(0, 1)``); ``shard_corrupt`` yields
-        ``offset_frac`` and ``bit``; ``thread_hang`` yields ``hang_s``.
+        ``torn_write`` yields ``frac`` (the fraction of the payload that
+        survives, in ``(0, 1)``); ``shard_corrupt`` yields ``offset_frac``
+        and ``bit``; ``thread_hang`` yields ``hang_s``.
         """
         if site not in CHAOS_SITES:
             raise ValueError(f"unknown chaos site {site!r}; one of {CHAOS_SITES}")
         rng = self._rng(site, occurrence)
-        if site == "worker_kill":
-            return {"victim": int(rng.integers(0, 2**31 - 1))}
         if site == "thread_hang":
             return {"hang_s": float(self.hang_s)}
         if site == "torn_write":
@@ -142,7 +135,7 @@ class ChaosPlan:
     def parse(cls, spec: "str | ChaosPlan | None") -> "ChaosPlan":
         """Build a plan from a spec string.
 
-        ``"worker_kill=1,torn_write=0|2,seed=3,hang_s=0.5"`` — occurrence
+        ``"thread_hang=1,torn_write=0|2,seed=3,hang_s=0.5"`` — occurrence
         lists are ``|``-separated.  ``None`` / ``""`` yield the null plan.
         """
         if spec is None:

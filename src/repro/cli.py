@@ -37,12 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="HierMinimax (ICPP '24) reproduction toolkit")
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "thread", "process", "vectorized"),
+                        choices=("serial", "thread", "vectorized"),
                         help="execution backend for client local training "
                              "(default: REPRO_BACKEND env var or serial); "
                              "results are bit-identical for every choice")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count for thread/process backends "
+                        help="worker count for the thread backend "
                              "(default: REPRO_WORKERS env var or auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="crash-safety gate: seeded kill-points (worker SIGKILL, torn "
-             "checkpoint write, bit-flipped shard) must all recover "
+        help="crash-safety gate: seeded kill-points (torn checkpoint "
+             "write, crash after save, bit-flipped shard) must all recover "
              "bit-identically")
     p_chaos.add_argument("--seed", type=int, default=0,
                          help="root seed of every injected failure's "
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rounds per scenario run (>= 5 so two "
                               "checkpoint generations exist with training "
                               "left to resume)")
-    p_chaos.add_argument("--backends", default="serial,process",
+    p_chaos.add_argument("--backends", default="serial,vectorized",
                          help="comma-separated backends for the "
                               "crash-after-save sweep")
     p_chaos.add_argument("--workdir", default=None,

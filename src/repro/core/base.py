@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.data.batching import restore_sampler_state
 from repro.data.dataset import FederatedDataset
 from repro.defense.policy import clip_loss_reports, resolve_defense
 from repro.faults.checkpoint import CheckpointError, load_checkpoint_file, \
@@ -124,8 +125,8 @@ class FederatedAlgorithm(ABC):
         Execution backend for the per-round client SGD loops: an
         :class:`~repro.exec.ExecutionBackend` instance (shared with the
         caller, who owns its lifecycle), a name (``"serial"``, ``"thread"``,
-        ``"process"``, ``"vectorized"`` — the algorithm owns the instance;
-        call :meth:`close` to release worker pools), or ``None`` (the
+        ``"vectorized"`` — the algorithm owns the instance; call
+        :meth:`close` to release the thread pool), or ``None`` (the
         ``REPRO_BACKEND`` environment variable, default serial).  Every
         backend produces bit-identical results (see :mod:`repro.exec`);
         ``"vectorized"`` batches both paper models (logistic and MLP) into
@@ -279,14 +280,6 @@ class FederatedAlgorithm(ABC):
             history = TrainingHistory(self.name)
         self._history = history
         obs = self.obs
-        if not self.population.virtual:
-            # Let pooled backends ship the engine + full client roster to
-            # their workers once, up front, instead of lazily on the first
-            # dispatch.  Virtual populations must not warm-start: enumerating
-            # every client here would materialize the whole population —
-            # pooled backends instead receive each round's cohort lazily at
-            # dispatch time (and drop it again via ``forget_clients``).
-            self.backend.prepare(self.engine, self._client_actors())
         mem_tracker = getattr(obs, "mem_tracker", None)
         # Optional runtime invariant monitor (see repro.invariants), attached
         # to the tracer so one obs= argument threads the whole observability
@@ -335,7 +328,7 @@ class FederatedAlgorithm(ABC):
                 # state store and discard the materialized cohort, so peak
                 # memory tracks the cohort — not the population.  A no-op for
                 # eager populations.
-                self.population.end_round(k, backend=self.backend)
+                self.population.end_round(k)
                 self.rounds_completed = k + 1
                 if invariants is not None:
                     # Pure reads over already-computed state (no RNG, no
@@ -563,11 +556,7 @@ class FederatedAlgorithm(ABC):
                     raise RuntimeError(
                         f"checkpoint has no state for client {client.client_id}; "
                         f"was it written with a different dataset?") from exc
-                sampler = client.sampler
-                _restore_generator(sampler._rng, cs["rng"])
-                sampler._order = np.asarray(cs["order"], dtype=np.int64)
-                sampler._cursor = int(cs["cursor"])
-                sampler.batches_drawn = int(cs["batches_drawn"])
+                restore_sampler_state(client.sampler, cs)
                 client.sgd_steps_taken = int(cs["sgd_steps_taken"])
         comm = state["comm"]
         self.tracker.restore(CommSnapshot(

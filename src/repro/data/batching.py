@@ -12,11 +12,14 @@ sample exactly once.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.utils.rng import generator_token, restore_generator
 
-__all__ = ["MinibatchSampler"]
+__all__ = ["MinibatchSampler", "sampler_state_token", "restore_sampler_state"]
 
 
 class MinibatchSampler:
@@ -68,3 +71,32 @@ class MinibatchSampler:
     def __iter__(self):
         while True:
             yield self.next_batch()
+
+
+def sampler_state_token(sampler: MinibatchSampler) -> dict[str, Any]:
+    """JSON-able snapshot of a :class:`MinibatchSampler`.
+
+    Captures everything that determines the sampler's future draws: the RNG
+    (as an exact :func:`~repro.utils.rng.generator_token`), the current epoch
+    permutation, the cursor into it, and the draw counter.
+    """
+    return {
+        "rng": generator_token(sampler._rng),
+        "order": np.asarray(sampler._order),
+        "cursor": int(sampler._cursor),
+        "batches_drawn": int(sampler.batches_drawn),
+    }
+
+
+def restore_sampler_state(sampler: MinibatchSampler,
+                          state: dict[str, Any]) -> None:
+    """Load a sampler snapshot back into ``sampler`` in place.
+
+    ``state`` is a :func:`sampler_state_token` or a checkpoint's client entry,
+    whose ``rng`` may be a generator rather than a token; extra keys are
+    ignored.
+    """
+    restore_generator(sampler._rng, state["rng"])
+    sampler._order = np.asarray(state["order"], dtype=np.int64)
+    sampler._cursor = int(state["cursor"])
+    sampler.batches_drawn = int(state["batches_drawn"])

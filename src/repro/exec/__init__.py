@@ -8,8 +8,6 @@ randomness is fixed; this package makes *where* they run a strategy object
 ``serial``      the reference implementation (default); defines the bits
 ``thread``      worker threads over per-thread engine clones (GIL released
                 inside NumPy/BLAS kernels)
-``process``     persistent worker-process pool; weights broadcast once per
-                dispatch via shared memory, tasks ship sampler-state tokens
 ``vectorized``  same-shape clients stacked into one batched matmul kernel
                 (Linear/ReLU/Tanh stacks with softmax cross-entropy — both
                 paper models; serial fallback otherwise)
@@ -34,57 +32,46 @@ from repro.exec.base import (
 from repro.exec.serial import SERIAL_BACKEND, SerialBackend
 from repro.exec.threads import ThreadBackend, default_worker_count
 from repro.exec.vectorized import VectorizedBackend
-from repro.exec.dispatch import (
-    ClientWork,
-    restore_sampler_state,
-    run_local_steps,
-    sampler_state_token,
-)
-from repro.exec.procs import ProcessBackend
+from repro.exec.dispatch import ClientWork, run_local_steps
 
 __all__ = [
     "ExecutionBackend", "LocalStepsTask", "LocalStepsResult",
     "run_local_steps_kernel", "SerialBackend", "SERIAL_BACKEND",
-    "ThreadBackend", "ProcessBackend", "VectorizedBackend",
+    "ThreadBackend", "VectorizedBackend",
     "default_worker_count", "ClientWork", "run_local_steps",
-    "sampler_state_token", "restore_sampler_state",
     "available_backends", "make_backend", "resolve_backend",
 ]
 
 #: Environment variables consulted by :func:`resolve_backend`.
 BACKEND_ENV = "REPRO_BACKEND"
 WORKERS_ENV = "REPRO_WORKERS"
-#: Per-dispatch supervision timeout (seconds) for pooled backends.
+#: Per-task supervision timeout (seconds) for the thread backend.
 TIMEOUT_ENV = "REPRO_EXEC_TIMEOUT_S"
 
 _ALIASES = {
     "serial": "serial", "sync": "serial", "none": "serial",
     "thread": "thread", "threads": "thread",
-    "process": "process", "processes": "process", "proc": "process",
-    "mp": "process",
     "vectorized": "vectorized", "vector": "vectorized", "vec": "vectorized",
     "batched": "vectorized",
 }
 
-_POOLED = {"thread": ThreadBackend, "process": ProcessBackend}
-
 
 def available_backends() -> list[str]:
     """Canonical backend names accepted by :func:`make_backend`."""
-    return ["serial", "thread", "process", "vectorized"]
+    return ["serial", "thread", "vectorized"]
 
 
 def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
-    """Instantiate a backend by name (``workers`` applies to pooled ones)."""
+    """Instantiate a backend by name (``workers`` applies to ``thread``)."""
     key = _ALIASES.get(str(name).strip().lower())
     if key is None:
         raise ValueError(
             f"unknown execution backend {name!r}; "
             f"choose from {available_backends()}")
-    if key in _POOLED:
+    if key == "thread":
         env_timeout = os.environ.get(TIMEOUT_ENV, "").strip()
         timeout_s = float(env_timeout) if env_timeout else None
-        return _POOLED[key](workers=workers, timeout_s=timeout_s)
+        return ThreadBackend(workers=workers, timeout_s=timeout_s)
     if key == "vectorized":
         return VectorizedBackend()
     return SERIAL_BACKEND if workers in (None, 0, 1) else SerialBackend()

@@ -11,17 +11,14 @@ Determinism contract
 For a fixed seed every backend must produce *bit-identical* outputs to
 :class:`~repro.exec.serial.SerialBackend`:
 
-* Minibatch randomness is consumed *before* dispatch (in the main process, in
-  task order) — either by pre-drawing the batches into the task
-  (:attr:`LocalStepsTask.batches`) or, for backends that draw remotely
-  (:attr:`ExecutionBackend.wants_sampler_state`), by shipping the sampler's
-  exact RNG/permutation state and restoring the advanced state afterwards.
-  Either way the per-client random stream advances exactly as a serial run
-  would advance it.
+* Minibatch randomness is consumed *before* dispatch (in the caller's thread,
+  in task order) by pre-drawing the batches into the task
+  (:attr:`LocalStepsTask.batches`), so the per-client random stream advances
+  exactly as a serial run would advance it.
 * The SGD arithmetic itself is the pure kernel
   :func:`run_local_steps_kernel` — identical floating-point operations in
-  identical order regardless of which engine object (main, per-thread clone,
-  per-process replica) executes them.
+  identical order regardless of which engine object (main or per-thread
+  clone) executes them.
 * Results are returned in task order, so downstream aggregation, compression,
   fault filtering, and communication accounting happen in the same order as a
   serial run.
@@ -32,13 +29,11 @@ algorithm-equivalence tests keep holding under any backend.
 Supervision corollary
 ---------------------
 Because every task is a *pure* function of its descriptor (the kernel consumes
-no RNG; batch randomness is fixed before dispatch), a pooled backend may
-re-execute a task whose worker died or hung and obtain bit-identical outputs.
-:class:`~repro.exec.procs.ProcessBackend` and
-:class:`~repro.exec.threads.ThreadBackend` exploit exactly this: per-dispatch
-timeouts, dead-worker detection, pool respawn, and bounded deterministic
-retries (see :func:`resolve_retry`) — crash recovery without any change to the
-determinism contract.
+no RNG; batch randomness is fixed before dispatch), a backend may re-execute a
+task whose worker hung and obtain bit-identical outputs.
+:class:`~repro.exec.threads.ThreadBackend` exploits exactly this: per-task
+timeouts and bounded deterministic retries (see :func:`resolve_retry`) — hang
+recovery without any change to the determinism contract.
 """
 
 from __future__ import annotations
@@ -96,8 +91,7 @@ class LocalStepsTask:
     index:
         Position in the dispatch call's deterministic output order.
     client_id:
-        Global client index (for spans, metrics, and shard lookup in worker
-        processes).
+        Global client index (for spans and metrics).
     steps:
         Local SGD steps to run (already truncated by any straggler fault).
     lr:
@@ -108,12 +102,7 @@ class LocalStepsTask:
     projection:
         Projection applied after every step (identity = unconstrained).
     batches:
-        Pre-drawn minibatches, one ``(X, y)`` pair per step — the in-process
-        path.  ``None`` for backends that draw batches worker-side.
-    sampler_state:
-        Picklable snapshot of the client's minibatch-sampler state (``rng``
-        token from :func:`repro.utils.rng.generator_token`, epoch ``order``,
-        ``cursor``) — the cross-process path.  ``None`` on the in-process path.
+        Pre-drawn minibatches, one ``(X, y)`` pair per step.
     """
 
     index: int
@@ -123,7 +112,6 @@ class LocalStepsTask:
     checkpoint_after: int | None = None
     projection: Projection = identity_projection
     batches: list[tuple[np.ndarray, np.ndarray]] | None = None
-    sampler_state: dict[str, Any] | None = None
 
 
 @dataclass
@@ -131,9 +119,7 @@ class LocalStepsResult:
     """Outcome of one :class:`LocalStepsTask`.
 
     ``w_end``/``w_checkpoint`` are bit-identical to what a serial run would
-    produce.  ``sampler_state`` carries the advanced sampler snapshot back when
-    batches were drawn worker-side (``None`` otherwise).  ``busy_s`` is the
-    worker's compute time for the task and ``queue_wait_s`` the delay between
+    produce.  ``busy_s`` is the worker's compute time for the task and ``queue_wait_s`` the delay between
     dispatch and the task starting — both feed the tracer's ``exec_*`` metrics
     and are *observability only* (never used in arithmetic).
     """
@@ -142,7 +128,6 @@ class LocalStepsResult:
     client_id: int
     w_end: np.ndarray
     w_checkpoint: np.ndarray | None = None
-    sampler_state: dict[str, Any] | None = None
     busy_s: float = 0.0
     queue_wait_s: float = 0.0
 
@@ -189,27 +174,11 @@ class ExecutionBackend(ABC):
 
     #: Registry / ``--backend`` name of the implementation.
     name: str = "abstract"
-    #: When True the dispatcher ships sampler state (cross-process path)
-    #: instead of pre-drawing minibatches into the task.
-    wants_sampler_state: bool = False
 
     def prepare(self, engine: NeuralNetwork, clients: Sequence[Any]) -> None:
-        """Advertise the engine and client actors an upcoming dispatch uses.
-
-        Called by the dispatcher before :meth:`run_tasks` (and eagerly by
-        algorithms with their full client roster) so backends that replicate
-        state into workers can ship engines/shards once, at pool setup, rather
-        than per task.  No-op by default.
-        """
-
-    def forget_clients(self, client_ids: Sequence[int]) -> None:
-        """Drop any per-client state cached for ``client_ids``.
-
-        Virtual populations call this after each round so pooled backends do
-        not accumulate every client ever dispatched (a 1M-client run would
-        otherwise re-materialize the population inside the backend's shard
-        registry).  No-op by default — stateless backends have nothing cached.
-        """
+        """No-op.  Nothing in the package calls it; it stays because
+        ``benchmarks/e2e/ledger.py`` instruments ``backend.prepare`` as its
+        ``exec.prepare`` layer."""
 
     @abstractmethod
     def run_tasks(self, engine: NeuralNetwork, w_start: np.ndarray,

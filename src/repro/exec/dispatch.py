@@ -5,23 +5,20 @@ batch of client local-SGD loops on an :class:`~repro.exec.base.ExecutionBackend`
 It owns the two halves of the determinism contract that live *outside* the
 backends:
 
-* **Randomness is consumed in task order, in the main process.**  For
-  in-process backends the dispatcher pre-draws every task's minibatches from
-  the client's own sampler before dispatch; for cross-process backends it
-  snapshots the sampler state into the task (first occurrence per client) and
-  restores the advanced state returned by the backend.  Either way each
-  client's stream advances exactly as a serial run would advance it — including
-  when with-replacement sampling puts the same client in the batch twice (the
-  duplicate's draws chain after the first occurrence's draws).
+* **Randomness is consumed in task order, in the caller's thread.**  The
+  dispatcher pre-draws every task's minibatches from the client's own sampler
+  before dispatch, so each client's stream advances exactly as a serial run
+  would advance it — including when with-replacement sampling puts the same
+  client in the batch twice (the duplicate's draws chain after the first
+  occurrence's draws).
 * **Client-side bookkeeping** (``sgd_steps_taken``, the ``sgd_steps_total``
   counter) happens here, identically for every backend.
 
 This split is also what makes supervised *retry* safe: a task carries
-everything its unit needs (weights snapshot, sampler-state token, step spec)
-and nothing main-side mutates until results return, so a pooled backend that
-loses a worker mid-dispatch can re-execute the lost units from their original
-descriptors and obtain bit-identical outputs (see ``repro.exec.procs``
-"Supervision").
+everything its unit needs (weights snapshot, pre-drawn batches, step spec)
+and nothing caller-side mutates until results return, so a backend that
+loses a task to a hang can re-execute it from its original descriptor and
+obtain bit-identical outputs (see ``repro.exec.threads``).
 
 Intentionally imports no actor classes — clients are duck-typed
 (``client_id``, ``sampler``, ``sgd_steps_taken``) so ``repro.sim`` can import
@@ -31,7 +28,7 @@ the execution package without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,37 +36,12 @@ from repro.exec.base import ExecutionBackend, LocalStepsResult, LocalStepsTask
 from repro.exec.serial import SERIAL_BACKEND
 from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
-from repro.utils.rng import generator_token, restore_generator
 from repro.utils.validation import check_positive_float, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.sim.client import Client
 
-__all__ = ["ClientWork", "run_local_steps", "sampler_state_token",
-           "restore_sampler_state"]
-
-
-def sampler_state_token(sampler) -> dict[str, Any]:
-    """Picklable snapshot of a :class:`~repro.data.batching.MinibatchSampler`.
-
-    Captures everything that determines the sampler's future draws: the RNG
-    (as an exact :func:`~repro.utils.rng.generator_token`), the current epoch
-    permutation, the cursor into it, and the draw counter.
-    """
-    return {
-        "rng": generator_token(sampler._rng),
-        "order": np.asarray(sampler._order),
-        "cursor": int(sampler._cursor),
-        "batches_drawn": int(sampler.batches_drawn),
-    }
-
-
-def restore_sampler_state(sampler, state: dict[str, Any]) -> None:
-    """Load a :func:`sampler_state_token` snapshot back into ``sampler``."""
-    restore_generator(sampler._rng, state["rng"])
-    sampler._order = np.asarray(state["order"], dtype=np.int64)
-    sampler._cursor = int(state["cursor"])
-    sampler.batches_drawn = int(state["batches_drawn"])
+__all__ = ["ClientWork", "run_local_steps"]
 
 
 @dataclass
@@ -102,40 +74,18 @@ def run_local_steps(backend: ExecutionBackend | None, engine,
             raise ValueError(
                 f"checkpoint_after must be in [1, {item.steps}], "
                 f"got {item.checkpoint_after}")
-    backend.prepare(engine, [item.client for item in work])
-    tasks: list[LocalStepsTask] = []
-    if backend.wants_sampler_state:
-        snapshotted: set[int] = set()
-        for i, item in enumerate(work):
-            cid = item.client.client_id
-            # Only the first occurrence carries state; later occurrences of
-            # the same client chain onto it worker-side, replicating the
-            # serial draw order under with-replacement sampling.
-            state = (sampler_state_token(item.client.sampler)
-                     if cid not in snapshotted else None)
-            snapshotted.add(cid)
-            tasks.append(LocalStepsTask(
-                index=i, client_id=cid, steps=item.steps, lr=lr,
-                checkpoint_after=item.checkpoint_after, projection=projection,
-                sampler_state=state))
-    else:
-        for i, item in enumerate(work):
-            batches = [item.client.sampler.next_batch()
-                       for _ in range(item.steps)]
-            tasks.append(LocalStepsTask(
-                index=i, client_id=item.client.client_id, steps=item.steps,
-                lr=lr, checkpoint_after=item.checkpoint_after,
-                projection=projection, batches=batches))
+    tasks = [
+        LocalStepsTask(
+            index=i, client_id=item.client.client_id, steps=item.steps, lr=lr,
+            checkpoint_after=item.checkpoint_after, projection=projection,
+            batches=[item.client.sampler.next_batch()
+                     for _ in range(item.steps)])
+        for i, item in enumerate(work)]
     results = backend.run_tasks(engine, w_start, tasks, obs=obs)
     if len(results) != len(work):
         raise RuntimeError(
             f"backend {backend.name!r} returned {len(results)} results "
             f"for {len(work)} tasks")
-    clients_by_id = {item.client.client_id: item.client for item in work}
-    for result in results:
-        if result.sampler_state is not None:
-            restore_sampler_state(clients_by_id[result.client_id].sampler,
-                                  result.sampler_state)
     total_steps = 0
     for item in work:
         item.client.sgd_steps_taken += item.steps

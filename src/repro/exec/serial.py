@@ -34,7 +34,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-    wants_sampler_state = False
 
     def run_tasks(self, engine: NeuralNetwork, w_start: np.ndarray,
                   tasks: Sequence[LocalStepsTask], *, obs=None,

@@ -75,7 +75,6 @@ class ThreadBackend(ExecutionBackend):
     """
 
     name = "thread"
-    wants_sampler_state = False
 
     def __init__(self, workers: int | None = None, *,
                  timeout_s: float | None = None, retry=None) -> None:

@@ -169,7 +169,6 @@ class VectorizedBackend(ExecutionBackend):
     """Batched cross-client SGD; serial fallback for everything else."""
 
     name = "vectorized"
-    wants_sampler_state = False
 
     def run_tasks(self, engine: NeuralNetwork, w_start: np.ndarray,
                   tasks: Sequence[LocalStepsTask], *, obs=None,

@@ -143,7 +143,7 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
         Execution backend for client local training, shared by every
         algorithm of the roster: an
         :class:`~repro.exec.ExecutionBackend` instance (caller owns its
-        lifecycle), a name (``serial``/``thread``/``process``/``vectorized``
+        lifecycle), a name (``serial``/``thread``/``vectorized``
         — the runner closes the pool it creates when done), or ``None``
         (``REPRO_BACKEND`` environment variable, default serial).  Results
         are bit-identical for every choice (see :mod:`repro.exec`).

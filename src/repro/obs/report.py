@@ -26,9 +26,8 @@ trace written by :class:`~repro.obs.tracer.Tracer` and reports
   attached :class:`~repro.invariants.InvariantMonitor` — which runtime
   invariants were violated, when, and why,
 * the resilience ledger replayed from the crash-recovery machinery's events —
-  supervised-executor retries and pool respawns (``exec_retry`` /
-  ``worker_respawn``), checkpoint generation fallbacks
-  (``checkpoint_fallback``), detected shard corruption
+  supervised-executor retries (``exec_retry``), checkpoint generation
+  fallbacks (``checkpoint_fallback``), detected shard corruption
   (``shard_corrupt_detected``), and injected ``chaos`` kill-points — and
 * the final metrics snapshot (counters / gauges / histograms).
 """
@@ -110,8 +109,7 @@ class TraceReport:
     #: Replayed violation records ``(round, check, message)``, in file order.
     invariant_records: tuple = ()
     #: Recovery machinery actions per event kind (``exec_retry``,
-    #: ``worker_respawn``, ``checkpoint_fallback``, ``shard_corrupt_detected``,
-    #: ``chaos``).
+    #: ``checkpoint_fallback``, ``shard_corrupt_detected``, ``chaos``).
     resilience_totals: Mapping[str, int] = field(default_factory=dict)
     #: Recorded per-round timing trees (``sim_tree`` attrs of ``cloud_round``
     #: spans) — input of :mod:`repro.obs.critical_path`.
@@ -173,7 +171,7 @@ class TraceReport:
 
     @property
     def recovery_actions(self) -> int:
-        """Total crash-recovery actions (retries, respawns, fallbacks)."""
+        """Total crash-recovery actions (retries, fallbacks, detections)."""
         return sum(n for k, n in self.resilience_totals.items() if k != "chaos")
 
     @property
@@ -302,7 +300,7 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
     invariant_totals: dict[str, int] = {}
     invariant_records: list[tuple] = []
     resilience_totals: dict[str, int] = {}
-    resilience_kinds = ("exec_retry", "worker_respawn", "checkpoint_fallback",
+    resilience_kinds = ("exec_retry", "checkpoint_fallback",
                         "shard_corrupt_detected", "chaos")
     sim_trees: list = []
     heartbeats: list[dict] = []

@@ -58,7 +58,7 @@ class Population:
     def begin_round(self, round_index: int) -> None:
         """Hook before a round's work starts."""
 
-    def end_round(self, round_index: int, *, backend=None) -> None:
+    def end_round(self, round_index: int) -> None:
         """Hook after a round's work: flush/discard the materialized cohort."""
 
     def flush(self) -> None:

@@ -8,8 +8,7 @@ The pieces
   (bit-identical to the eager builder's ``streams("client", N)[cid]``), then any
   persisted sampler cursor / step counter is restored from the
   :class:`~repro.population.store.ClientStateStore`.  ``end_round`` flushes the
-  live cohort's state back to the store, drops the cohort, and tells the
-  execution backend to forget the ids.
+  live cohort's state back to the store and drops the cohort.
 * :class:`VirtualEdgeServer` — an :class:`~repro.sim.edge.EdgeServer` whose
   ``clients`` list is a materializing property; the inherited ``model_update``
   and ``estimate_loss`` run unchanged on it.
@@ -28,8 +27,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from repro.data.batching import restore_sampler_state, sampler_state_token
 from repro.data.dataset import Dataset, concat_datasets
-from repro.exec.dispatch import restore_sampler_state, sampler_state_token
 from repro.population.base import Population
 from repro.population.spec import PopulationSpec
 from repro.population.store import ClientStateStore
@@ -352,15 +351,10 @@ class VirtualPopulation(Population):
             self.store.put(cid, {"sgd_steps_taken": int(client.sgd_steps_taken)},
                            "meta")
 
-    def end_round(self, round_index: int, *, backend=None) -> None:
-        """Flush and discard the round's cohort; release backend caches."""
-        if not self._live:
-            return
-        ids = sorted(self._live)
+    def end_round(self, round_index: int) -> None:
+        """Flush and discard the round's cohort."""
         self.flush()
         self._live.clear()
-        if backend is not None:
-            backend.forget_clients(ids)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -32,8 +32,8 @@ def generator_token(gen: np.random.Generator) -> dict:
     The token is the same ``{"__bitgen__": name, "state": {...}}`` envelope the
     checkpoint serializer (:mod:`repro.utils.serialization`) writes, so it
     round-trips *exactly*: Python ints are arbitrary-precision, surviving even
-    PCG64's 128-bit state.  Use it to move generator state across process
-    boundaries (execution-backend task descriptors) or into checkpoints.
+    PCG64's 128-bit state.  Use it to persist generator state (the virtual
+    population's client-state store) or to compare streams in tests.
     """
     from repro.utils.serialization import to_jsonable
 

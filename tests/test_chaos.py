@@ -55,9 +55,9 @@ class TestChaosPlan:
                 != a.params("shard_corrupt", 1))
 
     def test_parse_round_trip_and_shorthand(self):
-        plan = ChaosPlan.parse("worker_kill=1,torn_write=0|2,seed=3,"
+        plan = ChaosPlan.parse("thread_hang=1,torn_write=0|2,seed=3,"
                                "hang_s=0.5")
-        assert plan.worker_kill == (1,)
+        assert plan.thread_hang == (1,)
         assert plan.torn_write == (0, 2)
         assert plan.seed == 3 and plan.hang_s == 0.5
         assert ChaosPlan(torn_write=2).torn_write == (2,)  # int shorthand
@@ -68,7 +68,9 @@ class TestChaosPlan:
         with pytest.raises(ValueError):
             ChaosPlan.parse("no_such_site=1")
         with pytest.raises(ValueError):
-            ChaosPlan.parse("worker_kill")
+            ChaosPlan.parse("torn_write")
+        with pytest.raises(ValueError):
+            ChaosPlan.parse("worker_kill=1")
         with pytest.raises(ValueError):
             ChaosPlan(torn_write=(-1,))
         with pytest.raises(ValueError):

@@ -341,7 +341,7 @@ class TestNullPathBitIdentity:
         np.testing.assert_array_equal(res.final_params, base.final_params)
 
     @pytest.mark.parametrize("backend_name",
-                             ["serial", "thread", "process", "vectorized"])
+                             ["serial", "thread", "vectorized"])
     def test_null_attack_mean_identical_on_every_backend(
             self, blob_fed, blob_factory, backend_name):
         base = make_hmm(blob_fed, blob_factory).run(rounds=4, eval_every=4)
@@ -356,7 +356,7 @@ class TestNullPathBitIdentity:
         np.testing.assert_array_equal(res.final_weights, base.final_weights)
 
     @pytest.mark.parametrize("backend_name",
-                             ["serial", "thread", "process", "vectorized"])
+                             ["serial", "thread", "vectorized"])
     def test_robust_aggregation_identical_across_backends(
             self, blob_fed, blob_factory, backend_name):
         plan = FaultPlan(byzantine=AttackPlan(attack="sign_flip",

@@ -1,7 +1,7 @@
 """Execution-backend tests: bit-identity, RNG tokens, aliasing, resolution.
 
 The contract under test is the one in :mod:`repro.exec.base`: for a fixed seed
-every backend — serial, thread, process, vectorized — produces *bit-identical*
+every backend — serial, thread, vectorized — produces *bit-identical*
 results, including under fault injection and across a checkpoint/resume cycle.
 The serial backend defines the bits; the others must reproduce them exactly.
 """
@@ -21,7 +21,6 @@ from repro.exec import (
     SERIAL_BACKEND,
     ClientWork,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     VectorizedBackend,
@@ -41,7 +40,7 @@ from repro.utils.rng import (
     restore_generator,
 )
 
-BACKENDS = ("serial", "thread", "process", "vectorized")
+BACKENDS = ("serial", "thread", "vectorized")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -301,8 +300,7 @@ class TestDispatchEquivalence:
             return LocalStepsTask(
                 index=index, client_id=index, steps=steps or len(sizes),
                 lr=0.05, checkpoint_after=None,
-                projection=identity_projection, batches=batches,
-                sampler_state=None)
+                projection=identity_projection, batches=batches)
 
         tasks = [make_task(0, [4, 4, 4]),
                  make_task(1, [4, 4, 3]),   # ragged final batch
@@ -365,7 +363,7 @@ class TestDispatchEquivalence:
         task = LocalStepsTask(index=0, client_id=0, steps=1, lr=0.1,
                               checkpoint_after=None,
                               projection=identity_projection,
-                              batches=[(X, y)], sampler_state=None)
+                              batches=[(X, y)])
         with VectorizedBackend() as b:
             got = b.run_tasks(engine, w0, [task])[0]
         engine.set_params(w0)
@@ -482,8 +480,8 @@ class TestResolveBackend:
         assert resolve_backend(b, workers=7) is b
 
     @pytest.mark.parametrize("alias,cls", [
-        ("threads", ThreadBackend), ("mp", ProcessBackend),
-        ("vec", VectorizedBackend), ("sync", SerialBackend)])
+        ("threads", ThreadBackend), ("vec", VectorizedBackend),
+        ("sync", SerialBackend)])
     def test_aliases(self, alias, cls):
         b = make_backend(alias)
         try:
@@ -492,8 +490,9 @@ class TestResolveBackend:
             b.close()
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            make_backend("gpu")
+        for name in ("gpu", "process", "mp"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                make_backend(name)
 
     def test_available_backends_all_construct(self):
         for name in available_backends():

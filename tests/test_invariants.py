@@ -154,11 +154,11 @@ class TestReportIntegration:
                          message="mixing weights sum to 1.3")
             tracer.event("invariant", check="finite_model", round=4,
                          message="model w has 1 non-finite coordinate(s)")
-            tracer.event("exec_retry", backend="process", client=7,
-                         attempt=1, reason="worker_death")
-            tracer.event("worker_respawn", backend="process",
-                         reason="worker_death", resubmitted=1)
-            tracer.event("chaos", site="worker_kill", occurrence=1, pid=123)
+            tracer.event("exec_retry", backend="thread", client=7,
+                         attempt=1, reason="timeout")
+            tracer.event("checkpoint_fallback", requested="run.ckpt.json",
+                         used="run.ckpt.json.prev", round=4, reason="torn")
+            tracer.event("chaos", site="thread_hang", occurrence=1)
         report = analyze_trace(path)
         assert report.invariant_violations == 2
         assert report.invariant_totals == {"simplex_weights": 1,
@@ -166,11 +166,12 @@ class TestReportIntegration:
         assert (3, "simplex_weights",
                 "mixing weights sum to 1.3") in report.invariant_records
         assert report.resilience_totals == {"exec_retry": 1,
-                                            "worker_respawn": 1, "chaos": 1}
+                                            "checkpoint_fallback": 1,
+                                            "chaos": 1}
         assert report.recovery_actions == 2  # injected chaos doesn't count
         text = format_trace_report(report)
         assert "invariants:" in text and "simplex_weights" in text
-        assert "resilience:" in text and "worker_respawn" in text
+        assert "resilience:" in text and "checkpoint_fallback" in text
 
     def test_clean_trace_has_no_ledger_sections(self, fed, factory, tmp_path):
         path = tmp_path / "clean.jsonl"

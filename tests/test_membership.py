@@ -301,8 +301,7 @@ class TestNullChurnBitIdentical:
                                     churn="").run(rounds=4, eval_every=2)
         np.testing.assert_array_equal(base.final_params, res.final_params)
 
-    @pytest.mark.parametrize("backend",
-                             ("serial", "thread", "process", "vectorized"))
+    @pytest.mark.parametrize("backend", ("serial", "thread", "vectorized"))
     def test_every_backend(self, backend):
         fed = make_blob_fed()
         factory = make_model_factory("logistic", fed.input_dim,
@@ -378,7 +377,7 @@ class TestResumeAcrossFailover:
     #: Churn aggressive enough that edge crashes straddle the kill point.
     PLAN = "arrive=0.1,depart=0.08,edge_mttf=3,edge_mttr=2,seed=2"
 
-    @pytest.mark.parametrize("backend", ("serial", "process"))
+    @pytest.mark.parametrize("backend", ("serial", "vectorized"))
     def test_resume_bit_identical(self, tmp_path, backend):
         fed = make_blob_fed()
         factory = make_model_factory("logistic", fed.input_dim,

@@ -248,8 +248,7 @@ class TestVirtualCohorts:
                 else:
                     batches[cid] = draw
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process",
-                                         "vectorized"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "vectorized"])
     def test_run_deterministic_across_backends(self, backend):
         result = _run_virtual(backend=backend)
         reference = _run_virtual(backend="serial")
@@ -373,7 +372,7 @@ class TestEagerEquivalence:
         if plain.final_weights is not None:
             assert np.array_equal(plain.final_weights, wrapped.final_weights)
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "vectorized"])
+    @pytest.mark.parametrize("backend", ["thread", "vectorized"])
     def test_wrapped_dataset_bit_identical_backends(self, backend,
                                                     tiny_image_fed,
                                                     tiny_logistic_factory):

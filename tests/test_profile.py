@@ -490,6 +490,6 @@ class TestBackendBitIdenticality:
         # trees adds labels to existing scopes, never new ones.
         assert plain.sim_time_s == traced.sim_time_s
 
-    def test_all_four_backends_present(self):
-        assert set(available_backends()) == {"serial", "thread", "process",
+    def test_all_three_backends_present(self):
+        assert set(available_backends()) == {"serial", "thread",
                                              "vectorized"}

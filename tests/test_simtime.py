@@ -4,7 +4,7 @@ The load-bearing guarantees:
 
 * cost draws are pure functions of ``(seed, entity)`` — order-independent and
   identical across processes, which makes makespans deterministic across all
-  four execution backends and across checkpoint/resume;
+  three execution backends and across checkpoint/resume;
 * with the default :class:`NullCostModel`, every algorithm's history is
   bit-identical to a run without any ``timing=`` at all;
 * the semi-asynchronous variant with ``staleness=0`` reproduces the
@@ -278,7 +278,7 @@ class TestAlgorithmIntegration:
                                                 name):
         model = make_cost_model(COST_SPEC)
         spans = {}
-        for backend_name in ("serial", "thread", "process", "vectorized"):
+        for backend_name in ("serial", "thread", "vectorized"):
             backend = resolve_backend(backend_name, 2)
             try:
                 res = _run(name, blob_fed, blob_factory,

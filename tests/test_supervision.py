@@ -1,11 +1,10 @@
-"""Supervised execution: dead workers, hung threads, bounded retries.
+"""Supervised execution: hung threads, bounded retries, crash/resume.
 
-The supervision contract (``src/repro/exec``): pooled backends watch every
-dispatch for worker death (pid set change), hangs (per-dispatch ``timeout_s``),
-and recover by respawning the pool and re-executing the lost units — safe
-because each unit is a pure function of its descriptor, so a retried unit
-returns bit-identical outputs.  Retries are bounded by a
-:class:`~repro.faults.plan.RetryPolicy`; recovery emits ``worker_respawn`` /
+The supervision contract (``src/repro/exec``): the thread backend watches
+every task for hangs (per-task ``timeout_s``) and recovers by re-executing
+the task on a fresh worker thread — safe because each task is a pure function
+of its descriptor, so a retried task returns bit-identical outputs.  Retries
+are bounded by a :class:`~repro.faults.plan.RetryPolicy`; recovery emits
 ``exec_retry`` events and counters.
 """
 
@@ -17,12 +16,7 @@ import pytest
 from repro.chaos import ChaosCrash, ChaosPlan, chaos
 from repro.core.hierminimax import HierMinimax
 from repro.core.semiasync import SemiAsyncHierMinimax
-from repro.exec import (
-    TIMEOUT_ENV,
-    ProcessBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.exec import TIMEOUT_ENV, ThreadBackend, make_backend
 from repro.faults import RetryPolicy
 from repro.nn.models import make_model_factory
 from repro.obs import Tracer
@@ -64,8 +58,6 @@ class TestConfiguration:
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
             ThreadBackend(workers=2, timeout_s=0)
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=2, timeout_s=-1.0)
 
     def test_rejects_non_policy_retry(self):
         with pytest.raises(TypeError):
@@ -77,38 +69,9 @@ class TestConfiguration:
         assert backend.timeout_s == 2.5
         backend.close()
         monkeypatch.delenv(TIMEOUT_ENV)
-        backend = make_backend("process", workers=2)
+        backend = make_backend("thread", workers=2)
         assert backend.timeout_s is None
         backend.close()
-
-
-# ---------------------------------------------------------------------------
-# ProcessBackend: SIGKILLed workers
-# ---------------------------------------------------------------------------
-class TestProcessSupervision:
-    def test_worker_sigkill_recovers_bit_identically(self, fed, factory):
-        ref = run(fed, factory)
-        backend = ProcessBackend(workers=2)
-        tracer = Tracer()
-        try:
-            with chaos(ChaosPlan(worker_kill=(1,), seed=0)) as injector:
-                got = run(fed, factory, backend=backend, obs=tracer)
-        finally:
-            backend.close()
-        assert injector.fired_sites() == ["worker_kill"]
-        assert_identical(ref, got)
-        counters = tracer.snapshot()["counters"]
-        assert counters.get("worker_respawns_total", 0) >= 1
-
-    def test_repeated_kills_within_budget_recover(self, fed, factory):
-        ref = run(fed, factory)
-        backend = ProcessBackend(workers=2)
-        try:
-            with chaos(ChaosPlan(worker_kill=(0, 2), seed=1)):
-                got = run(fed, factory, backend=backend)
-        finally:
-            backend.close()
-        assert_identical(ref, got)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +111,7 @@ class TestThreadSupervision:
 # Semi-async in-flight buffer across an injected crash
 # ---------------------------------------------------------------------------
 class TestSemiAsyncCrashResume:
-    @pytest.mark.parametrize("backend_name", ("serial", "process"))
+    @pytest.mark.parametrize("backend_name", ("serial", "vectorized"))
     def test_crash_after_save_resumes_inflight(self, fed, factory, tmp_path,
                                                backend_name):
         model = make_cost_model("hetero,seed=1,device_sigma=0.5")
