@@ -813,7 +813,8 @@ def _cmd_population(args) -> int:
               f"avg acc {result.history.final().record.average_accuracy:.4f}")
         print(f"cohort: materialized {pop.clients_materialized_total:,} "
               f"total, max {pop.max_live_clients:,} live, "
-              f"{len(pop.store):,} with stored state")
+              f"{len(pop.store):,} with stored state "
+              f"({pop.store.record_bytes():,} record bytes)")
         within = peak_mb <= args.budget_mb
         print(f"memory: tracemalloc peak {peak_mb:.1f} MB "
               f"{'within' if within else 'EXCEEDS'} budget "

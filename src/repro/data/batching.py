@@ -8,18 +8,38 @@ returns exactly ``batch_size`` rows; a boundary-spanning batch may therefore con
 a sample twice (the old epoch's tail plus the new epoch's head).  Per-sample usage
 counts still never differ by more than 1 at any instant, since each epoch uses each
 sample exactly once.
+
+The sampler codec lives here too, in two encodings of the same state:
+:func:`sampler_state_token` / :func:`restore_sampler_state` (a JSON-able dict,
+the per-client layout checkpoints carry) and the *packed client record* — one
+immutable ``bytes`` value holding a client's sampler state plus its step
+counter, which is how the virtual population's client-state store keeps every
+touched client.  :func:`client_record_to_entry` / :func:`client_record_from_entry`
+translate between a record and the ``{"sampler": <token>, "meta": {...}}``
+entry layout that checkpoints and store shard files carry on disk.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import struct
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import generator_token, restore_generator
+from repro.utils.serialization import from_jsonable, to_jsonable
 
-__all__ = ["MinibatchSampler", "sampler_state_token", "restore_sampler_state"]
+__all__ = ["MinibatchSampler", "sampler_state_token", "restore_sampler_state",
+           "pack_client_record", "restore_client_record",
+           "client_record_to_entry", "client_record_from_entry"]
+
+#: Fixed little-endian header of a packed client record: PCG64 ``state`` and
+#: ``inc`` (16 bytes each), ``has_uint32``, ``uinteger`` (uint32 each), then
+#: ``cursor``, ``batches_drawn``, ``sgd_steps_taken`` (uint64 each) — 64
+#: bytes.  The epoch permutation follows as little-endian int64.
+_RECORD_HEADER = struct.Struct("<16s16sIIQQQ")
+_ORDER_DTYPE = np.dtype("<i8")
 
 
 class MinibatchSampler:
@@ -100,3 +120,112 @@ def restore_sampler_state(sampler: MinibatchSampler,
     sampler._order = np.asarray(state["order"], dtype=np.int64)
     sampler._cursor = int(state["cursor"])
     sampler.batches_drawn = int(state["batches_drawn"])
+
+
+def _require_pcg64(name: str) -> None:
+    # Client streams come from RngFactory.stream_at, which only yields PCG64;
+    # the record header has room for exactly that generator's state.
+    if name != "PCG64":
+        raise ValueError(
+            f"client records hold PCG64 generator state only, got {name!r}")
+
+
+def _pack_record(bitgen_state: Mapping, order: Any, cursor: int,
+                 batches_drawn: int, sgd_steps_taken: int) -> bytes:
+    _require_pcg64(bitgen_state["bit_generator"])
+    pcg = bitgen_state["state"]
+    try:
+        header = _RECORD_HEADER.pack(
+            int(pcg["state"]).to_bytes(16, "little"),
+            int(pcg["inc"]).to_bytes(16, "little"),
+            int(bitgen_state["has_uint32"]), int(bitgen_state["uinteger"]),
+            int(cursor), int(batches_drawn), int(sgd_steps_taken))
+    except (struct.error, OverflowError) as exc:
+        raise ValueError(f"client state out of record range: {exc}") from None
+    return header + np.asarray(order, dtype=_ORDER_DTYPE).tobytes()
+
+
+def _unpack_record(record: bytes) -> tuple[dict, np.ndarray, int, int, int]:
+    """``(bit_generator.state, order, cursor, batches_drawn, sgd_steps_taken)``."""
+    body = len(record) - _RECORD_HEADER.size
+    if body < 0 or body % _ORDER_DTYPE.itemsize:
+        raise ValueError(f"malformed client record of {len(record)} bytes")
+    (state, inc, has_uint32, uinteger, cursor, batches_drawn,
+     sgd_steps_taken) = _RECORD_HEADER.unpack_from(record)
+    bitgen_state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(state, "little"),
+                  "inc": int.from_bytes(inc, "little")},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+    order = np.frombuffer(record, dtype=_ORDER_DTYPE,
+                          offset=_RECORD_HEADER.size).astype(np.int64)
+    return bitgen_state, order, cursor, batches_drawn, sgd_steps_taken
+
+
+def pack_client_record(sampler: MinibatchSampler,
+                       sgd_steps_taken: int) -> bytes:
+    """Pack a live client's surviving state into one immutable record.
+
+    The record is the 64-byte ``_RECORD_HEADER`` (generator state, cursor,
+    draw and step counters) followed by the epoch permutation as int64 — for
+    an 8-sample shard, 128 bytes.  Raises ``ValueError`` when the sampler's
+    bit generator is not PCG64.
+    """
+    return _pack_record(sampler._rng.bit_generator.state, sampler._order,
+                        sampler._cursor, sampler.batches_drawn,
+                        sgd_steps_taken)
+
+
+def restore_client_record(sampler: MinibatchSampler, record: bytes) -> int:
+    """Unpack ``record`` into ``sampler`` in place; return ``sgd_steps_taken``.
+
+    The generator state is written straight into the sampler's existing bit
+    generator, so every alias of it follows the restored stream.
+    """
+    bit_generator = sampler._rng.bit_generator
+    _require_pcg64(type(bit_generator).__name__)
+    bitgen_state, order, cursor, batches_drawn, steps = _unpack_record(record)
+    bit_generator.state = bitgen_state
+    sampler._order = order
+    sampler._cursor = cursor
+    sampler.batches_drawn = batches_drawn
+    return steps
+
+
+def client_record_to_entry(record: bytes) -> dict[str, Any]:
+    """The on-disk entry for ``record``: ``{"sampler": ..., "meta": ...}``.
+
+    Equal to ``to_jsonable({"sampler": sampler_state_token(s), "meta":
+    {"sgd_steps_taken": n}})`` for the client the record was packed from —
+    the layout checkpoints and store shard files have always carried.
+    """
+    bitgen_state, order, cursor, batches_drawn, steps = _unpack_record(record)
+    return {
+        "sampler": {
+            # The generator_token envelope, built without a Generator.
+            "rng": {"__bitgen__": "PCG64", "state": bitgen_state},
+            "order": to_jsonable(order),
+            "cursor": cursor,
+            "batches_drawn": batches_drawn,
+        },
+        "meta": {"sgd_steps_taken": steps},
+    }
+
+
+def client_record_from_entry(entry: Mapping[str, Any]) -> bytes:
+    """Inverse of :func:`client_record_to_entry`.
+
+    Accepts the entry as parsed from JSON or after
+    :func:`~repro.utils.serialization.from_jsonable` (a live generator and
+    array in place of their envelopes).  Raises ``ValueError`` for a non-PCG64
+    generator.
+    """
+    sampler, meta = entry["sampler"], entry["meta"]
+    rng = sampler["rng"]
+    bitgen_state = (rng.bit_generator.state
+                    if isinstance(rng, np.random.Generator) else rng["state"])
+    return _pack_record(bitgen_state, from_jsonable(sampler["order"]),
+                        sampler["cursor"], sampler["batches_drawn"],
+                        meta["sgd_steps_taken"])

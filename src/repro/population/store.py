@@ -3,19 +3,28 @@
 A virtual population materializes only the sampled cohort each round and throws
 it away afterwards — but some client state must *survive* the discard: the
 minibatch-sampler cursor (so a client re-sampled in a later round continues its
-stream exactly where it left off), the local-step counter, and any marks other
-subsystems pin on a client (quarantine verdicts, membership status).  The
-:class:`ClientStateStore` holds exactly that state, namespaced per concern and
-sharded by ``client_id % num_shards`` so checkpoints and future distribution
-can move shards independently.
+stream exactly where it left off) and the local-step counter.  The
+:class:`ClientStateStore` holds exactly that state, sharded by
+``client_id % num_shards`` so checkpoints and future distribution can move
+shards independently.
+
+Each client is one immutable ``bytes`` record
+(:func:`~repro.data.batching.pack_client_record`): a fixed 64-byte
+little-endian header — PCG64 ``state`` and ``inc`` (16 bytes each),
+``has_uint32``, ``uinteger``, ``cursor``, ``batches_drawn``,
+``sgd_steps_taken`` — followed by the epoch permutation as int64.  With 8
+samples per client a record is 128 bytes, about 160 bytes as a Python object.
 
 Memory is O(clients ever visited), independent of the population size: a
 1M-client run that samples 5 edges x 1000 clients per round for 20 rounds holds
-at most ~100k entries, each a few hundred bytes (a generator token + cursor).
+at most ~100k records.
 
 The store round-trips bit-identically through ``state_dict()`` /
-``load_state_dict()`` — entries are kept checkpoint-serializable (plain dicts,
-ints, numpy arrays, and :func:`~repro.utils.rng.generator_token` envelopes).
+``load_state_dict()``.  Records convert at that boundary to the JSON entry
+layout ``{"sampler": <sampler_state_token>, "meta": {"sgd_steps_taken": n}}``
+(:func:`~repro.data.batching.client_record_to_entry`), so checkpoint
+documents and shard files keep that layout byte for byte, and any checkpoint
+in it loads.
 
 Durable shard files
 -------------------
@@ -37,10 +46,11 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.chaos.hooks import fire as chaos_fire
-from repro.utils.serialization import canonical_bytes, from_jsonable, to_jsonable
+from repro.data.batching import client_record_from_entry, client_record_to_entry
+from repro.utils.serialization import canonical_bytes
 
 __all__ = ["ClientStateStore", "ShardIntegrityError", "shard_file_path"]
 
@@ -68,49 +78,40 @@ def _fsync_dir(directory: Path) -> None:
 
 
 class ClientStateStore:
-    """Sharded ``client_id -> {namespace -> state}`` map with exact round-trip.
+    """Sharded ``client_id -> record`` map with exact round-trip.
 
-    Namespaces keep concerns separate: the population writes sampler cursors
-    under ``"sampler"`` and step counters under ``"meta"``; other subsystems
-    (quarantine, membership) may claim their own namespace without colliding.
+    A record is the immutable ``bytes`` value
+    :func:`~repro.data.batching.pack_client_record` builds from a live client
+    and :func:`~repro.data.batching.restore_client_record` unpacks into one.
     """
 
     def __init__(self, num_shards: int = DEFAULT_SHARDS) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = int(num_shards)
-        self._shards: list[dict[int, dict[str, Any]]] = [
+        self._shards: list[dict[int, bytes]] = [
             {} for _ in range(self.num_shards)]
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _shard(self, client_id: int) -> dict[int, dict[str, Any]]:
+    def _shard(self, client_id: int) -> dict[int, bytes]:
         return self._shards[int(client_id) % self.num_shards]
 
-    def get(self, client_id: int, namespace: str = "sampler") -> Any | None:
-        """State stored for ``client_id`` under ``namespace`` (None if absent)."""
-        entry = self._shard(client_id).get(int(client_id))
-        if entry is None:
-            return None
-        return entry.get(namespace)
+    def get(self, client_id: int) -> bytes | None:
+        """The record stored for ``client_id`` (None if absent)."""
+        return self._shard(client_id).get(int(client_id))
 
-    def put(self, client_id: int, state: Any, namespace: str = "sampler") -> None:
-        """Store ``state`` for ``client_id`` under ``namespace`` (overwrites)."""
-        self._shard(client_id).setdefault(int(client_id), {})[namespace] = state
+    def put(self, client_id: int, record: bytes) -> None:
+        """Store ``record`` for ``client_id`` (overwrites)."""
+        if not isinstance(record, bytes):
+            raise TypeError(
+                f"client record must be bytes, got {type(record).__name__}")
+        self._shard(client_id)[int(client_id)] = record
 
-    def discard(self, client_id: int, namespace: str | None = None) -> None:
-        """Drop one namespace of a client's state, or the whole client entry."""
-        shard = self._shard(client_id)
-        cid = int(client_id)
-        if namespace is None:
-            shard.pop(cid, None)
-            return
-        entry = shard.get(cid)
-        if entry is not None:
-            entry.pop(namespace, None)
-            if not entry:
-                shard.pop(cid, None)
+    def discard(self, client_id: int) -> None:
+        """Drop ``client_id``'s record, if any."""
+        self._shard(client_id).pop(int(client_id), None)
 
     def __contains__(self, client_id: object) -> bool:
         # Membership tests arrive from generic containers ("is this thing a
@@ -134,17 +135,25 @@ class ClientStateStore:
         """Entry count per shard (diagnostics / balance checks)."""
         return [len(shard) for shard in self._shards]
 
+    def record_bytes(self) -> int:
+        """Total length of every stored record (the store's payload size)."""
+        return sum(len(record) for shard in self._shards
+                   for record in shard.values())
+
     # ------------------------------------------------------------------
     # Checkpointing (inline)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _entries(shard: dict[int, bytes]) -> dict[str, dict]:
+        return {str(cid): client_record_to_entry(record)
+                for cid, record in sorted(shard.items())}
+
     def state_dict(self) -> dict:
-        """Exact snapshot; keys are stringified for the JSON checkpoint format."""
+        """Exact JSON-clean snapshot; client keys are stringified."""
         return {
             "num_shards": self.num_shards,
-            "shards": {
-                str(i): {str(cid): entry for cid, entry in sorted(shard.items())}
-                for i, shard in enumerate(self._shards) if shard
-            },
+            "shards": {str(i): self._entries(shard)
+                       for i, shard in enumerate(self._shards) if shard},
         }
 
     def load_state_dict(self, state: Mapping) -> None:
@@ -154,8 +163,11 @@ class ClientStateStore:
         by the current ``client_id % num_shards`` law, so resharding a
         checkpoint is safe and bit-identical at the client level.  The input
         is validated before anything is replaced: malformed shards, non-integer
-        or negative client keys, and non-mapping entries raise ``ValueError``
+        or negative client keys, and entries that are not a valid
+        ``{"sampler": ..., "meta": ...}`` client entry raise ``ValueError``
         naming the offending key, leaving the current content untouched.
+        Entries may be plain JSON or already passed through
+        :func:`~repro.utils.serialization.from_jsonable`.
         """
         if not isinstance(state, Mapping):
             raise ValueError(
@@ -165,8 +177,7 @@ class ClientStateStore:
             raise ValueError(
                 f"store state 'shards' must be a mapping of shard snapshots, "
                 f"got {type(shards_in).__name__}")
-        rebuilt: list[dict[int, dict[str, Any]]] = [
-            {} for _ in range(self.num_shards)]
+        rebuilt: list[dict[int, bytes]] = [{} for _ in range(self.num_shards)]
         for shard_key, shard in shards_in.items():
             if not isinstance(shard, Mapping):
                 raise ValueError(
@@ -184,9 +195,15 @@ class ClientStateStore:
                         f"shard {shard_key!r} holds negative client id {cid}")
                 if not isinstance(entry, Mapping):
                     raise ValueError(
-                        f"state for client {cid} must be a namespace mapping, "
+                        f"state for client {cid} must be an entry mapping, "
                         f"got {type(entry).__name__}")
-                rebuilt[cid % self.num_shards][cid] = dict(entry)
+                try:
+                    record = client_record_from_entry(entry)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"state for client {cid} is not a valid client "
+                        f"entry: {exc!r}") from None
+                rebuilt[cid % self.num_shards][cid] = record
         self._shards = rebuilt
 
     # ------------------------------------------------------------------
@@ -209,8 +226,7 @@ class ClientStateStore:
         for index, shard in enumerate(self._shards):
             if not shard:
                 continue
-            entries = to_jsonable(
-                {str(cid): entry for cid, entry in sorted(shard.items())})
+            entries = self._entries(shard)
             crc = zlib.crc32(canonical_bytes(entries))
             path = shard_file_path(directory, index)
             tmp = path.with_name(path.name + ".tmp")
@@ -296,8 +312,7 @@ class ClientStateStore:
         # re-home under the current num_shards.
         self.load_state_dict({
             "num_shards": int(manifest.get("num_shards", self.num_shards)),
-            "shards": {str(i): from_jsonable(dict(e))
-                       for i, e in resolved.items()},
+            "shards": {str(i): e for i, e in resolved.items()},
         })
         return corrupted
 

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.data.batching import restore_sampler_state, sampler_state_token
+from repro.data.batching import pack_client_record, restore_client_record
 from repro.data.dataset import Dataset, concat_datasets
 from repro.population.base import Population
 from repro.population.spec import PopulationSpec
@@ -317,12 +317,10 @@ class VirtualPopulation(Population):
         shard = self.spec.client_shard(cid, image_generator=self.image_generator)
         rng = self._rng_factory.stream_at("client", cid)
         client = Client(cid, shard, self._batch_size, rng)
-        sampler_state = self.store.get(cid, "sampler")
-        if sampler_state is not None:
-            restore_sampler_state(client.sampler, sampler_state)
-        meta = self.store.get(cid, "meta")
-        if meta is not None:
-            client.sgd_steps_taken = int(meta["sgd_steps_taken"])
+        record = self.store.get(cid)
+        if record is not None:
+            client.sgd_steps_taken = restore_client_record(client.sampler,
+                                                           record)
         self._live[cid] = client
         self.clients_materialized_total += 1
         if len(self._live) > self.max_live_clients:
@@ -347,9 +345,8 @@ class VirtualPopulation(Population):
         for cid, client in self._live.items():
             if client.sampler.batches_drawn == 0 and client.sgd_steps_taken == 0:
                 continue
-            self.store.put(cid, sampler_state_token(client.sampler), "sampler")
-            self.store.put(cid, {"sgd_steps_taken": int(client.sgd_steps_taken)},
-                           "meta")
+            self.store.put(cid, pack_client_record(client.sampler,
+                                                   client.sgd_steps_taken))
 
     def end_round(self, round_index: int) -> None:
         """Flush and discard the round's cohort."""

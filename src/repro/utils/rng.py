@@ -32,8 +32,11 @@ def generator_token(gen: np.random.Generator) -> dict:
     The token is the same ``{"__bitgen__": name, "state": {...}}`` envelope the
     checkpoint serializer (:mod:`repro.utils.serialization`) writes, so it
     round-trips *exactly*: Python ints are arbitrary-precision, surviving even
-    PCG64's 128-bit state.  Use it to persist generator state (the virtual
-    population's client-state store) or to compare streams in tests.
+    PCG64's 128-bit state.  It is the ``rng`` field of
+    :func:`~repro.data.batching.sampler_state_token`, the per-client layout
+    eager checkpoints and virtual-population client entries carry on disk
+    (the client-state store itself keeps packed records); use it to persist
+    generator state or to compare streams in tests.
     """
     from repro.utils.serialization import to_jsonable
 

@@ -20,6 +20,8 @@ import pytest
 
 from repro.baselines.registry import make_algorithm
 from repro.core.hierminimax import HierMinimax
+from repro.data.batching import MinibatchSampler, pack_client_record
+from repro.data.dataset import Dataset
 from repro.membership import ChurnPlan
 from repro.multilayer import MultiLevelHierMinimax
 from repro.nn.models import make_model_factory
@@ -105,21 +107,32 @@ class TestPopulationSpec:
 # ---------------------------------------------------------------------------
 # ClientStateStore: sharding, round-trips
 # ---------------------------------------------------------------------------
+def _record(cid: int, draws: int = 1) -> bytes:
+    """A real packed record: a client sampler after ``draws`` batches."""
+    shard = Dataset(np.arange(8.0)[:, None], np.zeros(8, dtype=np.int64), 2)
+    sampler = MinibatchSampler(shard, 3, np.random.default_rng(cid))
+    for _ in range(draws):
+        sampler.next_batch()
+    return pack_client_record(sampler, draws)
+
+
 class TestClientStateStore:
     def test_put_get_discard(self):
         store = ClientStateStore(num_shards=4)
-        store.put(11, {"cursor": 3})
-        store.put(11, {"x": 1}, namespace="meta")
-        assert store.get(11) == {"cursor": 3}
-        assert store.get(11, namespace="meta") == {"x": 1}
+        record = _record(11, draws=3)
+        store.put(11, record)
+        assert store.get(11) == record
         assert 11 in store and len(store) == 1
+        assert store.record_bytes() == len(record)
+        with pytest.raises(TypeError):
+            store.put(12, {"cursor": 3})
         store.discard(11)
         assert 11 not in store and store.get(11) is None
 
     def test_state_dict_round_trip_and_resharding(self):
         store = ClientStateStore(num_shards=8)
         for cid in (0, 5, 13, 999_983):
-            store.put(cid, {"cursor": cid % 7})
+            store.put(cid, _record(cid, draws=cid % 7))
         # Restoring into a differently-sharded store re-homes every entry.
         other = ClientStateStore(num_shards=3)
         other.load_state_dict(store.state_dict())
@@ -130,7 +143,7 @@ class TestClientStateStore:
 
     def test_contains_is_false_for_non_castable_ids(self):
         store = ClientStateStore(num_shards=4)
-        store.put(3, {"cursor": 1})
+        store.put(3, _record(3))
         assert "abc" not in store
         assert None not in store
         assert (1, 2) not in store
@@ -138,20 +151,24 @@ class TestClientStateStore:
 
     def test_load_state_dict_rejects_malformed_input(self):
         store = ClientStateStore(num_shards=4)
-        store.put(7, {"cursor": 2})
+        record = _record(7, draws=2)
+        store.put(7, record)
+        entry = store.state_dict()["shards"]["3"]["7"]
         cases = [
             "not a mapping",
             {"shards": "not a mapping"},
             {"shards": {"0": ["not", "a", "mapping"]}},
-            {"shards": {"0": {"abc": {"cursor": 0}}}},
-            {"shards": {"0": {"-5": {"cursor": 0}}}},
+            {"shards": {"0": {"abc": entry}}},
+            {"shards": {"0": {"-5": entry}}},
             {"shards": {"0": {"1": "not a mapping"}}},
+            {"shards": {"0": {"1": {"cursor": 0}}}},
+            {"shards": {"0": {"1": {"sampler": entry["sampler"]}}}},
         ]
         for bad in cases:
             with pytest.raises(ValueError):
                 store.load_state_dict(bad)
             # Validation failures never clobber the current content.
-            assert store.get(7) == {"cursor": 2}
+            assert store.get(7) == record
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +178,7 @@ class TestShardFiles:
     def _store(self, n=10):
         store = ClientStateStore(num_shards=4)
         for cid in range(n):
-            store.put(cid, {"cursor": cid, "tag": f"c{cid}"})
+            store.put(cid, _record(cid, draws=cid + 1))
         return store
 
     def test_save_load_round_trip(self, tmp_path):
@@ -176,15 +193,16 @@ class TestShardFiles:
 
     def test_rotation_keeps_previous_generation(self, tmp_path):
         store = self._store()
+        first_record = store.get(0)
         first = store.save_shards(tmp_path)
-        store.put(0, {"cursor": 999})
+        store.put(0, _record(0, draws=999))
         store.save_shards(tmp_path)
         assert list(tmp_path.glob("*.prev"))
         # The older manifest still resolves — its generation lives under
         # the .prev names after the rotation.
         fresh = ClientStateStore(num_shards=4)
         assert fresh.load_shards(tmp_path, first) == []
-        assert fresh.get(0) == {"cursor": 0, "tag": "c0"}
+        assert fresh.get(0) == first_record
 
     def test_corruption_raises_by_default(self, tmp_path):
         store = self._store()
