@@ -20,70 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the paper-vs-measu
 record of every experiment.
 """
 
-from repro.baselines import ALGORITHMS, DRFA, FedAvg, HierFAVG, StochasticAFL, make_algorithm
-from repro.chaos import ChaosCrash, ChaosInjector, ChaosPlan, chaos
-from repro.core import (
-    FederatedAlgorithm,
-    HierMinimax,
-    RunResult,
-    SemiAsyncHierMinimax,
-    TradeoffSchedule,
-    tradeoff_schedule,
-)
-from repro.data import (
-    DATASET_NAMES,
-    Dataset,
-    FederatedDataset,
-    make_federated_dataset,
-)
-from repro.compression import IdentityCompressor, QSGDQuantizer, TopKSparsifier
-from repro.defense import (
-    AttackPlan,
-    CoordinateMedian,
-    DefensePolicy,
-    Krum,
-    NormClip,
-    RobustAggregator,
-    TrimmedMean,
-    WeightedMean,
-    apply_label_flip,
-    resolve_defense,
-)
-from repro.faults import (
-    CheckpointError,
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    load_checkpoint_file,
-    save_checkpoint_file,
-)
-from repro.invariants import InvariantMonitor, InvariantViolationError, Violation
-from repro.membership import ChurnPlan, MembershipManager, resolve_membership
-from repro.metrics import EvaluationRecord, TrainingHistory, evaluate_record
-from repro.multilayer import HierarchyTree, MultiLevelHierMinimax
-from repro.obs import (
-    MetricsRegistry,
-    NullTracer,
-    Tracer,
-    TraceWriter,
-    analyze_trace,
-    format_trace_report,
-)
-from repro.nn import NeuralNetwork, logistic_regression, make_model_factory, mlp
-from repro.population import (
-    ClientStateStore,
-    EagerPopulation,
-    PopulationSpec,
-    VirtualPopulation,
-    as_population,
-)
-from repro.simtime import (
-    HeterogeneousCostModel,
-    NullCostModel,
-    SimTimer,
-    make_cost_model,
-)
-from repro.topology import CommunicationTracker, HierarchicalTopology
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -161,3 +98,57 @@ __all__ = [
     "HierarchicalTopology",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines": (
+        "ALGORITHMS", "DRFA", "FedAvg", "HierFAVG", "StochasticAFL",
+        "make_algorithm",
+    ),
+    "repro.chaos": ("ChaosCrash", "ChaosInjector", "ChaosPlan", "chaos"),
+    "repro.core": (
+        "FederatedAlgorithm", "HierMinimax", "RunResult",
+        "SemiAsyncHierMinimax", "TradeoffSchedule", "tradeoff_schedule",
+    ),
+    "repro.data": (
+        "DATASET_NAMES", "Dataset", "FederatedDataset",
+        "make_federated_dataset",
+    ),
+    "repro.compression": (
+        "IdentityCompressor", "QSGDQuantizer", "TopKSparsifier",
+    ),
+    "repro.defense": (
+        "AttackPlan", "CoordinateMedian", "DefensePolicy", "Krum", "NormClip",
+        "RobustAggregator", "TrimmedMean", "WeightedMean", "apply_label_flip",
+        "resolve_defense",
+    ),
+    "repro.faults": (
+        "CheckpointError", "FaultInjector", "FaultPlan", "RetryPolicy",
+        "load_checkpoint_file", "save_checkpoint_file",
+    ),
+    "repro.invariants": (
+        "InvariantMonitor", "InvariantViolationError", "Violation",
+    ),
+    "repro.membership": (
+        "ChurnPlan", "MembershipManager", "resolve_membership",
+    ),
+    "repro.metrics": (
+        "EvaluationRecord", "TrainingHistory", "evaluate_record",
+    ),
+    "repro.multilayer": ("HierarchyTree", "MultiLevelHierMinimax"),
+    "repro.obs": (
+        "MetricsRegistry", "NullTracer", "Tracer", "TraceWriter",
+        "analyze_trace", "format_trace_report",
+    ),
+    "repro.nn": (
+        "NeuralNetwork", "logistic_regression", "make_model_factory", "mlp",
+    ),
+    "repro.population": (
+        "ClientStateStore", "EagerPopulation", "PopulationSpec",
+        "VirtualPopulation", "as_population",
+    ),
+    "repro.simtime": (
+        "HeterogeneousCostModel", "NullCostModel", "SimTimer",
+        "make_cost_model",
+    ),
+    "repro.topology": ("CommunicationTracker", "HierarchicalTopology"),
+})

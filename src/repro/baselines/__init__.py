@@ -1,10 +1,6 @@
 """Baseline algorithms: FedAvg, Stochastic-AFL, DRFA, and HierFAVG."""
 
-from repro.baselines.drfa import DRFA
-from repro.baselines.fedavg import FedAvg
-from repro.baselines.hierfavg import HierFAVG
-from repro.baselines.registry import ALGORITHMS, make_algorithm
-from repro.baselines.stochastic_afl import StochasticAFL
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DRFA",
@@ -14,3 +10,11 @@ __all__ = [
     "make_algorithm",
     "StochasticAFL",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.drfa": ("DRFA",),
+    "repro.baselines.fedavg": ("FedAvg",),
+    "repro.baselines.hierfavg": ("HierFAVG",),
+    "repro.baselines.registry": ("ALGORITHMS", "make_algorithm"),
+    "repro.baselines.stochastic_afl": ("StochasticAFL",),
+})

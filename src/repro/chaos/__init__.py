@@ -10,14 +10,15 @@ Three pieces:
   ``python -m repro chaos``: sweep kill-points × backends and assert every
   interrupted run recovers bit-identical to the uninterrupted one.
 
-The campaign module is imported lazily (``repro.chaos.campaign`` or the
-``run_campaign`` attribute): it depends on :mod:`repro.core`, which depends on
-:mod:`repro.exec`, whose backends fire chaos hooks — an eager import here
-would close that cycle.
+Every name is resolved on first use by the shared lazy-export helper
+(:mod:`repro._lazy`), like every other package's re-exports.  That matters
+most for the campaign: it depends on :mod:`repro.core`, which depends on
+:mod:`repro.exec`, whose backends fire chaos hooks — so
+:mod:`repro.chaos.campaign` loads only when ``run_campaign`` and its
+companions are first used.
 """
 
-from repro.chaos.hooks import ChaosCrash, active, chaos, fire, install, uninstall
-from repro.chaos.plan import CHAOS_SITES, ChaosInjector, ChaosPlan
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ChaosPlan",
@@ -34,13 +35,12 @@ __all__ = [
     "campaign_ok",
 ]
 
-_CAMPAIGN_ATTRS = ("run_campaign", "format_campaign", "campaign_ok",
-                   "ScenarioOutcome")
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN_ATTRS:
-        from repro.chaos import campaign
-
-        return getattr(campaign, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.hooks": (
+        "ChaosCrash", "active", "chaos", "fire", "install", "uninstall",
+    ),
+    "repro.chaos.plan": ("CHAOS_SITES", "ChaosInjector", "ChaosPlan"),
+    "repro.chaos.campaign": (
+        "run_campaign", "format_campaign", "campaign_ok", "ScenarioOutcome",
+    ),
+})

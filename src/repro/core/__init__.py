@@ -1,15 +1,6 @@
 """The paper's primary contribution: the HierMinimax algorithm and its schedules."""
 
-from repro.core.base import FederatedAlgorithm, RunResult
-from repro.core.hierminimax import HierMinimax
-from repro.core.semiasync import SemiAsyncHierMinimax
-from repro.core.schedules import (
-    TradeoffSchedule,
-    communication_complexity_order,
-    convergence_rate_order,
-    split_tau_product,
-    tradeoff_schedule,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FederatedAlgorithm",
@@ -22,3 +13,13 @@ __all__ = [
     "split_tau_product",
     "tradeoff_schedule",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.base": ("FederatedAlgorithm", "RunResult"),
+    "repro.core.hierminimax": ("HierMinimax",),
+    "repro.core.semiasync": ("SemiAsyncHierMinimax",),
+    "repro.core.schedules": (
+        "TradeoffSchedule", "communication_complexity_order",
+        "convergence_rate_order", "split_tau_product", "tradeoff_schedule",
+    ),
+})

@@ -143,23 +143,32 @@ FASHION_MNIST_LIKE = ImageGeneratorSpec(
 
 
 def _upsample_bilinear(field: np.ndarray, side: int) -> np.ndarray:
-    """Bilinearly upsample a (g, g) field to (side, side) — vectorized."""
-    g = field.shape[0]
+    """Bilinearly upsample fields of shape (..., g, g) to (..., side, side).
+
+    Any leading axes are a batch: each (g, g) slice is interpolated on its own,
+    with the same operations in the same order as for a lone (g, g) field, so
+    a batch gives the same bits as its slices one at a time.
+    """
+    g = field.shape[-1]
     # Sample positions in field coordinates.
     pos = np.linspace(0.0, g - 1.0, side)
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, g - 1)
     frac = pos - i0
     # Interpolate rows then columns via outer-product weights.
-    rows = field[i0] * (1.0 - frac)[:, None] + field[i1] * frac[:, None]
-    out = rows[:, i0] * (1.0 - frac)[None, :] + rows[:, i1] * frac[None, :]
-    return out
+    rows = (field[..., i0, :] * (1.0 - frac)[:, None]
+            + field[..., i1, :] * frac[:, None])
+    return rows[..., i0] * (1.0 - frac) + rows[..., i1] * frac
 
 
-def _smooth_field(rng: np.random.Generator, grid: int, side: int) -> np.ndarray:
-    """A zero-mean smooth random field on (side, side)."""
-    coarse = rng.normal(size=(grid, grid))
-    return _upsample_bilinear(coarse, side)
+def _smooth_fields(rng: np.random.Generator, n: int, grid: int,
+                   side: int) -> np.ndarray:
+    """``n`` zero-mean smooth random fields, shape (n, side, side).
+
+    One ``(n, grid, grid)`` normal draw consumes the stream exactly as ``n``
+    consecutive ``(grid, grid)`` draws would.
+    """
+    return _upsample_bilinear(rng.normal(size=(n, grid, grid)), side)
 
 
 class SyntheticImageGenerator:
@@ -175,17 +184,13 @@ class SyntheticImageGenerator:
         proto_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=spec.prototype_seed,
                                    spawn_key=(0xB10B,)))
-        side, C = spec.side, spec.num_classes
-        # One list of mode prototypes per class (hard classes have several).
+        # One bank of mode prototypes per class (hard classes have several).
         self._prototypes: list[np.ndarray] = []
-        for c in range(C):
-            modes = spec.class_mode_count(c)
-            bank = np.empty((modes, side, side), dtype=np.float64)
-            for m in range(modes):
-                field = _smooth_field(proto_rng, spec.grid, side)
-                # Threshold into bright stroke-like regions on dark background.
-                bank[m] = 1.0 / (1.0 + np.exp(-4.0 * (field - 0.3)))
-            self._prototypes.append(bank)
+        for c in range(spec.num_classes):
+            fields = _smooth_fields(proto_rng, spec.class_mode_count(c),
+                                    spec.grid, spec.side)
+            # Threshold into bright stroke-like regions on dark background.
+            self._prototypes.append(1.0 / (1.0 + np.exp(-4.0 * (fields - 0.3))))
 
     @property
     def input_dim(self) -> int:
@@ -208,7 +213,12 @@ class SyntheticImageGenerator:
         return self._prototypes[label].copy()
 
     def sample_class(self, label: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` flattened samples of class ``label``; shape (n, side*side)."""
+        """Draw ``n`` flattened samples of class ``label``; shape (n, side*side).
+
+        All ``n`` samples are drawn as one batch: modes, shifts, gains, the
+        ``(n, grid, grid)`` deformation fields and the pixel noise are each one
+        draw, in that order, and every sample's arithmetic is elementwise.
+        """
         spec = self.spec
         if not 0 <= label < spec.num_classes:
             raise ValueError(f"label {label} out of range [0, {spec.num_classes})")
@@ -216,17 +226,19 @@ class SyntheticImageGenerator:
             raise ValueError(f"cannot draw {n} samples")
         side = spec.side
         factor = spec.class_noise_factor(label)
-        out = np.empty((n, side, side), dtype=np.float64)
         bank = self._prototypes[label]
         modes = rng.integers(0, bank.shape[0], size=n)
         shifts = rng.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
         gains = 1.0 + spec.intensity_jitter * rng.normal(size=n)
         deform = spec.deform_scale * factor
-        for i in range(n):
-            img = np.roll(bank[modes[i]], shift=tuple(shifts[i]), axis=(0, 1))
-            if deform > 0:
-                img = img + deform * _smooth_field(rng, spec.grid, side)
-            out[i] = gains[i] * img
+        # np.roll of each sample's mode by its shift, as one modular gather.
+        pixels = np.arange(side)
+        rows = (pixels - shifts[:, :1]) % side
+        cols = (pixels - shifts[:, 1:]) % side
+        img = bank[modes[:, None, None], rows[:, :, None], cols[:, None, :]]
+        if deform > 0:
+            img = img + deform * _smooth_fields(rng, n, spec.grid, side)
+        out = gains[:, None, None] * img
         if spec.pixel_noise > 0:
             out += spec.pixel_noise * factor * rng.normal(size=out.shape)
         np.clip(out, 0.0, 1.0, out=out)
@@ -235,8 +247,8 @@ class SyntheticImageGenerator:
     def sample(self, labels: np.ndarray, rng: np.random.Generator) -> Dataset:
         """Draw one sample per entry of ``labels``; returns a :class:`Dataset`.
 
-        Samples are generated class-by-class (vectorized within a class) and then
-        restored to the requested label order.
+        Samples are generated class-by-class, each class as one batch
+        (:meth:`sample_class`), and then restored to the requested label order.
         """
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:

@@ -19,24 +19,7 @@ paths — bit-identical to a build without this subsystem, regression-tested
 across all execution backends.
 """
 
-from repro.defense.aggregators import (
-    AGGREGATORS,
-    AggregationOutcome,
-    CoordinateMedian,
-    Krum,
-    NormClip,
-    RobustAggregator,
-    TrimmedMean,
-    WeightedMean,
-    resolve_aggregator,
-)
-from repro.defense.attacks import ATTACKS, AttackPlan, apply_label_flip
-from repro.defense.policy import (
-    DefensePolicy,
-    clip_loss_reports,
-    resolve_defense,
-    robust_combine,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AGGREGATORS",
@@ -56,3 +39,16 @@ __all__ = [
     "resolve_defense",
     "robust_combine",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.defense.aggregators": (
+        "AGGREGATORS", "AggregationOutcome", "CoordinateMedian", "Krum",
+        "NormClip", "RobustAggregator", "TrimmedMean", "WeightedMean",
+        "resolve_aggregator",
+    ),
+    "repro.defense.attacks": ("ATTACKS", "AttackPlan", "apply_label_flip"),
+    "repro.defense.policy": (
+        "DefensePolicy", "clip_loss_reports", "resolve_defense",
+        "robust_combine",
+    ),
+})

@@ -1,29 +1,6 @@
 """Experiment harness: presets, paired runner, and figure/table builders."""
 
-from repro.experiments.figures import (
-    FigureData,
-    FigureSeries,
-    build_figure,
-    fig3,
-    fig4,
-    format_figure_report,
-)
-from repro.experiments.presets import (
-    FIGURE_ALGORITHMS,
-    TABLE2_DATASETS,
-    ExperimentPreset,
-    fig3_preset,
-    fig4_preset,
-    table2_preset,
-)
-from repro.experiments.runner import (
-    ExperimentOutput,
-    build_preset_dataset,
-    build_preset_model,
-    monotone_envelope,
-    run_experiment,
-)
-from repro.experiments.tables import Table2Row, format_table2, table2, table2_row
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FigureData",
@@ -48,3 +25,21 @@ __all__ = [
     "table2",
     "table2_row",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.figures": (
+        "FigureData", "FigureSeries", "build_figure", "fig3", "fig4",
+        "format_figure_report",
+    ),
+    "repro.experiments.presets": (
+        "FIGURE_ALGORITHMS", "TABLE2_DATASETS", "ExperimentPreset",
+        "fig3_preset", "fig4_preset", "table2_preset",
+    ),
+    "repro.experiments.runner": (
+        "ExperimentOutput", "build_preset_dataset", "build_preset_model",
+        "monotone_envelope", "run_experiment",
+    ),
+    "repro.experiments.tables": (
+        "Table2Row", "format_table2", "table2", "table2_row",
+    ),
+})

@@ -20,22 +20,7 @@ renormalization over survivors, NaN/Inf quarantine, stale-loss fallback for
 dark edges — live at the aggregation points of the algorithms themselves.
 """
 
-from repro.faults.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKSUM_KEY,
-    CheckpointError,
-    load_checkpoint_file,
-    previous_checkpoint_path,
-    save_checkpoint_file,
-)
-from repro.faults.injector import (
-    INJECTED_KINDS,
-    RECOVERY_KINDS,
-    FaultInjector,
-    resolve_injector,
-)
-from repro.defense.attacks import AttackPlan
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttackPlan",
@@ -52,3 +37,17 @@ __all__ = [
     "load_checkpoint_file",
     "previous_checkpoint_path",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.checkpoint": (
+        "CHECKPOINT_FORMAT", "CHECKSUM_KEY", "CheckpointError",
+        "load_checkpoint_file", "previous_checkpoint_path",
+        "save_checkpoint_file",
+    ),
+    "repro.faults.injector": (
+        "INJECTED_KINDS", "RECOVERY_KINDS", "FaultInjector",
+        "resolve_injector",
+    ),
+    "repro.defense.attacks": ("AttackPlan",),
+    "repro.faults.plan": ("FaultPlan", "RetryPolicy"),
+})

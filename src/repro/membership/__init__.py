@@ -19,13 +19,7 @@ topology, the exact pre-existing code paths); the live topology is captured
 in checkpoints so resume mid-failover is bit-identical.
 """
 
-from repro.membership.manager import (
-    MembershipManager,
-    NULL_MEMBERSHIP,
-    NullMembership,
-    resolve_membership,
-)
-from repro.membership.plan import ChurnPlan
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ChurnPlan",
@@ -34,3 +28,11 @@ __all__ = [
     "NULL_MEMBERSHIP",
     "resolve_membership",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.membership.manager": (
+        "MembershipManager", "NULL_MEMBERSHIP", "NullMembership",
+        "resolve_membership",
+    ),
+    "repro.membership.plan": ("ChurnPlan",),
+})

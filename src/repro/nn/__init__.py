@@ -4,13 +4,7 @@ Replaces the paper's PyTorch dependency (see DESIGN.md §1): flat-buffer models,
 layers, losses, SGD with projection, and finite-difference gradient checking.
 """
 
-from repro.nn.gradcheck import gradient_check, max_relative_error, numerical_gradient
-from repro.nn.init import fan_in_out, kaiming_uniform_, normal_, xavier_uniform_, zeros_
-from repro.nn.layers import Identity, Layer, Linear, ParamSpec, ReLU, Tanh
-from repro.nn.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.models import ModelFactory, logistic_regression, make_model_factory, mlp
-from repro.nn.network import NeuralNetwork
-from repro.nn.optim import SGD, sgd_step
+from repro._lazy import lazy_exports
 
 __all__ = [
     "gradient_check",
@@ -38,3 +32,22 @@ __all__ = [
     "SGD",
     "sgd_step",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.nn.gradcheck": (
+        "gradient_check", "max_relative_error", "numerical_gradient",
+    ),
+    "repro.nn.init": (
+        "fan_in_out", "kaiming_uniform_", "normal_", "xavier_uniform_",
+        "zeros_",
+    ),
+    "repro.nn.layers": (
+        "Identity", "Layer", "Linear", "ParamSpec", "ReLU", "Tanh",
+    ),
+    "repro.nn.losses": ("Loss", "MeanSquaredError", "SoftmaxCrossEntropy"),
+    "repro.nn.models": (
+        "ModelFactory", "logistic_regression", "make_model_factory", "mlp",
+    ),
+    "repro.nn.network": ("NeuralNetwork",),
+    "repro.nn.optim": ("SGD", "sgd_step"),
+})

@@ -26,45 +26,7 @@ Every algorithm, actor, and the experiment runner accept an ``obs=`` keyword
 results are bit-identical either way, because the tracer never touches an RNG.
 """
 
-from repro.obs.critical_path import (
-    ChainStep,
-    CriticalPathReport,
-    RoundCriticalPath,
-    analyze_critical_paths,
-    analyze_round_tree,
-    format_critical_path,
-)
-from repro.obs.events import EVENT_KINDS, TraceWriter, format_event
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PeakMemoryTracker,
-)
-from repro.obs.perfcheck import (
-    PerfCheckResult,
-    compare_bench,
-    format_perfcheck,
-    load_bench,
-    write_bench,
-)
-from repro.obs.profile import (
-    SpanProfile,
-    folded_stacks,
-    format_profile,
-    profile_trace,
-    speedscope_document,
-)
-from repro.obs.report import (
-    RoundRecord,
-    TraceReport,
-    analyze_trace,
-    follow_trace,
-    format_trace_report,
-    load_trace,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Tracer",
@@ -102,3 +64,29 @@ __all__ = [
     "compare_bench",
     "format_perfcheck",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.critical_path": (
+        "ChainStep", "CriticalPathReport", "RoundCriticalPath",
+        "analyze_critical_paths", "analyze_round_tree",
+        "format_critical_path",
+    ),
+    "repro.obs.events": ("EVENT_KINDS", "TraceWriter", "format_event"),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "PeakMemoryTracker",
+    ),
+    "repro.obs.perfcheck": (
+        "PerfCheckResult", "compare_bench", "format_perfcheck", "load_bench",
+        "write_bench",
+    ),
+    "repro.obs.profile": (
+        "SpanProfile", "folded_stacks", "format_profile", "profile_trace",
+        "speedscope_document",
+    ),
+    "repro.obs.report": (
+        "RoundRecord", "TraceReport", "analyze_trace", "follow_trace",
+        "format_trace_report", "load_trace",
+    ),
+    "repro.obs.tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),
+})

@@ -15,13 +15,7 @@ arguments, and ``benchmarks/bench_population.py`` for the measured O(cohort)
 memory claim.
 """
 
-from repro.population.base import (EagerPopulation, Population, as_population,
-                                   resolve_population)
-from repro.population.spec import PopulationSpec
-from repro.population.store import (ClientStateStore, ShardIntegrityError,
-                                    shard_file_path)
-from repro.population.virtual import (VirtualClientRoster, VirtualDatasetView,
-                                      VirtualEdgeServer, VirtualPopulation)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Population",
@@ -37,3 +31,18 @@ __all__ = [
     "as_population",
     "resolve_population",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.population.base": (
+        "EagerPopulation", "Population", "as_population",
+        "resolve_population",
+    ),
+    "repro.population.spec": ("PopulationSpec",),
+    "repro.population.store": (
+        "ClientStateStore", "ShardIntegrityError", "shard_file_path",
+    ),
+    "repro.population.virtual": (
+        "VirtualClientRoster", "VirtualDatasetView", "VirtualEdgeServer",
+        "VirtualPopulation",
+    ),
+})

@@ -1,9 +1,6 @@
 """Simulation actors: clients, edge servers, cloud server, and wiring helpers."""
 
-from repro.sim.builder import build_edge_servers, build_flat_clients, topology_of
-from repro.sim.client import Client
-from repro.sim.cloud import CloudServer
-from repro.sim.edge import EdgeServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "build_edge_servers",
@@ -13,3 +10,12 @@ __all__ = [
     "CloudServer",
     "EdgeServer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.builder": (
+        "build_edge_servers", "build_flat_clients", "topology_of",
+    ),
+    "repro.sim.client": ("Client",),
+    "repro.sim.cloud": ("CloudServer",),
+    "repro.sim.edge": ("EdgeServer",),
+})

@@ -16,19 +16,7 @@ The virtual clock is the *only* clock here: nothing in :mod:`repro.simtime`
 belongs to :mod:`repro.obs`.
 """
 
-from repro.simtime.cost import (
-    CostModel,
-    HeterogeneousCostModel,
-    NULL_COST_MODEL,
-    NullCostModel,
-    make_cost_model,
-)
-from repro.simtime.timeline import (
-    NULL_TIMING,
-    NullTiming,
-    SimTimer,
-    resolve_timing,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CostModel",
@@ -41,3 +29,13 @@ __all__ = [
     "NULL_TIMING",
     "resolve_timing",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simtime.cost": (
+        "CostModel", "HeterogeneousCostModel", "NULL_COST_MODEL",
+        "NullCostModel", "make_cost_model",
+    ),
+    "repro.simtime.timeline": (
+        "NULL_TIMING", "NullTiming", "SimTimer", "resolve_timing",
+    ),
+})

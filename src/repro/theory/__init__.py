@@ -1,31 +1,6 @@
 """Theory artifacts: Assumption constants, Theorem 1/2 bounds, Table 1, rate fits."""
 
-from repro.theory.bounds import (
-    HierMinimaxBoundInputs,
-    Theorem1Bound,
-    Theorem2Bound,
-    lemma1_divergence_bound,
-    lemma1_step_condition,
-    lemma2_divergence_bound,
-    lemma2_step_condition,
-    theorem1_bound,
-    theorem2_bound,
-)
-from repro.theory.constants import (
-    ProblemConstants,
-    estimate_problem_constants,
-    logistic_smoothness_bound,
-)
-from repro.theory.divergence import DivergenceMeasurement, measure_model_divergence
-from repro.theory.duality import (
-    duality_gap,
-    edge_losses,
-    max_over_simplex,
-    weighted_min_loss,
-)
-from repro.theory.moreau import moreau_envelope, moreau_gradient_norm, phi_value
-from repro.theory.rates import PowerLawFit, fit_power_law, rate_consistency
-from repro.theory.table1 import Table1Row, evaluate_row, format_table1, table1_rows
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HierMinimaxBoundInputs",
@@ -57,3 +32,29 @@ __all__ = [
     "format_table1",
     "table1_rows",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.theory.bounds": (
+        "HierMinimaxBoundInputs", "Theorem1Bound", "Theorem2Bound",
+        "lemma1_divergence_bound", "lemma1_step_condition",
+        "lemma2_divergence_bound", "lemma2_step_condition", "theorem1_bound",
+        "theorem2_bound",
+    ),
+    "repro.theory.constants": (
+        "ProblemConstants", "estimate_problem_constants",
+        "logistic_smoothness_bound",
+    ),
+    "repro.theory.divergence": (
+        "DivergenceMeasurement", "measure_model_divergence",
+    ),
+    "repro.theory.duality": (
+        "duality_gap", "edge_losses", "max_over_simplex", "weighted_min_loss",
+    ),
+    "repro.theory.moreau": (
+        "moreau_envelope", "moreau_gradient_norm", "phi_value",
+    ),
+    "repro.theory.rates": ("PowerLawFit", "fit_power_law", "rate_consistency"),
+    "repro.theory.table1": (
+        "Table1Row", "evaluate_row", "format_table1", "table1_rows",
+    ),
+})

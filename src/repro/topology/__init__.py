@@ -1,12 +1,6 @@
 """Hierarchical network structure, communication accounting, and sampling."""
 
-from repro.topology.comm import DIRECTIONS, LINKS, CommSnapshot, CommunicationTracker
-from repro.topology.network import HierarchicalTopology
-from repro.topology.sampling import (
-    sample_by_weight,
-    sample_checkpoint_slot,
-    sample_uniform_subset,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DIRECTIONS",
@@ -18,3 +12,13 @@ __all__ = [
     "sample_checkpoint_slot",
     "sample_uniform_subset",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.comm": (
+        "DIRECTIONS", "LINKS", "CommSnapshot", "CommunicationTracker",
+    ),
+    "repro.topology.network": ("HierarchicalTopology",),
+    "repro.topology.sampling": (
+        "sample_by_weight", "sample_checkpoint_slot", "sample_uniform_subset",
+    ),
+})

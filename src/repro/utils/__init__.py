@@ -1,21 +1,6 @@
 """Shared utilities: RNG stream management, validation, serialization, logging."""
 
-from repro.utils.logging import NullLogger, RunLogger
-from repro.utils.rng import RngFactory, as_generator, spawn_generators, stable_key
-from repro.utils.serialization import from_jsonable, load_json, save_json, to_jsonable
-from repro.utils.timers import Timer, TimerBank
-from repro.utils.validation import (
-    check_array_1d,
-    check_array_2d,
-    check_fraction,
-    check_in_unit_interval,
-    check_nonnegative_int,
-    check_positive_float,
-    check_positive_int,
-    check_probability,
-    check_same_length,
-    check_simplex_vector,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NullLogger",
@@ -41,3 +26,20 @@ __all__ = [
     "check_same_length",
     "check_simplex_vector",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.utils.logging": ("NullLogger", "RunLogger"),
+    "repro.utils.rng": (
+        "RngFactory", "as_generator", "spawn_generators", "stable_key",
+    ),
+    "repro.utils.serialization": (
+        "from_jsonable", "load_json", "save_json", "to_jsonable",
+    ),
+    "repro.utils.timers": ("Timer", "TimerBank"),
+    "repro.utils.validation": (
+        "check_array_1d", "check_array_2d", "check_fraction",
+        "check_in_unit_interval", "check_nonnegative_int",
+        "check_positive_float", "check_positive_int", "check_probability",
+        "check_same_length", "check_simplex_vector",
+    ),
+})

@@ -19,8 +19,11 @@ _PACKAGES = [
     "repro", "repro.core", "repro.baselines", "repro.nn", "repro.data",
     "repro.topology", "repro.sim", "repro.metrics", "repro.theory",
     "repro.experiments", "repro.ops", "repro.utils", "repro.multilayer",
-    "repro.compression", "repro.plotting", "repro.obs",
+    "repro.compression", "repro.plotting", "repro.obs", "repro.chaos",
+    "repro.defense", "repro.exec", "repro.faults", "repro.membership",
+    "repro.population", "repro.simtime",
 ]
+PACKAGES = [importlib.import_module(name) for name in _PACKAGES]
 
 
 def _iter_modules():
@@ -43,6 +46,19 @@ class TestExports:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), (
                 f"{module.__name__}.__all__ lists {name!r} but it is missing")
+
+    @pytest.mark.parametrize("package", PACKAGES,
+                             ids=[p.__name__ for p in PACKAGES])
+    def test_all_names_listed_by_dir(self, package):
+        """Lazily resolved exports still show up in ``dir()``."""
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        for name in repro.__all__:
+            assert namespace[name] is getattr(repro, name)
 
     def test_top_level_exports_unique(self):
         assert len(repro.__all__) == len(set(repro.__all__))
