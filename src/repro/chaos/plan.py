@@ -34,11 +34,12 @@ Sites (each counts its own occurrences, starting at 0):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.rng import stable_key
+from repro.utils.spec import dataclass_schema, parse_spec
 
 __all__ = ["ChaosPlan", "ChaosInjector", "CHAOS_SITES"]
 
@@ -142,30 +143,7 @@ class ChaosPlan:
             return cls()
         if isinstance(spec, ChaosPlan):
             return spec
-        plan = cls()
-        text = str(spec).strip()
-        if not text:
-            return plan
-        known = {f.name for f in fields(cls)}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"chaos spec entry {part!r} is not key=value")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(
-                    f"unknown chaos spec key {key!r}; options: {sorted(known)}")
-            if key == "seed":
-                plan = replace(plan, seed=int(value))
-            elif key == "hang_s":
-                plan = replace(plan, hang_s=float(value))
-            else:
-                occs = tuple(int(v) for v in value.split("|") if v.strip())
-                plan = replace(plan, **{key: occs})
-        return plan
+        return cls(**parse_spec(spec, "chaos", dataclass_schema(cls)))
 
 
 class ChaosInjector:

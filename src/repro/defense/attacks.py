@@ -34,11 +34,12 @@ models — the worst case for distance-based defenses like Krum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.rng import stable_key
+from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
 __all__ = ["ATTACKS", "AttackPlan", "apply_label_flip"]
@@ -194,40 +195,15 @@ class AttackPlan:
         """Build a plan from a CLI spec.
 
         The first (or only) bare token names the attack; the rest are
-        ``key=value`` pairs::
+        ``key=value`` pairs (``colluding`` takes ``1/0/true/false/yes/no/
+        on/off``)::
 
             AttackPlan.parse("sign_flip,fraction=0.2,scale=5,seed=1")
             AttackPlan.parse("label_flip,clients=0|3|7")
             AttackPlan.parse("gauss,fraction=0.3,colluding=1,start_round=10")
         """
-        kwargs: dict = {}
-        known = {f.name for f in fields(cls)}
-        for i, part in enumerate(spec.split(",")):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                if i == 0 and "attack" not in kwargs:
-                    kwargs["attack"] = part
-                    continue
-                raise ValueError(
-                    f"attack spec entry {part!r} is not key=value")
-            key, _, raw = part.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in known:
-                raise ValueError(f"unknown attack spec key {key!r}; "
-                                 f"options: {sorted(known)}")
-            if key == "attack":
-                kwargs[key] = raw
-            elif key == "clients":
-                kwargs[key] = tuple(int(c) for c in raw.split("|") if c)
-            elif key in ("seed", "start_round"):
-                kwargs[key] = int(raw)
-            elif key == "colluding":
-                kwargs[key] = bool(int(raw))
-            else:
-                kwargs[key] = float(raw)
-        return cls(**kwargs)
+        return cls(**parse_spec(spec, "attack", dataclass_schema(cls),
+                                leading="attack"))
 
 
 def apply_label_flip(dataset, plan: AttackPlan):

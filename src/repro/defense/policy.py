@@ -25,17 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.defense.aggregators import (
-    AGGREGATORS,
     RobustAggregator,
     TrimmedMean,
     resolve_aggregator,
 )
+from repro.utils.spec import convert, to_float, tokenize
 
 __all__ = ["DefensePolicy", "resolve_defense", "robust_combine",
            "clip_loss_reports"]
 
 #: Default loss cap (× median report) installed by single-name specs.
 DEFAULT_LOSS_CLIP = 3.0
+
+#: ``key=value`` entries of a defense spec; ``loss_clip=none`` (or ``0``)
+#: switches the clip off.
+_DEFENSE_SCHEMA = {
+    "edge": str, "cloud": str, "trim": to_float,
+    "loss_clip": lambda raw: None if raw in ("none", "0") else to_float(raw)}
 
 
 @dataclass(frozen=True)
@@ -100,51 +106,24 @@ def resolve_defense(spec) -> DefensePolicy | None:
     if not isinstance(spec, str):
         raise TypeError(f"defense must be None, a name, a RobustAggregator, "
                         f"or a DefensePolicy, got {type(spec).__name__}")
-    both: str | None = None
-    edge: str | None = None
-    cloud: str | None = None
-    loss_clip: float | None = None
-    loss_clip_set = False
-    trim: float | None = None
-    for i, part in enumerate(spec.split(",")):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            if i == 0 and both is None:
-                both = part
-                continue
-            raise ValueError(f"defense spec entry {part!r} is not key=value")
-        key, _, raw = part.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key == "edge":
-            edge = raw
-        elif key == "cloud":
-            cloud = raw
-        elif key == "loss_clip":
-            loss_clip = None if raw in ("none", "0") else float(raw)
-            loss_clip_set = True
-        elif key == "trim":
-            trim = float(raw)
-        else:
-            raise ValueError(f"unknown defense spec key {key!r}; options: "
-                             f"['edge', 'cloud', 'loss_clip', 'trim'] or a "
-                             f"leading aggregator name {sorted(AGGREGATORS)}")
+    both, items = tokenize(spec, "defense", leading=True)
+    values = convert("defense", items, _DEFENSE_SCHEMA)
+    loss_clip = values.get("loss_clip")
 
     def build(name: str | None) -> RobustAggregator | None:
         if name is None:
             return None
-        if name == "trimmed_mean" and trim is not None:
-            return TrimmedMean(trim=trim)
+        if name == "trimmed_mean" and "trim" in values:
+            return TrimmedMean(trim=values["trim"])
         return resolve_aggregator(name)
 
     if both is not None:
         agg = build(both)
-        if not loss_clip_set and not (agg is None or agg.reference):
+        if "loss_clip" not in values and not (agg is None or agg.reference):
             loss_clip = DEFAULT_LOSS_CLIP
         return DefensePolicy(edge=agg, cloud=agg, loss_clip=loss_clip)
-    return DefensePolicy(edge=build(edge), cloud=build(cloud),
-                         loss_clip=loss_clip)
+    return DefensePolicy(edge=build(values.get("edge")),
+                         cloud=build(values.get("cloud")), loss_clip=loss_clip)
 
 
 def robust_combine(aggregator: RobustAggregator, entries, *, ref=None,

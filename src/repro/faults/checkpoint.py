@@ -11,20 +11,15 @@ checkpoint is portable and diffable like every other artifact in this repo.
 
 Durability and integrity
 ------------------------
-Writes are crash-safe end to end: the payload lands in a sibling temp file
-that is flushed and ``fsync``\\ ed *before* the atomic rename (a kill between
-write and rename can otherwise persist an empty or partial file the rename
-idiom was supposed to prevent), and the directory entry is fsynced after, so
-the rename itself survives a power cut.  The previous checkpoint generation is
-rotated to ``<name>.prev`` rather than overwritten — the fallback target when
-the current generation turns out damaged.
-
-Every file embeds a CRC-32 over the canonical payload bytes
-(:func:`~repro.utils.serialization.canonical_bytes`) under ``__checksum__``;
-:func:`load_checkpoint_file` recomputes and compares it, so torn, truncated,
-*and* bit-flipped files — including flips that still parse as valid JSON — are
-detected instead of silently restored.  Files written before the checksum
-existed load unchanged (the envelope is additive).
+Files are written by :func:`~repro.utils.serialization.durable_write` (temp
+file fsynced before the atomic rename, the previous generation rotated to
+``<name>.prev`` — the fallback target when the current one turns out
+damaged), then the directory entry is fsynced so the rename survives a power
+cut.  Every file embeds :func:`~repro.utils.serialization.crc32_of` of the
+payload under ``__checksum__``; :func:`load_checkpoint_file` recomputes it, so
+torn, truncated *and* bit-flipped files — even flips that still parse as JSON
+— are detected instead of silently restored.  Files written before the
+checksum existed load unchanged (the envelope is additive).
 
 The format is versioned; :func:`load_checkpoint_file` refuses files written by
 an incompatible layout or for a different algorithm with a clear error instead
@@ -34,12 +29,11 @@ of mis-restoring state.
 from __future__ import annotations
 
 import json
-import os
-import zlib
 from pathlib import Path
 
 from repro.chaos.hooks import ChaosCrash, fire as chaos_fire
-from repro.utils.serialization import canonical_bytes, from_jsonable, to_jsonable
+from repro.utils.serialization import (crc32_of, durable_write, from_jsonable,
+                                       fsync_dir, previous_path, to_jsonable)
 
 __all__ = ["CHECKPOINT_FORMAT", "CHECKSUM_KEY", "save_checkpoint_file",
            "load_checkpoint_file", "previous_checkpoint_path",
@@ -56,61 +50,36 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is missing, corrupted, or incompatible."""
 
 
-def previous_checkpoint_path(path: str | Path) -> Path:
-    """Where :func:`save_checkpoint_file` rotates the prior generation."""
-    path = Path(path)
-    return path.with_name(path.name + ".prev")
+#: Where :func:`save_checkpoint_file` rotates the prior generation.
+previous_checkpoint_path = previous_path
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry (the rename) to disk; best-effort off-POSIX."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
+def _torn_write(fh) -> None:
+    """Chaos ``torn_write`` site: keep a prefix of the temp file and die."""
+    torn = chaos_fire("torn_write")
+    if torn is None:
         return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    size = fh.tell()
+    cut = max(1, min(size - 1, int(torn["frac"] * size)))
+    fh.truncate(cut)
+    raise ChaosCrash(
+        f"chaos torn_write occurrence {torn['occurrence']}: "
+        f"checkpoint write to {fh.name} torn at byte {cut}/{size}")
 
 
-def save_checkpoint_file(path: str | Path, state: dict, *,
-                         keep_previous: bool = True) -> Path:
+def save_checkpoint_file(path: str | Path, state: dict) -> Path:
     """Write an algorithm ``state_dict`` durably and atomically to ``path``.
 
-    The payload (with its CRC-32 envelope) is written to a sibling temp file,
-    fsynced, renamed into place, and the directory entry fsynced — so neither
-    a kill mid-write nor one mid-rename can destroy the previous good
-    checkpoint, and a kill *after* the write cannot leave the rename only in
-    the page cache.  With ``keep_previous`` (the default) the prior file is
-    rotated to :func:`previous_checkpoint_path` first, preserving one older
-    generation as the recovery target for post-rename corruption.
+    The prior file is rotated to :func:`previous_checkpoint_path`; see the
+    module docstring for the durability law.
     """
     path = Path(path)
     payload = to_jsonable({"format": CHECKPOINT_FORMAT, **state})
-    crc = zlib.crc32(canonical_bytes(payload))
-    text = json.dumps({**payload, CHECKSUM_KEY: {"alg": "crc32", "value": crc}},
+    text = json.dumps({**payload, CHECKSUM_KEY: {"alg": "crc32",
+                                                 "value": crc32_of(payload)}},
                       indent=2, sort_keys=True)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        torn = chaos_fire("torn_write")
-        if torn is not None:
-            # Simulated kill mid-write: persist only a prefix of the payload
-            # and die.  ``path`` still holds the previous good generation.
-            cut = max(1, min(len(text) - 1, int(torn["frac"] * len(text))))
-            fh.truncate(cut)
-            os.fsync(fh.fileno())
-            raise ChaosCrash(
-                f"chaos torn_write occurrence {torn['occurrence']}: "
-                f"checkpoint write to {tmp} torn at byte {cut}/{len(text)}")
-        os.fsync(fh.fileno())
-    if keep_previous and path.exists():
-        path.replace(previous_checkpoint_path(path))
-    tmp.replace(path)
-    _fsync_dir(path.parent)
+    durable_write(path, text, before_fsync=_torn_write)
+    fsync_dir(path.parent)
     crash = chaos_fire("crash_after_save")
     if crash is not None:
         raise ChaosCrash(
@@ -146,7 +115,7 @@ def load_checkpoint_file(path: str | Path, *,
     checksum = raw.pop(CHECKSUM_KEY, None)
     if verify and checksum is not None:
         expected = int(checksum.get("value", -1))
-        actual = zlib.crc32(canonical_bytes(raw))
+        actual = crc32_of(raw)
         if actual != expected:
             raise CheckpointError(
                 f"corrupted checkpoint {path}: crc32 mismatch "

@@ -16,13 +16,14 @@ a build without the fault layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.defense.attacks import AttackPlan
 from repro.membership.plan import ChurnPlan
 from repro.utils.rng import stable_key
+from repro.utils.spec import convert, dataclass_schema, tokenize
 from repro.utils.validation import check_probability
 
 __all__ = ["FaultPlan", "RetryPolicy"]
@@ -252,51 +253,27 @@ class FaultPlan:
         :class:`~repro.membership.plan.ChurnPlan` fields, e.g.
         ``"churn_arrive=0.05,churn_depart=0.02,churn_edge_mttf=40"``.
         """
-        plan_kwargs: dict = {}
-        retry_kwargs: dict = {}
-        attack_parts: list[str] = []
-        churn_parts: list[str] = []
-        plan_fields = {f.name: f.type for f in fields(cls)
-                       if f.name not in ("retry", "byzantine", "churn")}
-        retry_fields = {f.name for f in fields(RetryPolicy)}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"fault spec entry {part!r} is not key=value")
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key == "attack":
-                attack_parts.append(f"attack={raw}")
-                continue
-            if key.startswith("attack_"):
-                attack_parts.append(f"{key[len('attack_'):]}={raw}")
-                continue
-            if key.startswith("churn_"):
-                churn_parts.append(f"{key[len('churn_'):]}={raw}")
-                continue
-            if key in ("seed", "round_timeout_slots", "max_retries"):
-                value: object = int(raw)
-            else:
-                value = float(raw)
-            if key in plan_fields:
-                plan_kwargs[key] = value
-            elif key in retry_fields:
-                retry_kwargs[key] = value
-            else:
-                raise ValueError(
-                    f"unknown fault spec key {key!r}; options: "
-                    f"{sorted(plan_fields) + sorted(retry_fields)} "
-                    f"plus attack / attack_* / churn_* keys")
-        plan = cls(**plan_kwargs)
-        if retry_kwargs:
-            plan = replace(plan, retry=RetryPolicy(**retry_kwargs))
-        if attack_parts:
-            plan = replace(plan,
-                           byzantine=AttackPlan.parse(",".join(attack_parts)))
-        if churn_parts:
-            plan = replace(plan,
-                           churn=ChurnPlan.parse(",".join(churn_parts)))
+        _, items = tokenize(spec, "fault")
+        nested: dict[str, dict[str, str]] = {"attack": {}, "churn": {}}
+        for key in list(items):
+            tier, sep, sub = key.partition("_")
+            if tier in nested and (sep or tier == "attack"):
+                sub = sub if sep else "attack"  # bare ``attack=`` names it
+                if sub in nested[tier]:
+                    raise ValueError(f"fault spec key {key!r} given twice")
+                nested[tier][sub] = items.pop(key)
+        retry_schema = dataclass_schema(RetryPolicy)
+        values = convert("fault", items, {
+            **dataclass_schema(cls, exclude=("retry", "byzantine", "churn")),
+            **retry_schema})
+        retry = {k: values.pop(k) for k in retry_schema if k in values}
+        plan = cls(**values)
+        if retry:
+            plan = replace(plan, retry=RetryPolicy(**retry))
+        if nested["attack"]:
+            plan = replace(plan, byzantine=AttackPlan(**convert(
+                "attack", nested["attack"], dataclass_schema(AttackPlan))))
+        if nested["churn"]:
+            plan = replace(plan, churn=ChurnPlan(**convert(
+                "churn", nested["churn"], dataclass_schema(ChurnPlan))))
         return plan

@@ -16,16 +16,12 @@ outputs to a build without the membership layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
 __all__ = ["ChurnPlan"]
-
-#: ``rehome`` spellings accepted by :meth:`ChurnPlan.parse`.
-_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-
 
 @dataclass(frozen=True)
 class ChurnPlan:
@@ -134,29 +130,4 @@ class ChurnPlan:
         Keys are the :class:`ChurnPlan` field names; ``rehome`` accepts
         ``1/0/true/false/yes/no/on/off``.  An empty spec is the null plan.
         """
-        kwargs: dict = {}
-        known = {f.name for f in fields(cls)}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"churn spec entry {part!r} is not key=value")
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in known:
-                raise ValueError(f"unknown churn spec key {key!r}; "
-                                 f"options: {sorted(known)}")
-            if key == "seed":
-                kwargs[key] = int(raw)
-            elif key == "rehome":
-                try:
-                    kwargs[key] = _BOOL_VALUES[raw.lower()]
-                except KeyError:
-                    raise ValueError(
-                        f"rehome must be one of {sorted(_BOOL_VALUES)}, "
-                        f"got {raw!r}") from None
-            else:
-                kwargs[key] = float(raw)
-        return cls(**kwargs)
+        return cls(**parse_spec(spec, "churn", dataclass_schema(cls)))

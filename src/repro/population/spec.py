@@ -40,6 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.utils.spec import dataclass_schema, parse_spec, to_int
 
 __all__ = ["PopulationSpec"]
 
@@ -54,6 +55,14 @@ _PROTO_KEY = 0x5F6A7D04
 _PARTITIONS = ("one_class", "iid")
 _IMAGE_FAMILIES = ("mnist_like", "emnist_digits_like", "fashion_mnist_like")
 _FAMILIES = ("synthetic",) + _IMAGE_FAMILIES
+
+#: :meth:`PopulationSpec.parse` keys and the fields they set (``clients=``,
+#: the population total, is split evenly over the edges).
+_SPEC_KEYS = {"edges": "num_edges", "clients_per_edge": "clients_per_edge",
+              "samples": "samples_per_client", "test": "test_per_edge",
+              "family": "family", "classes": "num_classes", "dim": "dim",
+              "side": "side", "partition": "partition",
+              "eval_edges": "eval_edges", "seed": "seed", "noise": "noise"}
 
 
 @dataclass(frozen=True)
@@ -263,48 +272,16 @@ class PopulationSpec:
 
         Keys: ``edges``, ``clients_per_edge`` (or total ``clients``, split
         evenly), ``samples``, ``test``, ``family``, ``classes``, ``dim``,
-        ``side``, ``partition``, ``eval_edges``, ``seed``.  Example::
+        ``side``, ``partition``, ``eval_edges``, ``seed``, ``noise``.  Example::
 
             clients=1000000,edges=1000,samples=2,test=16,eval_edges=50,seed=1
         """
-        fields: dict[str, object] = {}
-        total_clients: int | None = None
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise ValueError(f"population spec entries are key=value, got {chunk!r}")
-            key, _, value = chunk.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "edges":
-                fields["num_edges"] = int(value)
-            elif key == "clients":
-                total_clients = int(value)
-            elif key == "clients_per_edge":
-                fields["clients_per_edge"] = int(value)
-            elif key == "samples":
-                fields["samples_per_client"] = int(value)
-            elif key == "test":
-                fields["test_per_edge"] = int(value)
-            elif key == "family":
-                fields["family"] = value
-            elif key == "classes":
-                fields["num_classes"] = int(value)
-            elif key == "dim":
-                fields["dim"] = int(value)
-            elif key == "side":
-                fields["side"] = int(value)
-            elif key == "partition":
-                fields["partition"] = value
-            elif key == "eval_edges":
-                fields["eval_edges"] = int(value)
-            elif key == "seed":
-                fields["seed"] = int(value)
-            elif key == "noise":
-                fields["noise"] = float(value)
-            else:
-                raise ValueError(f"unknown population spec key {key!r}")
+        schema = dataclass_schema(cls)
+        values = parse_spec(text, "population", {
+            "clients": to_int,
+            **{key: schema[name] for key, name in _SPEC_KEYS.items()}})
+        total_clients = values.pop("clients", None)
+        fields = {_SPEC_KEYS[key]: value for key, value in values.items()}
         if total_clients is not None:
             if "clients_per_edge" in fields:
                 raise ValueError("give either clients= or clients_per_edge=, not both")

@@ -30,8 +30,8 @@ Durable shard files
 -------------------
 For large populations the store can persist *sidecar* shard files instead of
 inlining every entry into the main checkpoint: :meth:`ClientStateStore.save_shards`
-writes one checksummed JSON file per non-empty shard (fsync-before-rename,
-previous generation rotated to ``.prev``) and returns a manifest of per-shard
+writes one checksummed JSON file per non-empty shard (through
+:func:`~repro.utils.serialization.durable_write`) and returns a manifest of per-shard
 CRC-32 values that the checkpoint embeds.  :meth:`ClientStateStore.load_shards`
 re-reads the files against that manifest: a torn, truncated, or bit-flipped
 shard never loads silently — it either aborts the restore (``on_corrupt:
@@ -43,14 +43,13 @@ clients are pure functions of ``(spec.seed, cid)`` and re-derive from scratch.
 from __future__ import annotations
 
 import json
-import os
-import zlib
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from repro.chaos.hooks import fire as chaos_fire
 from repro.data.batching import client_record_from_entry, client_record_to_entry
-from repro.utils.serialization import canonical_bytes
+from repro.utils.serialization import (crc32_of, durable_write, fsync_dir,
+                                       previous_path)
 
 __all__ = ["ClientStateStore", "ShardIntegrityError", "shard_file_path"]
 
@@ -64,17 +63,6 @@ class ShardIntegrityError(RuntimeError):
 def shard_file_path(directory: str | Path, index: int) -> Path:
     """The canonical file for shard ``index`` inside ``directory``."""
     return Path(directory) / f"shard-{int(index):05d}.json"
-
-
-def _fsync_dir(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class ClientStateStore:
@@ -212,10 +200,10 @@ class ClientStateStore:
     def save_shards(self, directory: str | Path) -> dict:
         """Write every non-empty shard to a checksummed file in ``directory``.
 
-        Each file carries ``{"crc32": ..., "entries": {...}}`` with the CRC
-        computed over the canonical entry bytes; writes are temp-file +
-        fsync + atomic rename, the directory entry is fsynced, and the prior
-        generation of each file is rotated to ``<name>.prev``.  Returns the
+        Each file carries ``{"crc32": ..., "entries": {...}}`` and goes
+        through :func:`~repro.utils.serialization.durable_write` (prior
+        generation rotated to ``<name>.prev``); the directory is fsynced once
+        after the batch.  Returns the
         manifest (``num_shards`` plus per-shard CRCs) the owning checkpoint
         must embed — loading matches files against it, so a stale or damaged
         file can never masquerade as the checkpointed generation.
@@ -227,17 +215,10 @@ class ClientStateStore:
             if not shard:
                 continue
             entries = self._entries(shard)
-            crc = zlib.crc32(canonical_bytes(entries))
-            path = shard_file_path(directory, index)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps({"crc32": crc, "entries": entries},
-                                    sort_keys=True))
-                fh.flush()
-                os.fsync(fh.fileno())
-            if path.exists():
-                path.replace(path.with_name(path.name + ".prev"))
-            tmp.replace(path)
+            crc = crc32_of(entries)
+            path = durable_write(
+                shard_file_path(directory, index),
+                json.dumps({"crc32": crc, "entries": entries}, sort_keys=True))
             manifest["shards"][str(index)] = crc
             corrupt = chaos_fire("shard_corrupt")
             if corrupt is not None:
@@ -248,7 +229,7 @@ class ClientStateStore:
                              int(corrupt["offset_frac"] * len(blob)))
                 blob[offset] ^= 1 << corrupt["bit"]
                 path.write_bytes(bytes(blob))
-        _fsync_dir(directory)
+        fsync_dir(directory)
         return manifest
 
     def load_shards(self, directory: str | Path, manifest: Mapping, *,
@@ -287,7 +268,7 @@ class ClientStateStore:
             expected = int(shards_manifest[key])
             path = shard_file_path(directory, index)
             entries = None
-            for candidate in (path, path.with_name(path.name + ".prev")):
+            for candidate in (path, previous_path(path)):
                 entries = self._read_shard_file(candidate, expected)
                 if entries is not None:
                     break
@@ -319,19 +300,17 @@ class ClientStateStore:
     @staticmethod
     def _read_shard_file(path: Path, expected_crc: int) -> Mapping | None:
         """Parse + verify one candidate file; None on any mismatch/damage."""
-        if not path.exists():
-            return None
         try:
             document = json.loads(path.read_text())
         except (OSError, ValueError, UnicodeDecodeError):
-            # ValueError covers JSONDecodeError; a bit flip can also break
-            # the UTF-8 encoding itself, which surfaces before the parser.
+            # OSError covers a missing file and ValueError JSONDecodeError; a
+            # bit flip can also break the UTF-8 encoding itself, which
+            # surfaces before the parser.
             return None
         if not isinstance(document, dict) or "entries" not in document:
             return None
         entries = document["entries"]
-        if int(document.get("crc32", -1)) != expected_crc:
-            return None
-        if zlib.crc32(canonical_bytes(entries)) != expected_crc:
+        if (int(document.get("crc32", -1)) != expected_crc
+                or crc32_of(entries) != expected_crc):
             return None
         return entries

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import stable_key
+from repro.utils.spec import convert, to_float, to_int, to_int_list, tokenize
 
 __all__ = ["CostModel", "NullCostModel", "NULL_COST_MODEL",
            "HeterogeneousCostModel", "make_cost_model"]
@@ -218,8 +219,9 @@ class HeterogeneousCostModel(CostModel):
             * self.link_factor(link, entity)
 
     # ---------------------------------------------------------------- parsing
-    _FLOAT_KEYS = ("base_step_s", "device_sigma", "slow_fraction",
-                   "slow_factor", "link_sigma")
+    _SCHEMA = {"seed": to_int, "slow_clients": to_int_list,
+               **dict.fromkeys(("base_step_s", "device_sigma", "slow_fraction",
+                                "slow_factor", "link_sigma"), to_float)}
 
     @classmethod
     def parse(cls, spec: str) -> "HeterogeneousCostModel":
@@ -231,34 +233,17 @@ class HeterogeneousCostModel(CostModel):
         per-link overrides.  A leading bare ``hetero`` token is allowed (and
         produced by :func:`make_cost_model`).
         """
-        kwargs: dict = {}
-        latency: dict = {}
-        mbps: dict = {}
-        for part in str(spec).split(","):
-            part = part.strip()
-            if not part or part == "hetero":
-                continue
-            if "=" not in part:
-                raise ValueError(f"cost-model spec entries need key=value, "
-                                 f"got {part!r}")
-            key, value = (s.strip() for s in part.split("=", 1))
-            if key == "seed":
-                kwargs["seed"] = int(value)
-            elif key in cls._FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key == "slow_clients":
-                kwargs["slow_clients"] = tuple(
-                    int(tok) for tok in value.split("|") if tok)
-            elif key.startswith("latency."):
-                latency[key.split(".", 1)[1]] = float(value)
-            elif key.startswith("mbps."):
-                mbps[key.split(".", 1)[1]] = float(value)
-            else:
-                raise ValueError(f"unknown cost-model parameter {key!r}")
-        if latency:
-            kwargs["latency_s"] = latency
-        if mbps:
-            kwargs["mbps"] = mbps
+        head, items = tokenize(spec, "cost-model", leading=True)
+        if head not in (None, "hetero"):
+            raise ValueError(f"cost-model spec entry {head!r} is not key=value")
+        links = [k for k in items if k.startswith(("latency.", "mbps."))]
+        kwargs = convert("cost-model", items,
+                         {**cls._SCHEMA, **dict.fromkeys(links, to_float)})
+        for kind, arg in (("latency", "latency_s"), ("mbps", "mbps")):
+            per_link = {key.partition(".")[2]: kwargs.pop(key)
+                        for key in links if key.startswith(kind + ".")}
+            if per_link:
+                kwargs[arg] = per_link
         return cls(**kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,19 +11,26 @@ Checkpoint payloads (see :mod:`repro.faults.checkpoint`) additionally carry
 ``{"__bitgen__": <BitGenerator name>, "state": {...}}`` envelope — Python ints
 are arbitrary-precision, so even PCG64's 128-bit state survives JSON intact —
 which is what makes resumed runs bit-identical.
+
+Durable files (checkpoints and population store shards) are written by one
+primitive, :func:`durable_write`, and checksummed by one helper,
+:func:`crc32_of`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import zlib
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable
 
 import numpy as np
 
 __all__ = ["to_jsonable", "from_jsonable", "save_json", "load_json",
-           "canonical_bytes"]
+           "canonical_bytes", "crc32_of", "previous_path", "durable_write",
+           "fsync_dir"]
 
 _ARRAY_KEY = "__ndarray__"
 _BITGEN_KEY = "__bitgen__"
@@ -89,6 +96,57 @@ def canonical_bytes(obj: Any) -> bytes:
     """
     return json.dumps(to_jsonable(obj), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
+
+
+def crc32_of(obj: Any) -> int:
+    """CRC-32 of :func:`canonical_bytes`: every durable file's checksum."""
+    return zlib.crc32(canonical_bytes(obj))
+
+
+def previous_path(path: str | Path) -> Path:
+    """Where :func:`durable_write` rotates the prior generation of ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".prev")
+
+
+def durable_write(path: str | Path, text: str, *,
+                  before_fsync: Callable[[IO[str]], None] | None = None,
+                  ) -> Path:
+    """Write ``text`` to ``path`` so that no crash destroys both generations.
+
+    Sibling ``<name>.tmp`` written, flushed and fsynced; the current file
+    rotated to :func:`previous_path`; the temp file renamed into place.  The
+    caller fsyncs the directory (:func:`fsync_dir`) once its batch is written.
+    ``before_fsync`` is a fault-injection hook given the open temp file; the
+    file is fsynced even when it raises.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        try:
+            if before_fsync is not None:
+                before_fsync(fh)
+        finally:
+            os.fsync(fh.fileno())
+    if path.exists():
+        path.replace(previous_path(path))
+    tmp.replace(path)
+    return path
+
+
+def fsync_dir(directory: str | Path) -> None:
+    """Flush a directory entry (a rename) to disk; best-effort off-POSIX."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_json(path: str | Path, obj: Any, *, indent: int = 2) -> Path:
