@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
@@ -107,11 +106,6 @@ class DRFA(FederatedAlgorithm):
                       sampled_clients=len(sampled), t_prime=t_prime):
             self.tracker.record("client_cloud", "down",
                                 count=len(np.unique(sampled)), floats=d + 1)
-            acc = np.zeros(d)
-            acc_ckpt = np.zeros(d)
-            n_contrib = 0
-            n_ckpt = 0
-            cloud_agg = self._cloud_agg
             entries: list[tuple[str, float, np.ndarray]] = []
             ckpt_entries: list[tuple[str, float, np.ndarray]] = []
             # Sampling is with replacement: the same client may appear twice;
@@ -166,55 +160,22 @@ class DRFA(FederatedAlgorithm):
                     if delivered is None:
                         continue
                     w_end, w_ckpt = delivered
-                if cloud_agg is not None:
-                    entries.append((f"client:{client.client_id}", 1.0, w_end))
-                    if w_ckpt is not None:
-                        ckpt_entries.append(
-                            (f"client:{client.client_id}", 1.0, w_ckpt))
-                    continue
-                acc += w_end
-                n_contrib += 1
+                entries.append((f"client:{client.client_id}", 1.0, w_end))
                 if w_ckpt is not None:
-                    acc_ckpt += w_ckpt
-                    n_ckpt += 1
+                    ckpt_entries.append(
+                        (f"client:{client.client_id}", 1.0, w_ckpt))
             self.tracker.sync_cycle("client_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the sampled-client mean for both
-                # the round model and the random-checkpoint model.
-                w_ref = self.w
-                combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="client_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                ckpt_combined = robust_combine(cloud_agg, ckpt_entries,
-                                               ref=w_ref, faults=faults,
-                                               round_index=round_index,
-                                               link="client_cloud")
-                if ckpt_combined is not None:
-                    w_checkpoint = ckpt_combined
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
-            else:
-                if n_contrib == len(sampled):
-                    self.w = acc / self.m_clients
-                elif n_contrib > 0:
-                    self.w = acc / n_contrib
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                if n_ckpt == len(sampled):
-                    w_checkpoint = acc_ckpt / self.m_clients
-                elif n_ckpt > 0:
-                    w_checkpoint = acc_ckpt / n_ckpt
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
+            # Eq. (5)-style mean (or the robust rule) for both the round
+            # model and the random-checkpoint model.
+            w_ref = self.w
+            combined = self._combine(round_index, entries, ref=w_ref,
+                                     link="client_cloud")
+            if combined is not None:
+                self.w = combined
+            w_checkpoint = self._combine(round_index, ckpt_entries, ref=w_ref,
+                                         link="client_cloud", checkpoint=True)
+            if w_checkpoint is None:
+                w_checkpoint = self.w
 
         # Weight ascent phase at the checkpoint model, scaled by tau1.
         with obs.span("phase2_weight_update", round=round_index):

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection
@@ -79,9 +78,6 @@ class FedAvg(FederatedAlgorithm):
                       sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down", count=len(sampled),
                                 floats=d)
-            acc = np.zeros(d)
-            total_weight = 0.0
-            cloud_agg = self._cloud_agg
             entries: list[tuple[str, float, np.ndarray]] = []
             work: list[ClientWork] = []
             membership = self.membership
@@ -124,25 +120,11 @@ class FedAvg(FederatedAlgorithm):
                         continue
                     (w_end,) = delivered
                 weight = float(client.num_samples) if self.weight_by_data else 1.0
-                if cloud_agg is not None:
-                    entries.append((f"client:{client.client_id}", weight, w_end))
-                    continue
-                acc += weight * w_end
-                total_weight += weight
+                entries.append((f"client:{client.client_id}", weight, w_end))
             self.tracker.sync_cycle("client_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the weighted client mean.
-                combined = robust_combine(cloud_agg, entries, ref=self.w,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="client_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "model_update")
-            elif total_weight > 0.0:
-                # Survivor-weighted average: dropped clients simply leave the
-                # denominator, which is the weighted-mean renormalization.
-                self.w = acc / total_weight
-            else:
-                faults.degraded_round(round_index, "model_update")
+            # Survivor-weighted average (or the robust rule): dropped clients
+            # simply leave the denominator.
+            combined = self._combine(round_index, entries, ref=self.w,
+                                     link="client_cloud", stage="model_update")
+            if combined is not None:
+                self.w = combined

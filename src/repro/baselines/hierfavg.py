@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection
 from repro.topology.sampling import sample_uniform_subset
@@ -80,9 +79,6 @@ class HierFAVG(FederatedAlgorithm):
                       sampled_edges=len(sampled)):
             self.tracker.record("edge_cloud", "down", count=len(sampled),
                                 floats=d)
-            acc = np.zeros(d)
-            total_weight = 0.0
-            cloud_agg = self._cloud_agg
             entries: list[tuple[str, float, np.ndarray]] = []
             timing = self.timing
             # Sampled edges work concurrently: the round's simulated duration
@@ -122,25 +118,11 @@ class HierFAVG(FederatedAlgorithm):
                             (w_e,) = delivered
                         weight = (float(edge.num_samples)
                                   if self.weight_by_data else 1.0)
-                        if cloud_agg is not None:
-                            entries.append((f"edge:{edge.edge_id}", weight,
-                                            w_e))
-                            continue
-                        acc += weight * w_e
-                        total_weight += weight
+                        entries.append((f"edge:{edge.edge_id}", weight, w_e))
             self.tracker.sync_cycle("edge_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the weighted edge mean.
-                combined = robust_combine(cloud_agg, entries, ref=self.w,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="edge_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "model_update")
-            elif total_weight > 0.0:
-                # Survivor-weighted average (dark edges leave the denominator).
-                self.w = acc / total_weight
-            else:
-                faults.degraded_round(round_index, "model_update")
+            # Survivor-weighted average (or the robust rule): dark edges
+            # leave the denominator.
+            combined = self._combine(round_index, entries, ref=self.w,
+                                     link="edge_cloud", stage="model_update")
+            if combined is not None:
+                self.w = combined

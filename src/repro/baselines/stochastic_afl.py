@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
@@ -102,9 +101,6 @@ class StochasticAFL(FederatedAlgorithm):
                       sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down",
                                 count=len(np.unique(sampled)), floats=d)
-            acc = np.zeros(d)
-            n_contrib = 0
-            cloud_agg = self._cloud_agg
             entries: list[tuple[str, float, np.ndarray]] = []
             # With-replacement sampling: duplicates chain in the dispatcher.
             work: list[ClientWork] = []
@@ -145,28 +141,12 @@ class StochasticAFL(FederatedAlgorithm):
                     if delivered is None:
                         continue
                     (w_end,) = delivered
-                if cloud_agg is not None:
-                    entries.append((f"client:{client.client_id}", 1.0, w_end))
-                    continue
-                acc += w_end
-                n_contrib += 1
+                entries.append((f"client:{client.client_id}", 1.0, w_end))
             self.tracker.sync_cycle("client_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the sampled-client mean.
-                combined = robust_combine(cloud_agg, entries, ref=self.w,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="client_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-            elif n_contrib == len(sampled):
-                self.w = acc / self.m_clients
-            elif n_contrib > 0:
-                self.w = acc / n_contrib
-            else:
-                faults.degraded_round(round_index, "phase1_model_update")
+            combined = self._combine(round_index, entries, ref=self.w,
+                                     link="client_cloud")
+            if combined is not None:
+                self.w = combined
 
         # Weight update phase: loss estimation at the fresh global model.
         with obs.span("phase2_weight_update", round=round_index):

@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.data.batching import restore_sampler_state
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import clip_loss_reports, resolve_defense
+from repro.defense.policy import clip_loss_reports, resolve_defense, \
+    robust_combine
 from repro.faults.checkpoint import CheckpointError, load_checkpoint_file, \
     previous_checkpoint_path, save_checkpoint_file
 from repro.faults.injector import resolve_injector
@@ -610,6 +611,42 @@ class FederatedAlgorithm(ABC):
         if roster is not None and not roster:
             return EDGE_UNAVAILABLE
         return roster
+
+    def _combine(self, round_index: int, entries, *, ref: np.ndarray,
+                 link: str, stage: str = "phase1_model_update",
+                 checkpoint: bool = False, tier: str = "cloud",
+                 ) -> np.ndarray | None:
+        """One aggregation point above the edge blocks (Eqs. (5)/(6)).
+
+        ``entries`` are the delivered ``(sender, weight, w)`` uploads in
+        delivery order.  The policy's active robust rule for ``tier``
+        (``"cloud"``, or ``"edge"`` for a multi-layer tree's interior nodes)
+        combines them when one is installed; otherwise they are summed in
+        order and divided by their summed weight — with unit weights that is
+        the ``÷ m`` of Eq. (5) over a full cohort and the renormalized mean
+        over survivors.  Returns ``None`` when nothing was delivered, after
+        recording the degraded round (the checkpoint fallback when
+        ``checkpoint``) under ``stage``; the caller keeps its current model.
+        """
+        aggregator = self._cloud_agg if tier == "cloud" else self._edge_agg
+        combined = None
+        if aggregator is not None:
+            combined = robust_combine(aggregator, entries, ref=ref,
+                                      faults=self.faults,
+                                      round_index=round_index, link=link)
+        elif entries:
+            combined = np.zeros(ref.size)
+            total = 0.0
+            for _, weight, w in entries:
+                combined += weight * w
+                total += weight
+            combined /= total
+        if combined is None:
+            if checkpoint:
+                self.faults.checkpoint_fallback(round_index, stage)
+            else:
+                self.faults.degraded_round(round_index, stage)
+        return combined
 
     def _clip_losses(self, round_index: int, losses: dict,
                      entity_prefix: str) -> dict:

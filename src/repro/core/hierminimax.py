@@ -32,7 +32,10 @@ import numpy as np
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm, \
     _restore_generator
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
+# Not called here any more (the cloud tier combines in
+# FederatedAlgorithm._combine), but benchmarks/e2e/ledger.py wraps this module
+# attribute by name, so it stays importable.
+from repro.defense.policy import robust_combine  # noqa: F401
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
 from repro.sim.cloud import CloudServer
@@ -84,6 +87,10 @@ class HierMinimax(FederatedAlgorithm):
     name = "hierminimax"
     is_minimax = True
     uses_hierarchy = True
+    #: Link names on the tracker, the virtual clock and the fault injector,
+    #: top first: edge→cloud, then client→edge.  The checkpoint index
+    #: broadcast with ``w^(k)`` carries one digit per link.
+    _links: tuple[str, ...] = ("edge_cloud", "client_edge")
 
     def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
                  eta_p: float = 1e-3, tau1: int = 2, tau2: int = 2,
@@ -104,11 +111,9 @@ class HierMinimax(FederatedAlgorithm):
         self.eta_p = check_positive_float(eta_p, "eta_p")
         self.tau1 = check_positive_int(tau1, "tau1")
         self.tau2 = check_positive_int(tau2, "tau2")
-        n_e = self.dataset.num_edges
+        n_e = self._bind_areas()
         self.m_edges = n_e if m_edges is None else check_positive_int(m_edges, "m_edges")
         check_fraction(self.m_edges, n_e, "m_edges")
-        self.edges = self._build_edges()
-        self.membership.bind(self.edges)
         self.cloud = CloudServer(
             n_e, weight_projection=projection_p if projection_p is not None
             else project_simplex)
@@ -120,6 +125,13 @@ class HierMinimax(FederatedAlgorithm):
         # Last loss estimate seen per edge — Phase 2's stale fallback when an
         # edge is dark or its probe reply is lost.
         self._last_losses: dict[int, float] = {}
+
+    def _bind_areas(self) -> int:
+        """Build the actors below the cloud, bind membership to them, and
+        return the number of areas ``N_E`` the weights ``p`` range over."""
+        self.edges = self._build_edges()
+        self.membership.bind(self.edges)
+        return self.dataset.num_edges
 
     @property
     def slots_per_round(self) -> int:
@@ -160,23 +172,19 @@ class HierMinimax(FederatedAlgorithm):
         """
         faults = self.faults
         timing = self.timing
-        d = self._dim
+        top = self._links[0]
         if faults.enabled and faults.edge_dark(round_index, eid):
             return None
         roster = self._edge_roster(eid)
         if roster is EDGE_UNAVAILABLE:
             return None
         if timing.enabled:
-            # Cloud -> edge: w^(k) plus the (c1, c2) checkpoint slot.
-            timing.transfer("edge_cloud", eid, d + 2)
-        w_e, w_e_ckpt = self.edges[eid].model_update(
-            self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
-            lr=self.eta_w, projection=self.projection_w,
-            checkpoint=checkpoint, tracker=self.tracker,
-            compressor=self.compressor, comp_rng=self._comp_rng,
-            obs=self.obs, faults=faults, round_index=round_index,
-            backend=self.backend, defense=self._edge_agg,
-            timing=timing, roster=roster)
+            # Cloud -> edge: w^(k) plus the checkpoint index.
+            timing.transfer(top, eid, self._dim + len(self._links))
+        update = self._area_update(round_index, eid, checkpoint, roster)
+        if update is None:
+            return None
+        w_e, w_e_ckpt = update
         if self.compressor is not None:
             # Edge transmits compressed deltas against the broadcast w^(k).
             w_e = self.w + self.compressor.compress(w_e - self.w,
@@ -185,18 +193,39 @@ class HierMinimax(FederatedAlgorithm):
                 w_e_ckpt = self.w + self.compressor.compress(
                     w_e_ckpt - self.w, self._comp_rng)
         # Edge uploads its round-final model (and its checkpoint model).
-        self.tracker.record("edge_cloud", "up", count=1,
-                            floats=upload_floats)
+        self.tracker.record(top, "up", count=1, floats=upload_floats)
         if timing.enabled:
-            timing.transfer("edge_cloud", eid, upload_floats)
+            timing.transfer(top, eid, upload_floats)
         if faults.enabled:
             delivered = faults.receive(
-                round_index, "edge_cloud", f"edge:{eid}", w_e, w_e_ckpt,
+                round_index, top, f"edge:{eid}", w_e, w_e_ckpt,
                 floats=upload_floats, tracker=self.tracker, ref=self.w)
             if delivered is None:
                 return None
             w_e, w_e_ckpt = delivered
         return w_e, w_e_ckpt
+
+    def _area_update(self, round_index: int, eid: int,
+                     checkpoint: tuple[int, int] | None, roster,
+                     ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """ModelUpdate of area ``eid`` from ``w^(k)``: its edge server's
+        ``τ2`` blocks.  An override may return ``None`` when the area has
+        nothing to upload."""
+        return self._edge_update(round_index, self.edges[eid], self.w,
+                                 checkpoint, blocks=self.tau2, roster=roster)
+
+    def _edge_update(self, round_index: int, edge, w: np.ndarray,
+                     checkpoint: tuple[int, int] | None, *, blocks: int,
+                     roster=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Run ``edge``'s ModelUpdate with this run's hooks wired in."""
+        return edge.model_update(
+            self.engine, w, tau1=self.tau1, tau2=blocks,
+            lr=self.eta_w, projection=self.projection_w,
+            checkpoint=checkpoint, tracker=self.tracker,
+            compressor=self.compressor, comp_rng=self._comp_rng,
+            obs=self.obs, faults=self.faults, round_index=round_index,
+            backend=self.backend, defense=self._edge_agg,
+            timing=self.timing, roster=roster, link=self._links[-1])
 
     def _upload_floats(self) -> float:
         """Edge→cloud payload per Phase-1 upload (model + optional checkpoint)."""
@@ -204,12 +233,31 @@ class HierMinimax(FederatedAlgorithm):
                        else self.compressor.payload_floats(self._dim))
         return (2 if self.use_checkpoint else 1) * unit_floats
 
+    def _apply_phase1(self, round_index: int, entries: list,
+                      ckpt_entries: list) -> np.ndarray:
+        """Eqs. (5)/(6): fold the delivered uploads into ``w`` and return the
+        checkpoint model Phase 2 probes at.
+
+        Both combines reference the broadcast ``w^(k)``.  With no delivered
+        model the round makes no model step; with no delivered checkpoint
+        (or the ablation without one) Phase 2 probes the current ``w``.
+        """
+        w_ref = self.w
+        top = self._links[0]
+        combined = self._combine(round_index, entries, ref=w_ref, link=top)
+        if combined is not None:
+            self.w = combined
+        if not self.use_checkpoint:
+            return self.w
+        w_checkpoint = self._combine(round_index, ckpt_entries, ref=w_ref,
+                                     link=top, checkpoint=True)
+        return self.w if w_checkpoint is None else w_checkpoint
+
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """One training round: Phase 1 (model + checkpoint) then Phase 2 (weights)."""
         d = self._dim
         obs = self.obs
-        faults = self.faults
         timing = self.timing
         # ---- Phase 1: sample edges by p, sample the checkpoint slot.
         sampled = sample_by_weight(self.p, self.m_edges, self.rng)
@@ -217,15 +265,12 @@ class HierMinimax(FederatedAlgorithm):
         checkpoint = (c1, c2) if self.use_checkpoint else None
         with obs.span("phase1_model_update", round=round_index,
                       sampled_edges=len(sampled), c1=c1, c2=c2):
-            # Cloud broadcasts w^(k) and (c1, c2) to the sampled edges.
-            self.tracker.record("edge_cloud", "down",
-                                count=len(np.unique(sampled)), floats=d + 2)
-            acc_w = np.zeros(d)
-            acc_ckpt = np.zeros(d) if self.use_checkpoint else None
+            # Cloud broadcasts w^(k) and the checkpoint index to the sampled
+            # edges.
+            self.tracker.record(self._links[0], "down",
+                                count=len(np.unique(sampled)),
+                                floats=d + len(self._links))
             upload_floats = self._upload_floats()
-            n_contrib = 0
-            n_ckpt = 0
-            cloud_agg = self._cloud_agg
             entries: list[tuple[str, float, np.ndarray]] = []
             ckpt_entries: list[tuple[str, float, np.ndarray]] = []
             # Sampled edges work concurrently: the synchronous barrier means
@@ -241,68 +286,28 @@ class HierMinimax(FederatedAlgorithm):
                     if delivered is None:
                         continue
                     w_e, w_e_ckpt = delivered
-                    if cloud_agg is not None:
-                        entries.append((f"edge:{eid}", 1.0, w_e))
-                        if w_e_ckpt is not None:
-                            ckpt_entries.append((f"edge:{eid}", 1.0, w_e_ckpt))
-                        continue
-                    acc_w += w_e
-                    n_contrib += 1
-                    if acc_ckpt is not None and w_e_ckpt is not None:
-                        acc_ckpt += w_e_ckpt
-                        n_ckpt += 1
-            self.tracker.sync_cycle("edge_cloud")
-            w_ref = self.w
-            if cloud_agg is not None:
-                # Robust Eq. (5)/(6): the installed aggregator replaces the
-                # sampled-edge mean (suspicious uploads are down-weighted or
-                # excluded and reported via the defense ledger).
-                combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="edge_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                w_checkpoint = self.w
-                if self.use_checkpoint:
-                    ckpt_combined = robust_combine(
-                        cloud_agg, ckpt_entries, ref=w_ref, faults=faults,
-                        round_index=round_index, link="edge_cloud")
-                    if ckpt_combined is not None:
-                        w_checkpoint = ckpt_combined
-                    else:
-                        faults.checkpoint_fallback(round_index,
-                                                   "phase1_model_update")
-            elif n_contrib == len(sampled):
-                acc_w /= self.m_edges     # Eq. (5): global model
-                self.w = acc_w
-            elif n_contrib > 0:
-                # Degraded Eq. (5): renormalize over the surviving edges.
-                acc_w /= n_contrib
-                self.w = acc_w
-            else:
-                # Every sampled edge dark/lost: the round makes no model step.
-                faults.degraded_round(round_index, "phase1_model_update")
-            if cloud_agg is not None:
-                pass  # checkpoint handled on the robust path above
-            elif acc_ckpt is not None and n_ckpt == len(sampled):
-                acc_ckpt /= self.m_edges  # Eq. (6): checkpoint model
-                w_checkpoint = acc_ckpt
-            elif acc_ckpt is not None and n_ckpt > 0:
-                acc_ckpt /= n_ckpt        # degraded Eq. (6)
-                w_checkpoint = acc_ckpt
-            else:
-                # Ablation variant (or zero surviving checkpoints): probe
-                # losses at the current global model instead.
-                if self.use_checkpoint:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                w_checkpoint = self.w
+                    entries.append((f"edge:{eid}", 1.0, w_e))
+                    if w_e_ckpt is not None:
+                        ckpt_entries.append((f"edge:{eid}", 1.0, w_e_ckpt))
+            self.tracker.sync_cycle(self._links[0])
+            w_checkpoint = self._apply_phase1(round_index, entries,
+                                              ckpt_entries)
 
         # ---- Phase 2: uniform re-sample, loss estimation at the checkpoint model.
         self._phase2_weight_update(round_index, w_checkpoint)
+
+    def _area_loss(self, round_index: int, eid: int, w: np.ndarray,
+                   roster) -> float | None:
+        """LossEstimation of area ``eid`` at ``w`` (``None``: no reply)."""
+        return self._edge_loss(round_index, self.edges[eid], w, roster=roster)
+
+    def _edge_loss(self, round_index: int, edge, w: np.ndarray, *,
+                   roster=None) -> float | None:
+        """Run ``edge``'s LossEstimation with this run's hooks wired in."""
+        return edge.estimate_loss(
+            self.engine, w, tracker=self.tracker, faults=self.faults,
+            round_index=round_index, loss_clip=self._loss_clip,
+            timing=self.timing, roster=roster, link=self._links[-1])
 
     def _phase2_weight_update(self, round_index: int,
                               w_checkpoint: np.ndarray) -> None:
@@ -311,11 +316,12 @@ class HierMinimax(FederatedAlgorithm):
         obs = self.obs
         faults = self.faults
         timing = self.timing
+        top = self._links[0]
         injecting = faults.enabled
         with obs.span("phase2_weight_update", round=round_index):
-            probed = sample_uniform_subset(self.dataset.num_edges, self.m_edges,
+            probed = sample_uniform_subset(self.cloud.num_edges, self.m_edges,
                                            self.rng)
-            self.tracker.record("edge_cloud", "down", count=len(probed), floats=d)
+            self.tracker.record(top, "down", count=len(probed), floats=d)
             losses: dict[int, float] = {}
             # Probed edges answer concurrently; Phase 2 costs the slowest probe.
             with timing.parallel("phase2"):
@@ -329,21 +335,17 @@ class HierMinimax(FederatedAlgorithm):
                                 injecting and faults.edge_dark(round_index,
                                                                eid)):
                             if timing.enabled:
-                                timing.transfer("edge_cloud", eid, d)
-                            est = self.edges[eid].estimate_loss(
-                                self.engine, w_checkpoint, tracker=self.tracker,
-                                faults=faults, round_index=round_index,
-                                loss_clip=self._loss_clip, timing=timing,
-                                roster=roster)
+                                timing.transfer(top, eid, d)
+                            est = self._area_loss(round_index, eid,
+                                                  w_checkpoint, roster)
                             if est is not None:
-                                self.tracker.record("edge_cloud", "up", count=1,
+                                self.tracker.record(top, "up", count=1,
                                                     floats=1)
                                 if timing.enabled:
-                                    timing.transfer("edge_cloud", eid, 1)
+                                    timing.transfer(top, eid, 1)
                                 if injecting:
                                     delivered = faults.receive(
-                                        round_index, "edge_cloud",
-                                        f"edge:{eid}", est,
+                                        round_index, top, f"edge:{eid}", est,
                                         floats=1.0, tracker=self.tracker)
                                     est = (None if delivered is None
                                            else delivered[0])
@@ -356,7 +358,7 @@ class HierMinimax(FederatedAlgorithm):
                             losses[eid] = stale
                         continue
                     losses[eid] = est
-            self.tracker.sync_cycle("edge_cloud")
+            self.tracker.sync_cycle(top)
             losses = self._clip_losses(round_index, losses, "edge")
             if losses:
                 self._last_losses.update(losses)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hierminimax import HierMinimax
-from repro.defense.policy import robust_combine
 from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
@@ -96,7 +95,6 @@ class SemiAsyncHierMinimax(HierMinimax):
         """Dispatch to free edges, merge the due-or-arrived flights, Phase 2."""
         d = self._dim
         obs = self.obs
-        faults = self.faults
         timing = self.timing
         # Identical Phase-1 sampling to the synchronous algorithm.
         sampled = sample_by_weight(self.p, self.m_edges, self.rng)
@@ -126,9 +124,9 @@ class SemiAsyncHierMinimax(HierMinimax):
                              "w_ckpt": w_ckpt, "duration": leg.duration})
             if dispatched:
                 # Cloud broadcasts w^(k) and (c1, c2) to the dispatched edges.
-                self.tracker.record("edge_cloud", "down",
+                self.tracker.record(self._links[0], "down",
                                     count=len(np.unique(dispatched)),
-                                    floats=d + 2)
+                                    floats=d + len(self._links))
             # All dispatches leave the cloud at the same instant; each leg's
             # arrival is its own (measured, non-blocking) duration later.
             t0 = timing.now
@@ -174,17 +172,14 @@ class SemiAsyncHierMinimax(HierMinimax):
             if obs.enabled and collected:
                 obs.gauge("merge_staleness",
                           max(round_index - f["round"] for f in collected))
-            self.tracker.sync_cycle("edge_cloud")
+            self.tracker.sync_cycle(self._links[0])
             # ---- Merge with the synchronous Eq. (5)/(6) arithmetic.
-            w_checkpoint = self._merge(round_index, sampled, collected)
+            w_checkpoint = self._merge(round_index, collected)
         # ---- Phase 2 is verbatim the synchronous weight update.
         self._phase2_weight_update(round_index, w_checkpoint)
 
-    def _merge(self, round_index: int, sampled, collected: list[dict],
-               ) -> np.ndarray:
+    def _merge(self, round_index: int, collected: list[dict]) -> np.ndarray:
         """Fold the collected flights into ``w`` / the checkpoint model."""
-        d = self._dim
-        faults = self.faults
         membership = self.membership
         if membership.enabled:
             # An edge that crashed or was partitioned after dispatch never
@@ -200,58 +195,8 @@ class SemiAsyncHierMinimax(HierMinimax):
                                    entity=f"edge:{f['eid']}",
                                    dispatched=f["round"])
                     self.obs.count("membership_stale_flights_total")
-        cloud_agg = self._cloud_agg
-        w_ref = self.w
-        if cloud_agg is not None:
-            entries = [(f"edge:{f['eid']}", 1.0, f["w_e"])
-                       for f in collected if f["w_e"] is not None]
-            ckpt_entries = [(f"edge:{f['eid']}", 1.0, f["w_ckpt"])
-                            for f in collected if f["w_ckpt"] is not None]
-            combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                      faults=faults, round_index=round_index,
-                                      link="edge_cloud")
-            if combined is not None:
-                self.w = combined
-            else:
-                faults.degraded_round(round_index, "phase1_model_update")
-            w_checkpoint = self.w
-            if self.use_checkpoint:
-                ckpt_combined = robust_combine(
-                    cloud_agg, ckpt_entries, ref=w_ref, faults=faults,
-                    round_index=round_index, link="edge_cloud")
-                if ckpt_combined is not None:
-                    w_checkpoint = ckpt_combined
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-            return w_checkpoint
-        acc_w = np.zeros(d)
-        acc_ckpt = np.zeros(d) if self.use_checkpoint else None
-        n_contrib = 0
-        n_ckpt = 0
-        for f in collected:
-            if f["w_e"] is None:
-                continue
-            acc_w += f["w_e"]
-            n_contrib += 1
-            if acc_ckpt is not None and f["w_ckpt"] is not None:
-                acc_ckpt += f["w_ckpt"]
-                n_ckpt += 1
-        if n_contrib == len(sampled):
-            acc_w /= self.m_edges     # Eq. (5): full (fresh) cohort
-            self.w = acc_w
-        elif n_contrib > 0:
-            acc_w /= n_contrib        # partial merge: renormalize
-            self.w = acc_w
-        else:
-            # Nothing landed (or every upload was lost): no model step.
-            faults.degraded_round(round_index, "phase1_model_update")
-        if acc_ckpt is not None and n_ckpt == len(sampled):
-            acc_ckpt /= self.m_edges  # Eq. (6)
-            return acc_ckpt
-        if acc_ckpt is not None and n_ckpt > 0:
-            acc_ckpt /= n_ckpt
-            return acc_ckpt
-        if self.use_checkpoint:
-            faults.checkpoint_fallback(round_index, "phase1_model_update")
-        return self.w
+        entries = [(f"edge:{f['eid']}", 1.0, f["w_e"])
+                   for f in collected if f["w_e"] is not None]
+        ckpt_entries = [(f"edge:{f['eid']}", 1.0, f["w_ckpt"])
+                        for f in collected if f["w_ckpt"] is not None]
+        return self._apply_phase1(round_index, entries, ckpt_entries)

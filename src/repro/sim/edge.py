@@ -7,8 +7,9 @@ An :class:`EdgeServer` owns the clients of its edge area and implements
 * :meth:`estimate_loss` — the Phase-2 loss estimation
   ``f_e(w) = (1/N0) Σ_n f_n(w; ξ_n)``.
 
-Communication with its clients is accounted on the ``client_edge`` link of the
-supplied :class:`~repro.topology.comm.CommunicationTracker`.  Aggregation
+Communication with its clients is accounted on the ``client_edge`` link (or the
+caller's ``link``, e.g. a multi-layer tree's bottom link) of the supplied
+:class:`~repro.topology.comm.CommunicationTracker`.  Aggregation
 accumulates into preallocated buffers (one ``d``-vector per edge, not per client).
 """
 
@@ -76,6 +77,7 @@ class EdgeServer:
                      defense=None,
                      timing=None,
                      roster: Sequence[Client] | None = None,
+                     link: str = "client_edge",
                      ) -> tuple[np.ndarray, np.ndarray | None]:
         """Run the ModelUpdate procedure from global model ``w_start``.
 
@@ -142,6 +144,9 @@ class EdgeServer:
             the :mod:`repro.membership` layer passes the edge's *current*
             clients (survivors of churn plus adoptees of a failover).
             ``None`` (default) uses ``self.clients``, byte-identically.
+        link:
+            Name of the client uplink on the tracker, the virtual clock and
+            the fault injector's message keys.
 
         Returns
         -------
@@ -182,7 +187,7 @@ class EdgeServer:
             with obs.span("edge_block", edge=self.edge_id, block=t2):
                 if tracker is not None:
                     # Edge broadcasts w_edge to its clients (model-sized, down).
-                    tracker.record("client_edge", "down", count=n0, floats=d)
+                    tracker.record(link, "down", count=n0, floats=d)
                 acc.fill(0.0)
                 entries: list[tuple[str, float, np.ndarray]] | None = \
                     [] if defense is not None else None
@@ -226,12 +231,11 @@ class EdgeServer:
                             with timing.branch(
                                     f"client:{client.client_id}"
                                     if timing.record else None):
-                                timing.transfer("client_edge",
-                                                client.client_id, d)
+                                timing.transfer(link, client.client_id, d)
                                 timing.compute(client.client_id, steps,
                                                scale=scale)
                                 timing.transfer(
-                                    "client_edge", client.client_id,
+                                    link, client.client_id,
                                     upload_floats * (2 if takes_ckpt else 1))
                 # ... then post-process in client order: compression, message
                 # faults, accounting, and aggregation consume their own
@@ -249,12 +253,12 @@ class EdgeServer:
                                 comp_rng)
                     if tracker is not None:
                         # Client uploads its model (+ checkpoint when captured).
-                        tracker.record("client_edge", "up", count=1,
+                        tracker.record(link, "up", count=1,
                                        floats=upload_floats * (2 if takes_ckpt
                                                                else 1))
                     if injecting:
                         delivered = faults.receive(
-                            round_index, "client_edge",
+                            round_index, link,
                             f"client:{client.client_id}", w_end, w_c,
                             floats=upload_floats * (2 if takes_ckpt else 1),
                             tracker=tracker, ref=w_edge)
@@ -283,19 +287,19 @@ class EdgeServer:
                             # Straggler that timed out before step c1.
                             ckpt_faulted = True
                 if tracker is not None:
-                    tracker.sync_cycle("client_edge")
+                    tracker.sync_cycle(link)
                 if entries is not None:
                     # Robust block aggregation: the installed rule replaces
                     # the weighted client mean; both combines reference the
                     # block's broadcast model.
                     combined = robust_combine(
                         defense, entries, ref=w_edge, faults=faults,
-                        round_index=round_index, link="client_edge")
+                        round_index=round_index, link=link)
                     ckpt_combined = (None if ckpt_acc is None else
                                      robust_combine(defense, ckpt_entries,
                                                     ref=w_edge, faults=faults,
                                                     round_index=round_index,
-                                                    link="client_edge"))
+                                                    link=link))
                     if combined is not None:
                         w_edge[:] = combined
                     elif injecting:
@@ -339,7 +343,8 @@ class EdgeServer:
                       faults=None, round_index: int = 0,
                       loss_clip: float | None = None,
                       timing=None,
-                      roster: Sequence[Client] | None = None) -> float | None:
+                      roster: Sequence[Client] | None = None,
+                      link: str = "client_edge") -> float | None:
         """LossEstimation: average the clients' minibatch losses at ``w``.
 
         With an active fault injector the average runs over the clients that
@@ -351,13 +356,14 @@ class EdgeServer:
         reports are capped at ``loss_clip ×`` the cohort median *before* they
         enter the edge average, so one inflated report cannot poison the whole
         edge's score (the cloud-side clip over edge reports is blind to that —
-        an attacked edge looks unanimous from above).
+        an attacked edge looks unanimous from above).  ``link`` names the
+        client link as in :meth:`model_update`.
         """
         injecting = faults is not None and faults.enabled
         d = w.size
         clients = self.clients if roster is None else list(roster)
         if tracker is not None:
-            tracker.record("client_edge", "down", count=len(clients), floats=d)
+            tracker.record(link, "down", count=len(clients), floats=d)
         reports: dict[int, float] | None = {} if loss_clip is not None else None
         charge = timing is not None and timing.enabled
         probed: list[int] = []
@@ -371,10 +377,10 @@ class EdgeServer:
             if charge:
                 probed.append(client.client_id)
             if tracker is not None:
-                tracker.record("client_edge", "up", count=1, floats=1)
+                tracker.record(link, "up", count=1, floats=1)
             if injecting:
                 delivered = faults.receive(
-                    round_index, "client_edge", f"client:{client.client_id}",
+                    round_index, link, f"client:{client.client_id}",
                     loss, floats=1.0, tracker=tracker)
                 if delivered is None:
                     continue
@@ -391,11 +397,11 @@ class EdgeServer:
                 for cid in probed:
                     with timing.branch(f"client:{cid}" if timing.record
                                        else None):
-                        timing.transfer("client_edge", cid, d)
+                        timing.transfer(link, cid, d)
                         timing.probe(cid)
-                        timing.transfer("client_edge", cid, 1)
+                        timing.transfer(link, cid, 1)
         if tracker is not None:
-            tracker.sync_cycle("client_edge")
+            tracker.sync_cycle(link)
         if replied == 0:
             return None
         if reports is not None:

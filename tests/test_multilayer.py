@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.hierminimax import HierMinimax
+from repro.faults.plan import FaultPlan
 from repro.multilayer.algorithm import MultiLevelHierMinimax
 from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import make_model_factory
@@ -85,18 +86,46 @@ class TestMultiLevelAlgorithm:
     def factory(self, fed):
         return make_model_factory("logistic", fed.input_dim, fed.num_classes)
 
-    def test_depth2_matches_hierminimax_bitwise(self, fed, factory):
-        """With depth 2 and taus (τ2, τ1) the generalization IS Algorithm 1."""
-        common = dict(batch_size=4, eta_w=0.1, seed=11)
-        hm = HierMinimax(fed, factory, eta_p=0.05, tau1=3, tau2=2, m_edges=2,
-                         **common)
-        ml = MultiLevelHierMinimax(fed, factory, taus=(2, 3), eta_p=0.05,
+    # Prices the tree's links like the links they stand for, so the virtual
+    # clocks of the two algorithms must agree too.
+    _MIRRORED_COSTS = ("hetero,seed=1,slow_clients=3,"
+                       "latency.level_1=0.05,mbps.level_1=100,"
+                       "latency.level_2=0.005,mbps.level_2=50")
+
+    @pytest.mark.parametrize("n0, taus, extra", [
+        pytest.param(2, (2, 3), {}, id="base"),
+        pytest.param(3, (2, 3), {}, id="n0-3"),
+        pytest.param(2, (3, 3), {}, id="taus-3-3"),
+        pytest.param(3, (2, 3), {"defense": "trimmed_mean"},
+                     id="trimmed-mean"),
+        # No msg_loss/msg_corrupt: message draws are keyed by link name,
+        # which differs by design (edge_cloud vs level_1).
+        pytest.param(3, (2, 3), {"faults": FaultPlan(
+            client_dropout=0.2, client_straggle=0.2, edge_outage=0.1,
+            seed=7)}, id="client-edge-faults"),
+        pytest.param(3, (2, 3), {"timing": _MIRRORED_COSTS},
+                     id="hetero-cost"),
+    ])
+    def test_depth2_matches_hierminimax_bitwise(self, n0, taus, extra):
+        """With depth 2 and taus (τ2, τ1) the generalization IS Algorithm 1 —
+        for any fan-in, periods, defense, faults and cost model: the same
+        model, weights and simulated clock after every round."""
+        fed = make_blob_fed(num_edges=4, clients_per_edge=n0, n_per_client=12,
+                            dim=4, seed=1)
+        factory = make_model_factory("logistic", fed.input_dim,
+                                     fed.num_classes)
+        common = dict(batch_size=4, eta_w=0.1, seed=11, **extra)
+        hm = HierMinimax(fed, factory, eta_p=0.05, tau1=taus[1], tau2=taus[0],
+                         m_edges=2, **common)
+        ml = MultiLevelHierMinimax(fed, factory, taus=taus, eta_p=0.05,
                                    m_top=2, **common)
-        for k in range(4):
+        for k in range(8):
             hm.run_round(k)
             ml.run_round(k)
             np.testing.assert_array_equal(hm.w, ml.w)
             np.testing.assert_array_equal(hm.p, ml.p)
+            assert hm.timing.elapsed_s == ml.timing.elapsed_s
+        assert "timing" not in extra or ml.timing.elapsed_s > 0.0
 
     def test_default_tree_inferred(self, fed, factory):
         algo = MultiLevelHierMinimax(fed, factory, seed=0)

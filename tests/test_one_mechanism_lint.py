@@ -1,9 +1,15 @@
-"""One mechanism each: spec parsing and durable writes have a single home.
+"""One mechanism each: spec parsing, durable writes, aggregation and local
+training have a single home.
 
 ``key=value`` splitting lives only in :mod:`repro.utils.spec`; ``os.fsync``
-and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`.  AST-based
-(like the no-wall-clock lint in ``test_simtime.py``), so prose in docstrings
-does not trip it — only real calls, attribute references and imports count.
+and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`;
+``robust_combine`` is called only by the edge block (:mod:`repro.sim.edge`)
+and the shared upload combine (:mod:`repro.core.base`); ``run_local_steps`` is
+called only by the edge block and the three flat-topology baselines (plus the
+``substrate`` CLI gate, which checks the dispatcher itself).
+AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
+docstrings does not trip it — only real calls, attribute references and
+imports count.
 """
 
 from __future__ import annotations
@@ -45,26 +51,42 @@ def _durable_calls(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def _offenders(finder, home: str) -> list[str]:
+def _calls_of(name: str):
+    """A finder for calls of the function ``name`` (bare or as an attribute)."""
+    def finder(tree: ast.AST) -> list[tuple[int, str]]:
+        return [(node.lineno, f"{name}(...)")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))]
+    return finder
+
+
+def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
     out = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel == home:
+        if rel in homes:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         out.extend(f"{rel}:{line}: {what}" for line, what in finder(tree))
     return out
 
 
-@pytest.mark.parametrize("finder, home", [
-    (_spec_splits, "utils/spec.py"),
-    (_durable_calls, "utils/serialization.py"),
-], ids=["spec-grammar", "durable-write"])
-def test_mechanism_has_one_home(finder, home):
-    assert (SRC / home).is_file()
-    offenders = _offenders(finder, home)
+@pytest.mark.parametrize("finder, homes", [
+    (_spec_splits, ("utils/spec.py",)),
+    (_durable_calls, ("utils/serialization.py",)),
+    (_calls_of("robust_combine"), ("sim/edge.py", "core/base.py")),
+    (_calls_of("run_local_steps"), ("sim/edge.py", "baselines/fedavg.py",
+                                    "baselines/drfa.py",
+                                    "baselines/stochastic_afl.py", "cli.py")),
+], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps"])
+def test_mechanism_has_one_home(finder, homes):
+    assert all((SRC / home).is_file() for home in homes)
+    offenders = _offenders(finder, homes)
     assert not offenders, (
-        f"use the shared mechanism in repro/{home}:\n" + "\n".join(offenders))
+        f"use the shared mechanism in repro/{' or repro/'.join(homes)}:\n"
+        + "\n".join(offenders))
 
 
 @pytest.mark.parametrize("finder, source", [
@@ -73,6 +95,8 @@ def test_mechanism_has_one_home(finder, home):
     (_durable_calls, "os.fsync(fh.fileno())"),
     (_durable_calls, "crc = zlib.crc32(data)"),
     (_durable_calls, "from zlib import crc32"),
+    (_calls_of("robust_combine"), "robust_combine(agg, entries)"),
+    (_calls_of("run_local_steps"), "dispatch.run_local_steps(backend, work)"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))
