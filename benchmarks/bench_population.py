@@ -13,7 +13,8 @@ tracemalloc peaks, and distills
 * the cohort counters, communication totals and client-state store footprint
   (``store_record_bytes``, the summed length of every packed client record)
   of the large run (exact), and
-* the raw peaks and wall time (informational ``seconds``; machine-dependent).
+* the raw peaks, gated from above by the one-sided ``memory`` kind, and the
+  wall time (informational ``seconds``; machine-dependent).
 
 ``python -m repro perf-check`` compares the distillation against the
 committed ``BENCH_population.json`` baseline at the repo root.
@@ -107,8 +108,8 @@ def test_population_memory_independence(bench_trajectory, save_report):
         "total_comm_bytes": {"value": large["comm_bytes"], "kind": "bytes"},
         "final_average_accuracy": {
             "value": large["average_accuracy"], "kind": "exact"},
-        "mem_peak_small_bytes": {"value": small_peak, "kind": "seconds"},
-        "mem_peak_large_bytes": {"value": large_peak, "kind": "seconds"},
+        "mem_peak_small_bytes": {"value": small_peak, "kind": "memory"},
+        "mem_peak_large_bytes": {"value": large_peak, "kind": "memory"},
         "wall_large_s": {"value": large["wall_s"], "kind": "seconds"},
     }, context={"small_clients": SMALL.num_clients,
                 "large_clients": LARGE.num_clients,

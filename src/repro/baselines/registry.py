@@ -2,30 +2,28 @@
 
 The experiment harness and benches refer to algorithms by the names used in the
 paper's figures; :func:`make_algorithm` instantiates them with a uniform keyword
-interface, forwarding only the parameters each algorithm accepts.
+interface, forwarding only the parameters each algorithm accepts.  Each entry
+names its class as ``"module:Class"``, imported only when that algorithm is
+built, so a run loads the code of the methods it runs and no other.
 """
 
 from __future__ import annotations
 
-from typing import Any, Type
+from importlib import import_module
+from typing import Any
 
-from repro.baselines.drfa import DRFA
-from repro.baselines.fedavg import FedAvg
-from repro.baselines.hierfavg import HierFAVG
-from repro.baselines.stochastic_afl import StochasticAFL
 from repro.core.base import FederatedAlgorithm
-from repro.core.hierminimax import HierMinimax
-from repro.core.semiasync import SemiAsyncHierMinimax
 
 __all__ = ["ALGORITHMS", "make_algorithm"]
 
-ALGORITHMS: dict[str, Type[FederatedAlgorithm]] = {
-    "fedavg": FedAvg,
-    "stochastic_afl": StochasticAFL,
-    "drfa": DRFA,
-    "hierfavg": HierFAVG,
-    "hierminimax": HierMinimax,
-    "semiasync_hierminimax": SemiAsyncHierMinimax,
+#: Algorithm name -> ``"module:Class"`` of its implementation.
+ALGORITHMS: dict[str, str] = {
+    "fedavg": "repro.baselines.fedavg:FedAvg",
+    "stochastic_afl": "repro.baselines.stochastic_afl:StochasticAFL",
+    "drfa": "repro.baselines.drfa:DRFA",
+    "hierfavg": "repro.baselines.hierfavg:HierFAVG",
+    "hierminimax": "repro.core.hierminimax:HierMinimax",
+    "semiasync_hierminimax": "repro.core.semiasync:SemiAsyncHierMinimax",
 }
 
 # Which construction keywords each algorithm understands beyond the common set.
@@ -69,7 +67,8 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
     """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
-    cls = ALGORITHMS[name]
+    module, _, class_name = ALGORITHMS[name].partition(":")
+    cls = getattr(import_module(module), class_name)
     kwargs = dict(kwargs)
 
     shape = dataset

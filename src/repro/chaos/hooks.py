@@ -20,9 +20,10 @@ signatures should not grow a chaos parameter.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.chaos.plan import ChaosInjector, ChaosPlan
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded by install()
+    from repro.chaos.plan import ChaosInjector, ChaosPlan
 
 __all__ = ["ChaosCrash", "chaos", "install", "uninstall", "active", "fire"]
 
@@ -37,6 +38,8 @@ _ACTIVE: ChaosInjector | None = None
 def install(plan: "ChaosPlan | ChaosInjector | str") -> ChaosInjector:
     """Install an injector (building one from a plan/spec); returns it."""
     global _ACTIVE
+    from repro.chaos.plan import ChaosInjector, ChaosPlan
+
     injector = (plan if isinstance(plan, ChaosInjector)
                 else ChaosInjector(ChaosPlan.parse(plan)))
     _ACTIVE = injector

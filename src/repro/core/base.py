@@ -34,7 +34,6 @@ from repro.nn.models import ModelFactory
 from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import resolve_population
-from repro.population.store import ShardIntegrityError
 from repro.simtime import resolve_timing
 from repro.topology.comm import CommSnapshot, CommunicationTracker
 from repro.exec import ExecutionBackend, resolve_backend
@@ -48,11 +47,6 @@ __all__ = ["FederatedAlgorithm", "RunResult", "EDGE_UNAVAILABLE"]
 #: membership layer has taken an edge out of service for the round (crashed,
 #: partitioned, or left without a single active client).
 EDGE_UNAVAILABLE = object()
-
-
-# Retained name: the canonical implementation now lives in repro.utils.rng
-# (it also accepts generator_token snapshots); old importers keep working.
-_restore_generator = restore_generator
 
 
 @dataclass(frozen=True)
@@ -509,6 +503,8 @@ class FederatedAlgorithm(ABC):
 
         Returns the number of rounds already completed.
         """
+        from repro.population.store import ShardIntegrityError
+
         candidates = [Path(path), previous_checkpoint_path(path)]
         errors: list[str] = []
         for index, candidate in enumerate(candidates):
@@ -540,7 +536,7 @@ class FederatedAlgorithm(ABC):
         """Apply a verified checkpoint payload to this algorithm instance."""
         self.w = np.asarray(state["w"], dtype=np.float64)
         self.rounds_completed = int(state["round"])
-        _restore_generator(self.rng, state["rng"])
+        restore_generator(self.rng, state["rng"])
         if self.population.virtual:
             # Per-client state lives in the sharded store; clients re-derive
             # from it lazily the next time the cohort samples them.

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm, \
-    _restore_generator
+from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 # Not called here any more (the cloud tier combines in
 # FederatedAlgorithm._combine), but benchmarks/e2e/ledger.py wraps this module
@@ -44,6 +43,7 @@ from repro.topology.sampling import (
     sample_checkpoint_slot,
     sample_uniform_subset,
 )
+from repro.utils.rng import restore_generator
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
 
 __all__ = ["HierMinimax"]
@@ -150,7 +150,7 @@ class HierMinimax(FederatedAlgorithm):
 
     def _restore_extra(self, extra: dict) -> None:
         self.p = np.asarray(extra["p"], dtype=np.float64)
-        _restore_generator(self._comp_rng, extra["comp_rng"])
+        restore_generator(self._comp_rng, extra["comp_rng"])
         self._last_losses = {int(k): float(v)
                              for k, v in extra.get("last_losses", {}).items()}
 

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.adult import AdultLikeSpec, make_adult_groups
 from repro.data.dataset import FederatedDataset
 from repro.data.partition import (
     federated_from_group_pools,
     partition_one_class_per_edge,
     partition_similarity,
 )
-from repro.data.synthetic_fl import SyntheticFLSpec, generate_synthetic_fl
 from repro.data.synthetic_images import make_image_dataset
 from repro.utils.rng import as_generator
 
@@ -123,6 +121,8 @@ def make_federated_dataset(name: str, *,
         return fed
 
     if name == "adult":
+        from repro.data.adult import AdultLikeSpec, make_adult_groups
+
         per_edge = clients_per_edge if clients_per_edge is not None else 3
         trains, tests = make_adult_groups(
             sizes.adult_train_per_group, sizes.adult_test_per_group, rng,
@@ -132,6 +132,8 @@ def make_federated_dataset(name: str, *,
         return fed
 
     # name == "synthetic"
+    from repro.data.synthetic_fl import SyntheticFLSpec, generate_synthetic_fl
+
     devices = num_edges if num_edges is not None else sizes.synthetic_devices
     per_edge = clients_per_edge if clients_per_edge is not None else 1
     spec = SyntheticFLSpec(num_devices=devices)

@@ -21,15 +21,14 @@ which call sites also treat as the original path (regression-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.defense.aggregators import (
-    RobustAggregator,
-    TrimmedMean,
-    resolve_aggregator,
-)
 from repro.utils.spec import convert, to_float, tokenize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded with a defense
+    from repro.defense.aggregators import RobustAggregator
 
 __all__ = ["DefensePolicy", "resolve_defense", "robust_combine",
            "clip_loss_reports"]
@@ -100,6 +99,12 @@ def resolve_defense(spec) -> DefensePolicy | None:
     """
     if spec is None or isinstance(spec, DefensePolicy):
         return spec
+    from repro.defense.aggregators import (
+        RobustAggregator,
+        TrimmedMean,
+        resolve_aggregator,
+    )
+
     if isinstance(spec, RobustAggregator):
         clip = None if spec.reference else DEFAULT_LOSS_CLIP
         return DefensePolicy(edge=spec, cloud=spec, loss_clip=clip)

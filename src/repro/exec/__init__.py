@@ -16,23 +16,19 @@ randomness is fixed; this package makes *where* they run a strategy object
 Every backend is bit-identical to ``serial`` for a fixed seed — see the
 determinism contract in :mod:`repro.exec.base`.  Select one with
 ``backend=``/``--backend`` or the ``REPRO_BACKEND`` / ``REPRO_WORKERS``
-environment variables.
+environment variables; :func:`make_backend` imports only the module of the
+backend it builds, and the re-exports below resolve on first use.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from repro.exec.base import (
-    ExecutionBackend,
-    LocalStepsResult,
-    LocalStepsTask,
-    run_local_steps_kernel,
-)
-from repro.exec.serial import SERIAL_BACKEND, SerialBackend
-from repro.exec.threads import ThreadBackend, default_worker_count
-from repro.exec.vectorized import VectorizedBackend
-from repro.exec.dispatch import ClientWork, run_local_steps
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; resolved lazily below
+    from repro.exec.base import ExecutionBackend
 
 __all__ = [
     "ExecutionBackend", "LocalStepsTask", "LocalStepsResult",
@@ -41,6 +37,17 @@ __all__ = [
     "default_worker_count", "ClientWork", "run_local_steps",
     "available_backends", "make_backend", "resolve_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exec.base": (
+        "ExecutionBackend", "LocalStepsResult", "LocalStepsTask",
+        "run_local_steps_kernel",
+    ),
+    "repro.exec.serial": ("SERIAL_BACKEND", "SerialBackend"),
+    "repro.exec.threads": ("ThreadBackend", "default_worker_count"),
+    "repro.exec.vectorized": ("VectorizedBackend",),
+    "repro.exec.dispatch": ("ClientWork", "run_local_steps"),
+})
 
 #: Environment variables consulted by :func:`resolve_backend`.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -69,11 +76,17 @@ def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
             f"unknown execution backend {name!r}; "
             f"choose from {available_backends()}")
     if key == "thread":
+        from repro.exec.threads import ThreadBackend
+
         env_timeout = os.environ.get(TIMEOUT_ENV, "").strip()
         timeout_s = float(env_timeout) if env_timeout else None
         return ThreadBackend(workers=workers, timeout_s=timeout_s)
     if key == "vectorized":
+        from repro.exec.vectorized import VectorizedBackend
+
         return VectorizedBackend()
+    from repro.exec.serial import SERIAL_BACKEND, SerialBackend
+
     return SERIAL_BACKEND if workers in (None, 0, 1) else SerialBackend()
 
 
@@ -86,6 +99,8 @@ def resolve_backend(spec: "ExecutionBackend | str | None" = None,
     the ``REPRO_BACKEND`` environment variable decides (default ``serial``).
     A ``workers`` of ``None`` likewise falls back to ``REPRO_WORKERS``.
     """
+    from repro.exec.base import ExecutionBackend
+
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:

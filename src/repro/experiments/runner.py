@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.baselines.registry import make_algorithm
 from repro.core.base import RunResult
-from repro.defense.attacks import AttackPlan, apply_label_flip
 from repro.faults import FaultPlan, resolve_injector
 from repro.membership import ChurnPlan
 from repro.data.dataset import FederatedDataset
@@ -29,7 +28,7 @@ from repro.exec import ExecutionBackend, resolve_backend
 from repro.experiments.presets import ExperimentPreset
 from repro.nn.models import ModelFactory, make_model_factory
 from repro.obs import NULL_TRACER
-from repro.simtime import CostModel, make_cost_model, resolve_timing
+from repro.simtime import resolve_timing
 from repro.utils.timers import TimerBank
 
 __all__ = ["ExperimentOutput", "build_preset_dataset", "build_preset_model", "run_experiment"]
@@ -182,6 +181,8 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     if attack is not None:
+        from repro.defense.attacks import AttackPlan
+
         plan = AttackPlan.parse(attack) if isinstance(attack, str) else attack
         if not isinstance(plan, AttackPlan):
             raise TypeError("attack must be an AttackPlan or a spec string, "
@@ -219,9 +220,13 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
             if (faults is not None and isinstance(faults, FaultPlan)
                     and faults.has_attack):
                 # Data poisoning happens once, before any algorithm trains.
+                from repro.defense.attacks import apply_label_flip
+
                 dataset = apply_label_flip(dataset, faults.byzantine)
         model_factory = build_preset_model(preset, dataset)
-    if cost_model is not None and not isinstance(cost_model, CostModel):
+    if cost_model is not None:
+        from repro.simtime.cost import make_cost_model
+
         cost_model = make_cost_model(cost_model)
     roster = algorithms if algorithms is not None else preset.algorithms
     timers = TimerBank()

@@ -4,7 +4,8 @@ Two cooperating parts (see DESIGN.md §"Membership & self-healing"):
 
 * :mod:`repro.membership.plan` — the declarative, seeded :class:`ChurnPlan`
   (client arrivals/departures, edge crash/recover episodes with MTTF/MTTR,
-  edge–cloud partitions that later heal);
+  edge–cloud partitions that later heal), the static topology's
+  :data:`NULL_MEMBERSHIP` and :func:`resolve_membership`;
 * :mod:`repro.membership.manager` — the :class:`MembershipManager` that turns
   a plan into per-round transitions that are pure functions of
   ``(seed, round, entity)``, plus the self-healing machinery: heartbeat
@@ -30,9 +31,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.membership.manager": (
-        "MembershipManager", "NULL_MEMBERSHIP", "NullMembership",
-        "resolve_membership",
+    "repro.membership.manager": ("MembershipManager",),
+    "repro.membership.plan": (
+        "ChurnPlan", "NULL_MEMBERSHIP", "NullMembership", "resolve_membership",
     ),
-    "repro.membership.plan": ("ChurnPlan",),
 })

@@ -38,54 +38,13 @@ from repro.membership.plan import ChurnPlan
 from repro.obs import NULL_TRACER
 from repro.utils.rng import stable_key
 
-__all__ = ["MembershipManager", "NullMembership", "NULL_MEMBERSHIP",
-           "resolve_membership"]
+__all__ = ["MembershipManager"]
 
 #: Floats carried by one heartbeat probe (the detection traffic).
 HEARTBEAT_FLOATS = 1.0
 #: Non-model floats in an edge-state handoff: the cached loss estimate plus
 #: the (summarized) quarantine set that travels with the anchor model.
 HANDOFF_EXTRA_FLOATS = 2.0
-
-
-class NullMembership:
-    """Shared no-op: the static topology.  Every query is the identity."""
-
-    enabled = False
-    plan = ChurnPlan.none()
-
-    def bind(self, edges) -> None:
-        """No-op: a static topology has nothing to bind."""
-
-    def bind_flat(self, clients, num_edges: int = 0) -> None:
-        """No-op: a static topology has nothing to bind."""
-
-    def begin_round(self, round_index: int, *, tracker=None, timing=None,
-                    dim: int = 0) -> None:
-        """No-op: no churn transitions ever happen."""
-
-    def edge_available(self, edge_id: int) -> bool:
-        """Every edge is always up."""
-        return True
-
-    def client_active(self, client_id: int) -> bool:
-        """Every client is always active."""
-        return True
-
-    def roster(self, edge_id: int):
-        """``None``: algorithms take their static (bit-identical) path."""
-        return None
-
-    def state_dict(self) -> dict:
-        """Empty: nothing to checkpoint."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """No-op: nothing to restore."""
-
-
-#: The module-level shared instance (never mutated).
-NULL_MEMBERSHIP = NullMembership()
 
 
 class _LazyActorMap:
@@ -457,23 +416,3 @@ class MembershipManager:
         self.edge_up = {int(e): bool(up)
                         for e, up in state.get("edge_up", {}).items()}
         self.partitioned = {int(e) for e in state.get("partitioned", ())}
-
-
-def resolve_membership(churn, *, obs=None):
-    """Coerce ``churn`` (``None`` | spec string | :class:`ChurnPlan` |
-    manager) into a membership manager bound to ``obs``.
-
-    ``None`` and null plans resolve to the shared :data:`NULL_MEMBERSHIP`,
-    keeping the static-topology path free of per-run allocations."""
-    if isinstance(churn, (MembershipManager, NullMembership)):
-        return churn
-    if churn is None:
-        return NULL_MEMBERSHIP
-    if isinstance(churn, str):
-        churn = ChurnPlan.parse(churn)
-    if not isinstance(churn, ChurnPlan):
-        raise TypeError(f"churn must be a ChurnPlan, spec string, or "
-                        f"MembershipManager, got {type(churn).__name__}")
-    if churn.is_null:
-        return NULL_MEMBERSHIP
-    return MembershipManager(churn, obs=obs)

@@ -10,8 +10,10 @@ transitions whose every draw is a *pure function* of
 and checkpoint/resume across a failover boundary exact.
 
 ``ChurnPlan.none()`` (or simply not passing a plan) disables every membership
-path: algorithms take the exact same code paths and produce bit-identical
-outputs to a build without the membership layer.
+path: :func:`resolve_membership` returns the shared :data:`NULL_MEMBERSHIP`,
+defined here so a static run never loads the manager, and algorithms take
+the exact same code paths and produce bit-identical outputs to a build
+without the membership layer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
-__all__ = ["ChurnPlan"]
+__all__ = ["ChurnPlan", "NullMembership", "NULL_MEMBERSHIP",
+           "resolve_membership"]
 
 @dataclass(frozen=True)
 class ChurnPlan:
@@ -131,3 +134,68 @@ class ChurnPlan:
         ``1/0/true/false/yes/no/on/off``.  An empty spec is the null plan.
         """
         return cls(**parse_spec(spec, "churn", dataclass_schema(cls)))
+
+
+class NullMembership:
+    """Shared no-op: the static topology.  Every query is the identity."""
+
+    enabled = False
+    plan = ChurnPlan.none()
+
+    def bind(self, edges) -> None:
+        """No-op: a static topology has nothing to bind."""
+
+    def bind_flat(self, clients, num_edges: int = 0) -> None:
+        """No-op: a static topology has nothing to bind."""
+
+    def begin_round(self, round_index: int, *, tracker=None, timing=None,
+                    dim: int = 0) -> None:
+        """No-op: no churn transitions ever happen."""
+
+    def edge_available(self, edge_id: int) -> bool:
+        """Every edge is always up."""
+        return True
+
+    def client_active(self, client_id: int) -> bool:
+        """Every client is always active."""
+        return True
+
+    def roster(self, edge_id: int):
+        """``None``: algorithms take their static (bit-identical) path."""
+        return None
+
+    def state_dict(self) -> dict:
+        """Empty: nothing to checkpoint."""
+        return {}
+
+    def load_state_dict(self, state: dict) -> None:
+        """No-op: nothing to restore."""
+
+
+#: The module-level shared instance (never mutated).
+NULL_MEMBERSHIP = NullMembership()
+
+
+def resolve_membership(churn, *, obs=None):
+    """Coerce ``churn`` (``None`` | spec string | :class:`ChurnPlan` |
+    manager) into a membership manager bound to ``obs``.
+
+    ``None`` and null plans resolve to the shared :data:`NULL_MEMBERSHIP`,
+    keeping the static-topology path free of per-run allocations; only a
+    live plan loads :mod:`repro.membership.manager`."""
+    if churn is None:
+        return NULL_MEMBERSHIP
+    if isinstance(churn, NullMembership):
+        return churn
+    if isinstance(churn, str):
+        churn = ChurnPlan.parse(churn)
+    if isinstance(churn, ChurnPlan) and churn.is_null:
+        return NULL_MEMBERSHIP
+    from repro.membership.manager import MembershipManager
+
+    if isinstance(churn, MembershipManager):
+        return churn
+    if not isinstance(churn, ChurnPlan):
+        raise TypeError(f"churn must be a ChurnPlan, spec string, or "
+                        f"MembershipManager, got {type(churn).__name__}")
+    return MembershipManager(churn, obs=obs)

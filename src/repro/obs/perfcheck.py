@@ -18,6 +18,9 @@ exact     relative error ≤ 1e-9 (deterministic floats: sim seconds,
 ratio     one-sided: current ≥ (1 − tol) × baseline, tol 0.35 by
           default (backend speedups are noisy; only collapses fail,
           improvements always pass)
+memory    one-sided: fails only when current > (1 + tol) × baseline,
+          tol :data:`MEMORY_TOL` (heap peaks are not exact; growth
+          beyond the spread fails, any drop passes)
 seconds   informational only — wall-clock is machine-dependent and
           never gates
 ========  ============================================================
@@ -36,14 +39,20 @@ from pathlib import Path
 from typing import Any, Mapping
 
 __all__ = ["MetricCheck", "PerfCheckResult", "KINDS", "DEFAULT_RATIO_TOL",
-           "normalize_metrics", "write_bench", "load_bench", "compare_bench",
-           "format_perfcheck"]
+           "MEMORY_TOL", "normalize_metrics", "write_bench", "load_bench",
+           "compare_bench", "format_perfcheck"]
 
 #: Recognized metric kinds (see the module docstring for the gating rules).
-KINDS = ("counter", "bytes", "exact", "ratio", "seconds")
+KINDS = ("counter", "bytes", "exact", "ratio", "memory", "seconds")
 
 #: Default one-sided tolerance for ``ratio`` metrics (35% slack).
 DEFAULT_RATIO_TOL = 0.35
+
+#: One-sided upper tolerance for ``memory`` metrics (heap peaks in bytes).
+#: The population bench's tracemalloc peaks spread by at most 0.014% over
+#: nine runs; 5% is over 300 times that spread and under half the 11% by
+#: which its 10x population's peak exceeds the small one's.
+MEMORY_TOL = 0.05
 
 #: Relative tolerance for ``exact`` (deterministic float) metrics.
 EXACT_REL_TOL = 1e-9
@@ -147,6 +156,13 @@ def _check_one(name: str, kind: str, base: float, cur: float,
             return MetricCheck(name, kind, base, cur, "ok")
         return MetricCheck(name, kind, base, cur, "fail",
                            f"relative error {rel:.2e} > {EXACT_REL_TOL:g}")
+    if kind == "memory":
+        ceiling = (1.0 + MEMORY_TOL) * base
+        if cur <= ceiling:
+            return MetricCheck(name, kind, base, cur, "ok")
+        return MetricCheck(name, kind, base, cur, "fail",
+                           f"above {ceiling:.0f} (= (1+{MEMORY_TOL:g}) x "
+                           f"baseline)")
     # ratio: one-sided lower bound; higher is always fine.
     floor = (1.0 - ratio_tol) * base
     if cur >= floor:

@@ -134,23 +134,24 @@ def resolve_population(population, dataset):
     population may equivalently arrive in the ``dataset`` position — callers
     pass what they have and this sorts it out.
     """
-    from repro.population.spec import PopulationSpec
-    from repro.population.virtual import VirtualPopulation
-
     if population is None and (
-            isinstance(dataset, (str, PopulationSpec))
+            isinstance(dataset, str)
+            or getattr(dataset, "is_population_spec", False)
             or getattr(dataset, "is_population", False)):
         population, dataset = dataset, None
     if population is None:
         return EagerPopulation(dataset)
     if dataset is not None:
         raise ValueError("pass either dataset or population=, not both")
+    if getattr(population, "is_population", False):
+        return population
+    from repro.population.spec import PopulationSpec
+    from repro.population.virtual import VirtualPopulation
+
     if isinstance(population, str):
         population = PopulationSpec.parse(population)
     if isinstance(population, PopulationSpec):
         return VirtualPopulation(population)
-    if getattr(population, "is_population", False):
-        return population
     raise TypeError(f"population must be a PopulationSpec, spec string, or "
                     f"Population, got {type(population).__name__}")
 

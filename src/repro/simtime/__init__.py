@@ -35,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "CostModel", "HeterogeneousCostModel", "NULL_COST_MODEL",
         "NullCostModel", "make_cost_model",
     ),
-    "repro.simtime.timeline": (
-        "NULL_TIMING", "NullTiming", "SimTimer", "resolve_timing",
-    ),
+    "repro.simtime.null": ("NULL_TIMING", "NullTiming", "resolve_timing"),
+    "repro.simtime.timeline": ("SimTimer",),
 })

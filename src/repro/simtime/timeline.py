@@ -21,9 +21,9 @@ nested scopes, and the timer folds the per-action durations (priced by a
 
 The timer is purely arithmetic — it never reads a wall clock, never touches
 an RNG, and the algorithms' numerical results are independent of it.  The
-shared :data:`NULL_TIMING` no-op keeps the default path allocation-free and
-bit-identical to a build without the subsystem (the same pattern as
-:data:`repro.obs.NULL_TRACER`).
+shared :data:`~repro.simtime.null.NULL_TIMING` no-op keeps the default path
+allocation-free and bit-identical to a build without the subsystem (the same
+pattern as :data:`repro.obs.NULL_TRACER`).
 
 **Dependency-graph recording.**  With :attr:`SimTimer.record` set (the
 algorithm runner flips it automatically when a live tracer is attached),
@@ -40,9 +40,9 @@ bit-identical with recording on or off.
 
 from __future__ import annotations
 
-from repro.simtime.cost import CostModel, NULL_COST_MODEL, make_cost_model
+from repro.simtime.cost import CostModel, NULL_COST_MODEL
 
-__all__ = ["SimTimer", "NullTiming", "NULL_TIMING", "resolve_timing"]
+__all__ = ["SimTimer"]
 
 
 class _Frame:
@@ -114,23 +114,6 @@ class _Scope:
         self._timer._add(frame.total)
         if self._is_round:
             self._timer.last_round_s = frame.total
-
-
-class _NullScope:
-    """Shared no-op scope of :class:`NullTiming`."""
-
-    __slots__ = ()
-    duration = 0.0
-    tree = None
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class SimTimer:
@@ -267,92 +250,3 @@ class SimTimer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimTimer(elapsed_s={self.elapsed_s:.6f}, cost={self.cost!r})"
-
-
-class NullTiming:
-    """No-op timer: the default when no cost model is installed.
-
-    Every scope is a shared no-op context, every leaf free, the clock pinned
-    at zero.  Algorithms can therefore call the timing hooks unconditionally
-    on their hot paths — the same contract as
-    :class:`~repro.obs.tracer.NullTracer`.
-    """
-
-    enabled = False
-    elapsed_s = 0.0
-    last_round_s = 0.0
-    now = 0.0
-    cost = NULL_COST_MODEL
-    record = False
-    last_round_tree = None
-
-    def round(self, round_index: int) -> _NullScope:
-        """No-op scope; the clock stays at zero."""
-        return _NULL_SCOPE
-
-    def parallel(self, label: str | None = None) -> _NullScope:
-        """No-op scope; the clock stays at zero."""
-        return _NULL_SCOPE
-
-    def branch(self, label: str | None = None) -> _NullScope:
-        """No-op scope; the clock stays at zero."""
-        return _NULL_SCOPE
-
-    def measure(self, label: str | None = None) -> _NullScope:
-        """No-op scope whose ``duration`` is always 0.0."""
-        return _NULL_SCOPE
-
-    def compute(self, entity, steps: int, *, scale: float = 1.0) -> None:
-        """Charge nothing."""
-        return None
-
-    def transfer(self, link: str, entity, floats: float) -> None:
-        """Charge nothing."""
-        return None
-
-    def probe(self, entity) -> None:
-        """Charge nothing."""
-        return None
-
-    def wait_until(self, t_abs: float, label: str | None = None) -> None:
-        """Charge nothing."""
-        return None
-
-    def advance(self, dt: float, label: str | None = None) -> None:
-        """Charge nothing."""
-        return None
-
-    def compute_s(self, entity, steps: int, *, scale: float = 1.0) -> float:
-        """Always 0.0 under the null timer."""
-        return 0.0
-
-    def transfer_s(self, link: str, entity, floats: float) -> float:
-        """Always 0.0 under the null timer."""
-        return 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NullTiming()"
-
-
-#: Shared no-op timer (stateless; safe to share across algorithms).
-NULL_TIMING = NullTiming()
-
-
-def resolve_timing(timing) -> "SimTimer | NullTiming":
-    """Resolve the ``timing=`` argument of :class:`FederatedAlgorithm`.
-
-    Accepts ``None`` (no clock), an existing :class:`SimTimer` /
-    :class:`NullTiming` (shared with the caller — note a shared ``SimTimer``
-    accumulates across runs), a :class:`~repro.simtime.cost.CostModel`, or a
-    cost-model spec string (``"hetero,seed=1,..."``).  A null cost model
-    resolves to the shared :data:`NULL_TIMING`, keeping the default path
-    free.
-    """
-    if timing is None:
-        return NULL_TIMING
-    if isinstance(timing, (SimTimer, NullTiming)):
-        return timing
-    model = make_cost_model(timing)
-    if model.is_null:
-        return NULL_TIMING
-    return SimTimer(model)

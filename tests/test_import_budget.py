@@ -1,5 +1,5 @@
 """Import budget: package re-exports resolve lazily, so an import loads only
-what it uses.
+what it uses, and an opt-in subsystem loads only when a run turns it on.
 
 Each check runs in a fresh interpreter, because the module set of this test
 session depends on every test that ran before.
@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -23,6 +25,19 @@ NOT_FOR_TRAINING = (
     "repro.obs.perfcheck", "repro.multilayer", "repro.theory",
     "repro.plotting", "repro.compression", "repro.experiments.figures",
     "repro.experiments.tables", "repro.invariants", "repro.chaos.campaign",
+)
+
+#: Implementation modules of opt-in features: a plain HierMinimax run on the
+#: serial backend loads none of them.
+FEATURE_MODULES = (
+    "repro.baselines.fedavg", "repro.baselines.stochastic_afl",
+    "repro.baselines.drfa", "repro.baselines.hierfavg",
+    "repro.core.semiasync", "repro.exec.threads", "repro.exec.vectorized",
+    "repro.data.adult", "repro.data.synthetic_fl",
+    "repro.defense.aggregators", "repro.chaos.plan",
+    "repro.population.spec", "repro.population.store",
+    "repro.population.virtual", "repro.membership.manager",
+    "repro.simtime.cost", "repro.simtime.timeline",
 )
 
 
@@ -65,3 +80,67 @@ def test_reexport_survives_a_same_named_submodule_import():
         "hooks = sys.modules['repro.chaos.hooks']\n"
         "print(json.dumps([chaos is hooks.chaos, repro.chaos is chaos]))"
     ) == [True, True]
+
+
+def _run_in_fresh_interpreter(algorithm: str = "hierminimax", *,
+                              preset: str = 'fig4_preset("tiny")',
+                              setup: str = "", **kwargs: str
+                              ) -> tuple[int, set[str]]:
+    """Run a few rounds of ``algorithm`` through ``run_experiment`` in a new
+    interpreter; return the rounds it ran and every module it loaded.
+
+    ``kwargs`` are ``run_experiment`` keywords given as Python source.
+    """
+    extra = "".join(f", {key}={value}" for key, value in kwargs.items())
+    name = repr(algorithm)
+    out = _fresh_interpreter(
+        "import json, sys\n"
+        "from repro.experiments.presets import fig4_preset, table2_preset\n"
+        "from repro.experiments.runner import run_experiment\n"
+        f"{setup}\n"
+        f"preset = {preset}.with_overrides(slots=12, eval_points=1)\n"
+        f"out = run_experiment(preset, algorithms=({name},){extra})\n"
+        f"print(json.dumps([out.results[{name}].rounds_run, "
+        "sorted(sys.modules)]))")
+    return out[0], set(out[1])
+
+
+def test_plain_run_loads_no_feature_module():
+    rounds, loaded = _run_in_fresh_interpreter(backend='"serial"')
+    assert rounds >= 1
+    assert sorted(loaded & set(FEATURE_MODULES)) == []
+    assert "concurrent.futures" not in loaded
+
+
+@pytest.mark.parametrize("run, expected", [
+    (dict(backend='"thread"'), {"repro.exec.threads", "concurrent.futures"}),
+    (dict(backend='"vectorized"'), {"repro.exec.vectorized"}),
+    (dict(algorithm="fedavg"), {"repro.baselines.fedavg"}),
+    (dict(algorithm="stochastic_afl"), {"repro.baselines.stochastic_afl"}),
+    (dict(algorithm="drfa"), {"repro.baselines.drfa"}),
+    (dict(algorithm="hierfavg"), {"repro.baselines.hierfavg"}),
+    (dict(algorithm="semiasync_hierminimax"), {"repro.core.semiasync"}),
+    (dict(preset='table2_preset("adult", "tiny")'), {"repro.data.adult"}),
+    (dict(preset='table2_preset("synthetic", "tiny")'),
+     {"repro.data.synthetic_fl"}),
+    (dict(defense='"trimmed_mean"'), {"repro.defense.aggregators"}),
+    (dict(churn='"arrive=0.2,depart=0.2,seed=1"'),
+     {"repro.membership.manager"}),
+    (dict(cost_model='"hetero,seed=1"'),
+     {"repro.simtime.cost", "repro.simtime.timeline"}),
+    (dict(population='"clients=60,edges=10,samples=8,seed=0"'),
+     {"repro.population.spec", "repro.population.store",
+      "repro.population.virtual"}),
+    (dict(attack='"label_flip,fraction=0.3,seed=1"'),
+     {"repro.defense.attacks"}),
+    (dict(setup='from repro.chaos import install\ninstall("torn_write=0")'),
+     {"repro.chaos.plan"}),
+], ids=["thread", "vectorized", "fedavg", "stochastic_afl", "drfa",
+        "hierfavg", "semiasync", "adult", "synthetic", "defense", "churn",
+        "cost_model", "population", "attack", "chaos"])
+def test_each_feature_loads_its_module_and_runs(run, expected):
+    """The converse: a deferred import only executes when its feature is on,
+    so each switch must load its module and still train."""
+    rounds, loaded = _run_in_fresh_interpreter(**run)
+    assert rounds >= 1
+    assert expected <= loaded

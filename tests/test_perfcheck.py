@@ -3,8 +3,8 @@
 The contract: benches distil runs into normalized ``BENCH_<name>.json``
 metric files, a committed baseline lives at the repo root, and
 ``python -m repro perf-check`` gates with per-kind tolerances — counters and
-bytes exactly, deterministic floats at 1e-9 relative, ratios one-sided, and
-wall-clock seconds never.
+bytes exactly, deterministic floats at 1e-9 relative, ratios one-sided from
+below, memory peaks one-sided from above, and wall-clock seconds never.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro import cli
 from repro.obs.perfcheck import (
     DEFAULT_RATIO_TOL,
     KINDS,
+    MEMORY_TOL,
     compare_bench,
     format_perfcheck,
     load_bench,
@@ -31,6 +32,7 @@ BASELINE = {
         "edge_cloud_bytes": {"value": 112691064, "kind": "bytes"},
         "final_worst_accuracy": {"value": 0.8125, "kind": "exact"},
         "vectorized_speedup": {"value": 3.1, "kind": "ratio"},
+        "peak_heap_bytes": {"value": 5_000_000, "kind": "memory"},
         "wall_s": {"value": 12.5, "kind": "seconds"},
     },
 }
@@ -117,6 +119,21 @@ class TestCompare:
         result = compare_bench(BASELINE, variant(vectorized_speedup=3.0),
                                ratio_tol=0.01)
         assert [c.name for c in result.failures] == ["vectorized_speedup"]
+
+    def test_memory_within_tolerance_passes(self):
+        ceiling = (1 + MEMORY_TOL) * 5_000_000
+        assert self.check(variant(peak_heap_bytes=ceiling),
+                          "peak_heap_bytes").status == "ok"
+
+    def test_memory_growth_beyond_tolerance_fails(self):
+        ceiling = (1 + MEMORY_TOL) * 5_000_000
+        grown = self.check(variant(peak_heap_bytes=ceiling + 1),
+                           "peak_heap_bytes")
+        assert grown.status == "fail" and "above" in grown.detail
+
+    def test_memory_improvement_passes(self):
+        assert self.check(variant(peak_heap_bytes=1_000),
+                          "peak_heap_bytes").status == "ok"
 
     def test_seconds_never_gate(self):
         row = self.check(variant(wall_s=1e6), "wall_s")
@@ -213,3 +230,9 @@ class TestPerfCheckCLI:
         assert compare_bench(doc, doc).ok
         kinds = {m["kind"] for m in doc["metrics"].values()}
         assert "counter" in kinds and "ratio" in kinds
+
+    def test_population_baseline_gates_its_memory_peaks(self):
+        doc = load_bench("BENCH_population.json")
+        assert compare_bench(doc, doc).ok
+        for name in ("mem_peak_small_bytes", "mem_peak_large_bytes"):
+            assert doc["metrics"][name]["kind"] == "memory"
