@@ -18,7 +18,7 @@ from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection, project_simplex
+from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
 from repro.topology.sampling import sample_by_weight, sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
@@ -39,6 +39,8 @@ class DRFA(FederatedAlgorithm):
         Clients sampled per phase; defaults to full participation.
     projection_q:
         Projection onto the weight constraint set (default: probability simplex).
+    **run:
+        Everything :class:`~repro.core.base.FederatedAlgorithm` accepts.
     """
 
     name = "drfa"
@@ -47,17 +49,8 @@ class DRFA(FederatedAlgorithm):
 
     def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
                  eta_q: float = 1e-3, tau1: int = 2, m_clients: int | None = None,
-                 projection_q: Projection | None = None,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
+                 projection_q: Projection | None = None, **run) -> None:
+        super().__init__(dataset, model_factory, **run)
         self.eta_q = check_positive_float(eta_q, "eta_q")
         self.tau1 = check_positive_int(tau1, "tau1")
         n = self.dataset.num_clients

@@ -15,7 +15,6 @@ from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -34,6 +33,8 @@ class FedAvg(FederatedAlgorithm):
     weight_by_data:
         Aggregate proportionally to client dataset sizes (the q_n of Eq. (1));
         ``False`` uses a plain mean.
+    **run:
+        Everything :class:`~repro.core.base.FederatedAlgorithm` accepts.
     """
 
     name = "fedavg"
@@ -42,17 +43,8 @@ class FedAvg(FederatedAlgorithm):
 
     def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
                  tau1: int = 2, m_clients: int | None = None,
-                 weight_by_data: bool = True,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
+                 weight_by_data: bool = True, **run) -> None:
+        super().__init__(dataset, model_factory, **run)
         self.tau1 = check_positive_int(tau1, "tau1")
         n = self.dataset.num_clients
         self.m_clients = n if m_clients is None else check_positive_int(

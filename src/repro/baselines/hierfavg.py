@@ -14,7 +14,6 @@ import numpy as np
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -35,6 +34,8 @@ class HierFAVG(FederatedAlgorithm):
         ``True`` (default, faithful to Liu et al. and to Eq. (1) with ``q_n``
         proportional to data size): client-edge and edge-cloud aggregations are
         weighted by sample counts.  ``False`` uses plain means at both levels.
+    **run:
+        Everything :class:`~repro.core.base.FederatedAlgorithm` accepts.
     """
 
     name = "hierfavg"
@@ -43,17 +44,8 @@ class HierFAVG(FederatedAlgorithm):
 
     def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
                  tau1: int = 2, tau2: int = 2, m_edges: int | None = None,
-                 weight_by_data: bool = True,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
+                 weight_by_data: bool = True, **run) -> None:
+        super().__init__(dataset, model_factory, **run)
         self.tau1 = check_positive_int(tau1, "tau1")
         self.tau2 = check_positive_int(tau2, "tau2")
         n_e = self.dataset.num_edges

@@ -9,6 +9,7 @@ built, so a run loads the code of the methods it runs and no other.
 
 from __future__ import annotations
 
+import inspect
 from importlib import import_module
 from typing import Any
 
@@ -26,29 +27,20 @@ ALGORITHMS: dict[str, str] = {
     "semiasync_hierminimax": "repro.core.semiasync:SemiAsyncHierMinimax",
 }
 
-# Which construction keywords each algorithm understands beyond the common set.
-_HIERMINIMAX_KEYS = frozenset({"eta_p", "tau1", "tau2", "m_edges",
-                               "projection_p", "use_checkpoint", "compressor"})
-_EXTRA_KEYS: dict[str, frozenset[str]] = {
-    "fedavg": frozenset({"tau1", "m_clients", "weight_by_data"}),
-    "stochastic_afl": frozenset({"eta_q", "m_clients", "projection_q"}),
-    "drfa": frozenset({"eta_q", "tau1", "m_clients", "projection_q"}),
-    "hierfavg": frozenset({"tau1", "tau2", "m_edges", "weight_by_data"}),
-    "hierminimax": _HIERMINIMAX_KEYS,
-    "semiasync_hierminimax": _HIERMINIMAX_KEYS | {"staleness"},
-}
-_COMMON_KEYS = frozenset(
-    {"batch_size", "eta_w", "seed", "projection_w", "logger", "obs", "faults",
-     "backend", "defense", "timing", "churn", "population"})
 
-# Minimax weight learning rate aliases: the paper's η_p maps onto the two-layer
-# baselines' η_q so one experiment config drives all methods.
-_ETA_ALIASES: dict[str, str] = {
-    "stochastic_afl": "eta_q",
-    "drfa": "eta_q",
-    "hierminimax": "eta_p",
-    "semiasync_hierminimax": "eta_p",
-}
+def _accepted_keywords(cls: type) -> frozenset[str]:
+    """The keyword-only parameters of ``cls.__init__`` and, for as long as
+    an ``__init__`` forwards ``**``, of its bases' — each parameter is
+    declared once, where it is used."""
+    keys: set[str] = set()
+    for klass in cls.__mro__:
+        if "__init__" not in vars(klass):
+            continue
+        params = inspect.signature(klass.__init__).parameters.values()
+        keys.update(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(keys)
 
 
 def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
@@ -69,6 +61,7 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
         raise ValueError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
     module, _, class_name = ALGORITHMS[name].partition(":")
     cls = getattr(import_module(module), class_name)
+    allowed = _accepted_keywords(cls)
     kwargs = dict(kwargs)
 
     shape = dataset
@@ -83,11 +76,11 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
         shape = dataset.dataset
 
     # eta alias: accept eta_p for every minimax method.
-    if "eta_p" in kwargs and _ETA_ALIASES.get(name) == "eta_q":
+    if "eta_p" in kwargs and "eta_q" in allowed:
         kwargs["eta_q"] = kwargs.pop("eta_p")
 
     # participation alias: m_edges -> m_clients for flat methods.
-    if "m_edges" in kwargs and name in ("fedavg", "stochastic_afl", "drfa"):
+    if "m_edges" in kwargs and "m_clients" in allowed:
         m_edges = kwargs.pop("m_edges")
         if m_edges is not None and "m_clients" not in kwargs:
             counts = shape.clients_per_edge()
@@ -95,7 +88,6 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
                 1, shape.num_clients // shape.num_edges)
             kwargs["m_clients"] = min(shape.num_clients, int(m_edges) * int(n0))
 
-    allowed = _COMMON_KEYS | _EXTRA_KEYS[name]
     filtered = {k: v for k, v in kwargs.items() if k in allowed}
     # Cross-algorithm experiment configs legitimately carry parameters some
     # methods do not use (eta_p for minimization methods, tau1/tau2 for

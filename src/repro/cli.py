@@ -477,6 +477,32 @@ def _cmd_perf_check(args) -> int:
     return 1 if failed else 0
 
 
+def _demo(args):
+    """Set-up shared by the degradation, byzantine, timesim and churn demos.
+
+    Returns the emnist-digits dataset at ``--scale``/``--seed``, a builder
+    ``build(data=dataset, cls=HierMinimax, **run)`` of the demos' logistic
+    HierMinimax configuration (``run`` carries the run-wide arguments:
+    ``faults=``, ``timing=``, ``churn=``, …), and the ``run()`` schedule of
+    ``--rounds`` rounds with ten evaluations.
+    """
+    from repro.core.hierminimax import HierMinimax
+    from repro.data.registry import make_federated_dataset
+    from repro.nn.models import make_model_factory
+
+    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
+                                     scale=args.scale)
+    factory = make_model_factory("logistic", dataset.input_dim,
+                                 dataset.num_classes)
+
+    def build(data=dataset, cls=HierMinimax, **run):
+        return cls(data, factory, batch_size=8, eta_w=0.05, eta_p=2e-3,
+                   tau1=2, tau2=2, m_edges=5, seed=args.seed, **run)
+
+    return dataset, build, dict(rounds=args.rounds,
+                                eval_every=max(1, args.rounds // 10))
+
+
 def _cmd_degradation(args) -> int:
     """Run HierMinimax with and without a fault plan on the same data.
 
@@ -484,26 +510,16 @@ def _cmd_degradation(args) -> int:
     must still converge, with a worst-edge accuracy within ``--tolerance`` of
     the fault-free run.  Exit code 1 signals the tolerance was exceeded.
     """
-    from repro.core.hierminimax import HierMinimax
-    from repro.data.registry import make_federated_dataset
     from repro.faults import FaultPlan
-    from repro.nn.models import make_model_factory
     from repro.obs import Tracer
 
     plan = FaultPlan.parse(args.faults)
-    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
-                                     scale=args.scale)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
+    dataset, build, schedule = _demo(args)
     print(f"dataset : {dataset}")
     print(f"plan    : {args.faults}")
 
     def run(faults, obs=None):
-        algo = HierMinimax(dataset, factory, batch_size=8, eta_w=0.05,
-                           eta_p=2e-3, tau1=2, tau2=2, m_edges=5,
-                           seed=args.seed, obs=obs, faults=faults)
-        res = algo.run(rounds=args.rounds,
-                       eval_every=max(1, args.rounds // 10))
+        res = build(obs=obs, faults=faults).run(**schedule)
         return res.history.final().record
 
     clean = run(None)
@@ -542,16 +558,12 @@ def _cmd_byzantine(args) -> int:
     """
     from dataclasses import replace
 
-    from repro.core.hierminimax import HierMinimax
-    from repro.data.registry import make_federated_dataset
     from repro.defense import AttackPlan, apply_label_flip, resolve_defense
     from repro.faults import FaultPlan
-    from repro.nn.models import make_model_factory
     from repro.obs import Tracer
 
     attack = AttackPlan.parse(args.attack)
-    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
-                                     scale=args.scale)
+    dataset, build, schedule = _demo(args)
     if attack.fraction == 0.0 and not attack.clients:
         # Deterministic roster: --fraction of the clients, one per edge area
         # (the first client of each of the first N areas), so the per-cohort
@@ -563,8 +575,6 @@ def _cmd_byzantine(args) -> int:
     plan = FaultPlan(byzantine=attack)
     policy = resolve_defense(args.defense)
     poisoned = apply_label_flip(dataset, attack)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
     print(f"dataset : {dataset}")
     n_byz = len(attack.roster(dataset.num_clients))
     print(f"attack  : {args.attack} "
@@ -572,12 +582,8 @@ def _cmd_byzantine(args) -> int:
     print(f"defense : {policy.describe() if policy else 'mean'}")
 
     def run(data, faults, defense, obs=None):
-        algo = HierMinimax(data, factory, batch_size=8, eta_w=0.05,
-                           eta_p=2e-3, tau1=2, tau2=2, m_edges=5,
-                           seed=args.seed, obs=obs, faults=faults,
-                           defense=defense)
-        res = algo.run(rounds=args.rounds,
-                       eval_every=max(1, args.rounds // 10))
+        res = build(data, obs=obs, faults=faults,
+                    defense=defense).run(**schedule)
         return res.history.final().record
 
     clean = run(dataset, None, None)
@@ -614,32 +620,20 @@ def _cmd_timesim(args) -> int:
     time.  Exit code 1 signals it did not.  The clock is observational, so the
     synchronous trajectory itself is unchanged by the cost model.
     """
-    from repro.core.hierminimax import HierMinimax
     from repro.core.semiasync import SemiAsyncHierMinimax
-    from repro.data.registry import make_federated_dataset
-    from repro.nn.models import make_model_factory
-    from repro.simtime import SimTimer, make_cost_model
 
-    model = make_cost_model(args.cost_model)
-    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
-                                     scale=args.scale)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
+    dataset, build, schedule = _demo(args)
     print(f"dataset    : {dataset}")
     print(f"cost model : {args.cost_model}")
     print(f"staleness  : {args.staleness}")
 
-    def run(cls, **kwargs):
-        timing = SimTimer(model)
-        algo = cls(dataset, factory, batch_size=8, eta_w=0.05, eta_p=2e-3,
-                   tau1=2, tau2=2, m_edges=5, seed=args.seed, timing=timing,
-                   **kwargs)
-        res = algo.run(rounds=args.rounds,
-                       eval_every=max(1, args.rounds // 10))
+    def run(**kwargs):
+        res = build(timing=args.cost_model, **kwargs).run(**schedule)
         return res.history.final().record, res.sim_time_s
 
-    sync_rec, sync_t = run(HierMinimax)
-    semi_rec, semi_t = run(SemiAsyncHierMinimax, staleness=args.staleness)
+    sync_rec, sync_t = run()
+    semi_rec, semi_t = run(cls=SemiAsyncHierMinimax,
+                           staleness=args.staleness)
 
     print(f"\n{'':24s} {'sync':>12s} {'semi-async':>12s}")
     for label, attr in (("worst edge accuracy", "worst_accuracy"),
@@ -674,31 +668,18 @@ def _cmd_churn(args) -> int:
     """
     from dataclasses import replace
 
-    from repro.core.hierminimax import HierMinimax
-    from repro.data.registry import make_federated_dataset
     from repro.membership import ChurnPlan
-    from repro.nn.models import make_model_factory
     from repro.obs import Tracer
-    from repro.simtime import SimTimer, make_cost_model
 
     plan = ChurnPlan.parse(args.churn)
-    cost = make_cost_model(args.cost_model) if args.cost_model else None
-    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
-                                     scale=args.scale)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
+    dataset, build, schedule = _demo(args)
     print(f"dataset : {dataset}")
     print(f"churn   : {args.churn}")
 
     def run(churn, obs=None):
-        timing = SimTimer(cost) if cost is not None else None
-        algo = HierMinimax(dataset, factory, batch_size=8, eta_w=0.05,
-                           eta_p=2e-3, tau1=2, tau2=2, m_edges=5,
-                           seed=args.seed, obs=obs, churn=churn,
-                           timing=timing)
+        algo = build(obs=obs, churn=churn, timing=args.cost_model)
         initial = len(algo.membership.active) if algo.membership.enabled else 0
-        res = algo.run(rounds=args.rounds,
-                       eval_every=max(1, args.rounds // 10))
+        res = algo.run(**schedule)
         final = len(algo.membership.active) if algo.membership.enabled else 0
         return res, initial, final
 
@@ -720,7 +701,7 @@ def _cmd_churn(args) -> int:
     print(f"{'total traffic (MB)':<24s} "
           + " ".join(f"{res.comm.total_bytes / 1e6:12.2f}"
                      for res in (clean, rehomed, norehome)))
-    if cost is not None:
+    if args.cost_model:
         print(f"{'simulated time (s)':<24s} "
               + " ".join(f"{res.sim_time_s:12.3f}"
                          for res in (clean, rehomed, norehome)))

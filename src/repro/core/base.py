@@ -86,6 +86,12 @@ class RunResult:
 class FederatedAlgorithm(ABC):
     """Base class wiring datasets, actors, evaluation, and accounting together.
 
+    This is the one place the shared and run-wide arguments below are
+    declared and resolved: subclasses declare only their own parameters and
+    forward the rest as ``**run`` (which is also how
+    :func:`~repro.baselines.registry.make_algorithm` learns what each class
+    accepts).
+
     Parameters
     ----------
     dataset:
@@ -151,10 +157,9 @@ class FederatedAlgorithm(ABC):
         departures, edge crash/recover episodes, and edge–cloud partitions
         are advanced at every round boundary; on hierarchical topologies a
         crashed edge's clients are re-homed to surviving edges (see
-        :mod:`repro.membership`).  ``None`` falls back to ``faults.churn``
-        when the fault plan carries one; otherwise the shared
-        :data:`~repro.membership.NULL_MEMBERSHIP` keeps the static topology
-        — bit-identical to a build without the membership layer.
+        :mod:`repro.membership`).  ``None`` keeps the static topology
+        through the shared :data:`~repro.membership.NULL_MEMBERSHIP` —
+        bit-identical to a build without the membership layer.
     population:
         Optional virtual population: a
         :class:`~repro.population.PopulationSpec`, a spec string
@@ -208,10 +213,6 @@ class FederatedAlgorithm(ABC):
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend)
         self.timing = resolve_timing(timing)
-        if churn is None:
-            # A fault spec can carry the churn tier (churn_* keys); an
-            # explicit churn= argument wins over it.
-            churn = self.faults.plan.churn
         self.membership = resolve_membership(churn, obs=self.obs)
         self.w: np.ndarray = self.engine.get_params()
         self.rounds_completed = 0

@@ -36,7 +36,7 @@ from repro.data.dataset import FederatedDataset
 # attribute by name, so it stays importable.
 from repro.defense.policy import robust_combine  # noqa: F401
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection, project_simplex
+from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
 from repro.topology.sampling import (
     sample_by_weight,
@@ -82,6 +82,8 @@ class HierMinimax(FederatedAlgorithm):
         reference model — the quantized extension in the spirit of
         Hier-Local-QSGD [22].  ``None`` (default) is the paper's full-precision
         algorithm.
+    **run:
+        Everything :class:`~repro.core.base.FederatedAlgorithm` accepts.
     """
 
     name = "hierminimax"
@@ -97,17 +99,8 @@ class HierMinimax(FederatedAlgorithm):
                  m_edges: int | None = None,
                  projection_p: Projection | None = None,
                  use_checkpoint: bool = True,
-                 compressor=None,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
+                 compressor=None, **run) -> None:
+        super().__init__(dataset, model_factory, **run)
         self.eta_p = check_positive_float(eta_p, "eta_p")
         self.tau1 = check_positive_int(tau1, "tau1")
         self.tau2 = check_positive_int(tau2, "tau2")

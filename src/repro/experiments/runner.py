@@ -20,15 +20,13 @@ import numpy as np
 
 from repro.baselines.registry import make_algorithm
 from repro.core.base import RunResult
-from repro.faults import FaultPlan, resolve_injector
-from repro.membership import ChurnPlan
+from repro.faults import FaultPlan
 from repro.data.dataset import FederatedDataset
 from repro.data.registry import make_federated_dataset
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.experiments.presets import ExperimentPreset
 from repro.nn.models import ModelFactory, make_model_factory
 from repro.obs import NULL_TRACER
-from repro.simtime import resolve_timing
 from repro.utils.timers import TimerBank
 
 __all__ = ["ExperimentOutput", "build_preset_dataset", "build_preset_model", "run_experiment"]
@@ -149,13 +147,15 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
     cost_model:
         Optional simulated-time pricing — a
         :class:`~repro.simtime.CostModel` or a spec string for
-        :func:`~repro.simtime.make_cost_model` (``"hetero,seed=1,..."``).
-        Each algorithm gets a *fresh* :class:`~repro.simtime.SimTimer` over
-        the shared model, so makespans are directly comparable across the
-        roster; totals land in :attr:`ExperimentOutput.sim_times` and
-        per-evaluation clocks on each history point's ``sim_time_s``.
-        Numerical trajectories are unaffected (the clock is purely
-        observational).
+        :func:`~repro.simtime.make_cost_model` (``"hetero,seed=1,..."``),
+        forwarded to every algorithm as ``timing=``.  Each algorithm builds a
+        *fresh* :class:`~repro.simtime.SimTimer` from it, so makespans are
+        directly comparable across the roster; totals land in
+        :attr:`ExperimentOutput.sim_times` and per-evaluation clocks on each
+        history point's ``sim_time_s``.  Numerical trajectories are
+        unaffected (the clock is purely observational).  A malformed spec
+        string raises when the first algorithm is built, after data
+        generation.
     churn:
         Optional dynamic-membership plan — a
         :class:`~repro.membership.ChurnPlan` or a spec string for
@@ -163,7 +163,8 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
         Each algorithm gets a *fresh*
         :class:`~repro.membership.MembershipManager` so churn decisions stay
         a pure function of ``(plan.seed, round, entity)`` and are identical
-        across the roster.
+        across the roster.  As for ``cost_model``, a malformed spec string
+        raises when the first algorithm is built.
     population:
         Optional virtual population replacing the preset's materialized
         dataset: a :class:`~repro.population.PopulationSpec` or a spec string
@@ -180,6 +181,9 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
     obs = obs if obs is not None else NULL_TRACER
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
+    if faults is not None and not isinstance(faults, FaultPlan):
+        raise TypeError("run_experiment takes a FaultPlan (each algorithm "
+                        f"builds its own injector), got {type(faults).__name__}")
     if attack is not None:
         from repro.defense.attacks import AttackPlan
 
@@ -188,13 +192,8 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
             raise TypeError("attack must be an AttackPlan or a spec string, "
                             f"got {type(attack).__name__}")
         if not plan.is_null:
-            base = faults if faults is not None else FaultPlan()
-            if not isinstance(base, FaultPlan):
-                raise TypeError("run_experiment takes a FaultPlan when "
-                                "combining faults with an attack")
-            faults = replace(base, byzantine=plan)
-    if churn is not None and isinstance(churn, str):
-        churn = ChurnPlan.parse(churn)
+            faults = replace(faults if faults is not None else FaultPlan(),
+                             byzantine=plan)
     if population is not None and isinstance(population, str):
         from repro.population import PopulationSpec
 
@@ -208,8 +207,7 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
             # Virtual population: nothing to materialize — the "dataset" the
             # roster shares is the spec itself; each algorithm derives its
             # own lazy cohorts from it.
-            if (faults is not None and isinstance(faults, FaultPlan)
-                    and faults.has_attack
+            if (faults is not None and faults.has_attack
                     and faults.byzantine.attack == "label_flip"):
                 raise ValueError("label_flip attacks poison materialized "
                                  "shards and cannot run against a virtual "
@@ -217,17 +215,12 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
             dataset = population
         else:
             dataset = build_preset_dataset(preset, seed=seed)
-            if (faults is not None and isinstance(faults, FaultPlan)
-                    and faults.has_attack):
+            if faults is not None and faults.has_attack:
                 # Data poisoning happens once, before any algorithm trains.
                 from repro.defense.attacks import apply_label_flip
 
                 dataset = apply_label_flip(dataset, faults.byzantine)
         model_factory = build_preset_model(preset, dataset)
-    if cost_model is not None:
-        from repro.simtime.cost import make_cost_model
-
-        cost_model = make_cost_model(cost_model)
     roster = algorithms if algorithms is not None else preset.algorithms
     timers = TimerBank()
     results: dict[str, RunResult] = {}
@@ -256,22 +249,15 @@ def _run_roster(preset, roster, dataset, model_factory, results, phase_times,
                 churn=None) -> None:
     """Execute each algorithm of ``roster`` in turn, filling the result maps."""
     for name in roster:
-        # A fresh timer per algorithm: one run's makespan never leaks into
-        # the next, so the roster's sim_times are directly comparable.
-        timing = resolve_timing(cost_model)
-        injector = None
-        if faults is not None:
-            plan = faults if isinstance(faults, FaultPlan) else None
-            if plan is None:
-                raise TypeError("run_experiment takes a FaultPlan (one fresh "
-                                "injector is built per algorithm)")
-            injector = resolve_injector(plan, obs=obs)
+        # Plans and specs go in as given: each algorithm builds its own
+        # injector, timer and membership manager from them, so one run's
+        # state never leaks into the next and the roster stays paired.
         algo = make_algorithm(
             name, dataset, model_factory,
             batch_size=preset.batch_size, eta_w=preset.eta_w, eta_p=preset.eta_p,
             tau1=preset.tau1, tau2=preset.tau2, m_edges=preset.m_edges,
-            seed=seed, logger=logger, obs=obs, faults=injector,
-            backend=backend, defense=defense, timing=timing, churn=churn)
+            seed=seed, logger=logger, obs=obs, faults=faults,
+            backend=backend, defense=defense, timing=cost_model, churn=churn)
         rounds = preset.rounds_for(algo.slots_per_round)
         eval_every = preset.eval_every_for(algo.slots_per_round)
         ckpt_path = None

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.defense.attacks import AttackPlan
-from repro.membership.plan import ChurnPlan
 from repro.utils.rng import stable_key
 from repro.utils.spec import convert, dataclass_schema, tokenize
 from repro.utils.validation import check_probability
@@ -154,16 +153,6 @@ class FaultPlan:
         the NaN guard.  ``0`` disables the guard.  It only arms when the plan
         is otherwise active (faults or an attack), so it never changes a
         healthy run's code paths.
-    churn:
-        Optional :class:`~repro.membership.plan.ChurnPlan` — the dynamic
-        membership tier (client arrivals/departures, edge crash/recover,
-        partitions).  Carried here so one spec string configures a whole
-        degraded run (``churn_arrive=0.05,churn_edge_mttf=40,...``), but
-        *activated* by the :mod:`repro.membership` layer, not the fault
-        injector: ``FederatedAlgorithm`` resolves it into a
-        :class:`~repro.membership.manager.MembershipManager` when no
-        explicit ``churn=`` argument is given.  It does not arm the injector
-        (:attr:`is_null` ignores it).
     """
 
     client_dropout: float = 0.0
@@ -177,7 +166,6 @@ class FaultPlan:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     byzantine: AttackPlan | None = None
     guard_zscore: float = 0.0
-    churn: ChurnPlan | None = None
 
     def __post_init__(self) -> None:
         for name in ("client_dropout", "client_straggle", "edge_outage",
@@ -196,9 +184,6 @@ class FaultPlan:
         if self.guard_zscore < 0:
             raise ValueError(
                 f"guard_zscore must be >= 0, got {self.guard_zscore}")
-        if self.churn is not None and not isinstance(self.churn, ChurnPlan):
-            raise TypeError(f"churn must be a ChurnPlan or None, "
-                            f"got {type(self.churn).__name__}")
 
     # ------------------------------------------------------------- inspection
     @property
@@ -216,11 +201,6 @@ class FaultPlan:
     def has_attack(self) -> bool:
         """True when the plan carries an active Byzantine attack."""
         return self.byzantine is not None and not self.byzantine.is_null
-
-    @property
-    def has_churn(self) -> bool:
-        """True when the plan carries active membership dynamics."""
-        return self.churn is not None and not self.churn.is_null
 
     def straggler_steps(self, tau1: int) -> int:
         """Local steps a straggler completes before the round deadline.
@@ -249,31 +229,27 @@ class FaultPlan:
         fields — e.g.
         ``"attack=sign_flip,attack_fraction=0.2,attack_seed=1"`` (also
         ``attack_scale``, ``attack_start_round``, ``attack_colluding``,
-        ``attack_clients=0|3|7``) — plus the ``churn_``-prefixed
-        :class:`~repro.membership.plan.ChurnPlan` fields, e.g.
-        ``"churn_arrive=0.05,churn_depart=0.02,churn_edge_mttf=40"``.
+        ``attack_clients=0|3|7``).  Churn is not a fault: it is set with the
+        ``churn=`` argument of :class:`~repro.core.base.FederatedAlgorithm`.
         """
         _, items = tokenize(spec, "fault")
-        nested: dict[str, dict[str, str]] = {"attack": {}, "churn": {}}
+        attack: dict[str, str] = {}
         for key in list(items):
             tier, sep, sub = key.partition("_")
-            if tier in nested and (sep or tier == "attack"):
+            if tier == "attack":
                 sub = sub if sep else "attack"  # bare ``attack=`` names it
-                if sub in nested[tier]:
+                if sub in attack:
                     raise ValueError(f"fault spec key {key!r} given twice")
-                nested[tier][sub] = items.pop(key)
+                attack[sub] = items.pop(key)
         retry_schema = dataclass_schema(RetryPolicy)
         values = convert("fault", items, {
-            **dataclass_schema(cls, exclude=("retry", "byzantine", "churn")),
+            **dataclass_schema(cls, exclude=("retry", "byzantine")),
             **retry_schema})
         retry = {k: values.pop(k) for k in retry_schema if k in values}
         plan = cls(**values)
         if retry:
             plan = replace(plan, retry=RetryPolicy(**retry))
-        if nested["attack"]:
+        if attack:
             plan = replace(plan, byzantine=AttackPlan(**convert(
-                "attack", nested["attack"], dataclass_schema(AttackPlan))))
-        if nested["churn"]:
-            plan = replace(plan, churn=ChurnPlan(**convert(
-                "churn", nested["churn"], dataclass_schema(ChurnPlan))))
+                "attack", attack, dataclass_schema(AttackPlan))))
         return plan

@@ -40,7 +40,7 @@ from repro.data.dataset import FederatedDataset
 from repro.defense.policy import clip_loss_reports
 from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection
+from repro.ops.projections import Projection
 from repro.population import resolve_population
 from repro.sim.edge import EdgeServer
 from repro.topology.comm import CommunicationTracker
@@ -72,6 +72,8 @@ class MultiLevelHierMinimax(HierMinimax):
         Weight-ascent rate, sampled level-1 subtrees per phase (the inherited
         ``m_edges``), and the projection onto ``P`` — as in
         :class:`~repro.core.HierMinimax`.
+    **run:
+        Everything :class:`~repro.core.base.FederatedAlgorithm` accepts.
     """
 
     name = "multilevel_hierminimax"
@@ -80,14 +82,11 @@ class MultiLevelHierMinimax(HierMinimax):
                  tree: HierarchyTree | None = None,
                  taus: tuple[int, ...] | None = None,
                  eta_p: float = 1e-3, m_top: int | None = None,
-                 projection_p: Projection | None = None,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        population = resolve_population(population, dataset)
-        data = population.dataset
+                 projection_p: Projection | None = None, **run) -> None:
+        # The tree is checked against the population's shape before the base
+        # class builds anything, so resolve it here and hand it on.
+        run["population"] = resolve_population(run.get("population"), dataset)
+        data = run["population"].dataset
         if tree is None:
             counts = data.clients_per_edge()
             if len(set(counts)) != 1:
@@ -110,11 +109,8 @@ class MultiLevelHierMinimax(HierMinimax):
         self._top_nodes = tree.children_of(0, 0)
         super().__init__(None, model_factory, eta_p=eta_p, tau1=self.taus[-1],
                          tau2=math.prod(self.taus[:-1]), m_edges=m_top,
-                         projection_p=projection_p, batch_size=batch_size,
-                         eta_w=eta_w, seed=seed, projection_w=projection_w,
-                         logger=logger, obs=obs, faults=faults,
-                         backend=backend, defense=defense, timing=timing,
-                         churn=churn, population=population)
+                         projection_p=projection_p, use_checkpoint=True,
+                         compressor=None, **run)
         self.m_top = self.m_edges
         # Replace the base tracker with one that knows the per-level links.
         self.tracker = CommunicationTracker(extra_links=self._links)

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
+from importlib import import_module
+
 import numpy as np
 import pytest
 
 from repro.baselines.drfa import DRFA
 from repro.baselines.fedavg import FedAvg
 from repro.baselines.hierfavg import HierFAVG
-from repro.baselines.registry import ALGORITHMS, make_algorithm
+from repro.baselines.registry import ALGORITHMS, _accepted_keywords, \
+    make_algorithm
 from repro.baselines.stochastic_afl import StochasticAFL
+from repro.compression import IdentityCompressor
+from repro.core.base import FederatedAlgorithm
+from repro.faults import FaultPlan
+from repro.obs import Tracer
+from repro.ops.projections import project_simplex
+from repro.population import as_population
+from repro.utils.logging import NullLogger
 
 
 class TestFedAvg:
@@ -182,3 +194,71 @@ class TestRegistry:
         algo = make_algorithm("fedavg", blob_fed, blob_factory, eta_p=0.1,
                               tau2=7, tau1=2)
         assert algo.tau1 == 2
+
+
+def _keyword_only(klass) -> set[str]:
+    params = inspect.signature(klass.__init__).parameters.values()
+    return {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _distinct_values(dataset) -> dict:
+    """A non-default value for every constructor keyword of the roster."""
+    return {
+        "batch_size": 3, "eta_w": 0.07, "seed": 5,
+        "projection_w": lambda w: w, "logger": NullLogger(),
+        "obs": Tracer(None), "faults": FaultPlan(client_dropout=0.1),
+        "backend": "serial", "defense": "median", "timing": "hetero,seed=1",
+        "churn": "arrive=0.05", "population": as_population(dataset),
+        "eta_p": 0.03, "eta_q": 0.03, "tau1": 3, "tau2": 3, "m_edges": 2,
+        "m_clients": 4, "projection_p": lambda p: project_simplex(p),
+        "projection_q": lambda q: project_simplex(q),
+        "use_checkpoint": False, "compressor": IdentityCompressor(),
+        "weight_by_data": False, "staleness": 3,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_declared_keyword_reaches_the_instance(name, blob_fed,
+                                                     blob_factory,
+                                                     monkeypatch):
+    module, _, class_name = ALGORITHMS[name].partition(":")
+    cls = getattr(import_module(module), class_name)
+    chain = [k for k in cls.__mro__
+             if issubclass(k, FederatedAlgorithm) and "__init__" in vars(k)]
+    assert chain[-1] is FederatedAlgorithm
+    declared = {k: _keyword_only(k) for k in chain}
+    keys = _accepted_keywords(cls)
+    assert keys == set().union(*declared.values())
+
+    received: dict[type, dict] = {}
+    for klass in chain:
+        def spy(self, *args, _klass=klass, _init=klass.__init__, **kwargs):
+            received[_klass] = kwargs
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(klass, "__init__",
+                            functools.wraps(klass.__init__)(spy))
+
+    values = _distinct_values(blob_fed)
+    algo = make_algorithm(name, None, blob_factory,
+                          **{k: values[k] for k in keys})
+    try:
+        # Each keyword arrives, as the very object passed, at the __init__
+        # that declares it ...
+        for klass, params in declared.items():
+            for key in params:
+                assert received[klass][key] is values[key], (klass, key)
+        # ... and takes effect on the instance.
+        for key in keys - {"faults", "backend", "defense", "timing", "churn",
+                           "population"}:
+            if hasattr(algo, key):
+                assert getattr(algo, key) == values[key], key
+        assert algo.obs is values["obs"]
+        assert algo.faults.plan is values["faults"]
+        assert algo.population is values["population"]
+        assert algo.defense is not None
+        assert algo.timing.enabled and algo.membership.enabled
+    finally:
+        algo.close()
+
+    with pytest.raises(TypeError, match="bogus"):
+        make_algorithm(name, blob_fed, blob_factory, bogus=1)

@@ -107,22 +107,11 @@ class TestChurnPlan:
         with pytest.raises(ValueError):
             ChurnPlan(heartbeat_timeout_s=-1.0)
 
-    def test_faultplan_carries_churn(self):
-        plan = FaultPlan.parse(
-            "client_dropout=0.1,churn_arrive=0.05,churn_depart=0.02,"
-            "churn_edge_mttf=40,churn_seed=2")
-        assert plan.has_churn
-        assert plan.churn.arrive == 0.05
-        assert plan.churn.depart == 0.02
-        assert plan.churn.edge_mttf == 40.0
-        assert plan.churn.seed == 2
-        # churn alone does not arm the fault injector.
-        assert FaultPlan.parse("churn_arrive=0.05").is_null
-        assert not FaultPlan.parse("churn_arrive=0.05").has_churn is None
-
-    def test_faultplan_rejects_bad_churn_key(self):
-        with pytest.raises(ValueError, match="unknown churn"):
-            FaultPlan.parse("churn_bogus=1")
+    def test_churn_is_not_a_fault_key(self):
+        # churn= is the one way to set churn: a fault spec has no churn tier.
+        with pytest.raises(ValueError,
+                           match="unknown fault spec key 'churn_arrive'"):
+            FaultPlan.parse("churn_arrive=0.05")
 
 
 # ------------------------------------------------------------- retry policy

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import IdentityCompressor
 from repro.core.hierminimax import HierMinimax
 from repro.faults.plan import FaultPlan
 from repro.multilayer.algorithm import MultiLevelHierMinimax
@@ -181,6 +182,14 @@ class TestMultiLevelAlgorithm:
             MultiLevelHierMinimax(fed, factory, taus=(0, 2))
         with pytest.raises(ValueError):
             MultiLevelHierMinimax(fed, factory, m_top=5)  # only 4 areas
+
+    @pytest.mark.parametrize("kwargs", [{"use_checkpoint": False},
+                                        {"compressor": IdentityCompressor()}])
+    def test_rejects_hierminimax_only_options(self, fed, factory, kwargs):
+        # The tree recursion needs the checkpoint digits and compresses no
+        # tier, so HierMinimax's two options are not forwarded.
+        with pytest.raises(TypeError):
+            MultiLevelHierMinimax(fed, factory, **kwargs)
 
     def test_checkpoint_digit_decoding(self, fed, factory):
         algo = MultiLevelHierMinimax(fed, factory, taus=(3, 4), seed=0)

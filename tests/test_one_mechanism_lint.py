@@ -6,7 +6,9 @@ and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`;
 ``robust_combine`` is called only by the edge block (:mod:`repro.sim.edge`)
 and the shared upload combine (:mod:`repro.core.base`); ``run_local_steps`` is
 called only by the edge block and the three flat-topology baselines (plus the
-``substrate`` CLI gate, which checks the dispatcher itself).
+``substrate`` CLI gate, which checks the dispatcher itself); the run-wide
+``faults=``/``timing=``/``churn=`` arguments are resolved only in
+``FederatedAlgorithm.__init__`` (and inside the resolvers' own modules).
 AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
 docstrings does not trip it — only real calls, attribute references and
 imports count.
@@ -51,15 +53,22 @@ def _durable_calls(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def _calls_of(name: str):
-    """A finder for calls of the function ``name`` (bare or as an attribute)."""
+def _calls_of(*names: str):
+    """A finder for calls of the functions ``names`` (bare or as attributes)."""
     def finder(tree: ast.AST) -> list[tuple[int, str]]:
-        return [(node.lineno, f"{name}(...)")
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and name in (getattr(node.func, "id", None),
-                             getattr(node.func, "attr", None))]
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = (getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None))
+                if name in names:
+                    found.append((node.lineno, f"{name}(...)"))
+        return found
     return finder
+
+
+_RESOLVERS = ("resolve_injector", "resolve_timing", "resolve_membership",
+              "make_cost_model")
 
 
 def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
@@ -80,7 +89,11 @@ def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
     (_calls_of("run_local_steps"), ("sim/edge.py", "baselines/fedavg.py",
                                     "baselines/drfa.py",
                                     "baselines/stochastic_afl.py", "cli.py")),
-], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps"])
+    (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
+                              "simtime/null.py", "simtime/cost.py",
+                              "membership/plan.py")),
+], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
+        "run-resolution"])
 def test_mechanism_has_one_home(finder, homes):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes)
@@ -97,6 +110,8 @@ def test_mechanism_has_one_home(finder, homes):
     (_durable_calls, "from zlib import crc32"),
     (_calls_of("robust_combine"), "robust_combine(agg, entries)"),
     (_calls_of("run_local_steps"), "dispatch.run_local_steps(backend, work)"),
+    (_calls_of(*_RESOLVERS), "timing = resolve_timing(cost_model)"),
+    (_calls_of(*_RESOLVERS), "inj = faults.resolve_injector(plan, obs=obs)"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))

@@ -1,7 +1,7 @@
 """The one ``key=value`` spec grammar shared by every CLI spec string.
 
 Seven entry points parse through :mod:`repro.utils.spec`: ``ChaosPlan``,
-``FaultPlan`` (with its ``attack_*``/``churn_*`` delegation), ``AttackPlan``,
+``FaultPlan`` (with its ``attack_*`` delegation), ``AttackPlan``,
 ``ChurnPlan``, ``HeterogeneousCostModel``/``make_cost_model``,
 ``PopulationSpec`` and ``resolve_defense``.  Each row below runs the same
 contract against one of them: a repeated key is an error naming the key, a
@@ -42,7 +42,7 @@ PARSERS = {
     ("fault", "max_retries=1, max_retries=3", "max_retries"),
     ("fault", "attack_fraction=0.1,attack_fraction=0.2", "attack_fraction"),
     ("fault", "attack=gauss,attack_attack=sign_flip", "attack_attack"),
-    ("fault", "churn_arrive=0.1,churn_arrive=0.2", "churn_arrive"),
+    ("fault", "attack_seed=1,attack_seed=2", "attack_seed"),
     ("attack", "sign_flip,fraction=0.1,fraction=0.2", "fraction"),
     ("attack", "sign_flip,attack=gauss", "attack"),
     ("churn", "arrive=0.1,depart=0.1,arrive=0.2", "arrive"),
@@ -115,7 +115,6 @@ def test_attack_colluding_takes_every_bool_spelling(raw):
 def test_churn_rehome_takes_every_bool_spelling(raw):
     expected = BOOL_VALUES[raw.lower()]
     assert ChurnPlan.parse(f"rehome={raw}").rehome is expected
-    assert FaultPlan.parse(f"churn_rehome={raw}").churn.rehome is expected
 
 
 @pytest.mark.parametrize("parser, spec, attr, expected", [
