@@ -98,7 +98,8 @@ class DRFA(FederatedAlgorithm):
         with obs.span("phase1_model_update", round=round_index,
                       sampled_clients=len(sampled), t_prime=t_prime):
             self.tracker.record("client_cloud", "down",
-                                count=len(np.unique(sampled)), floats=d + 1)
+                                count=len(set(sampled.tolist())),
+                                floats=d + 1)
             entries: list[tuple[str, float, np.ndarray]] = []
             ckpt_entries: list[tuple[str, float, np.ndarray]] = []
             # Sampling is with replacement: the same client may appear twice;

@@ -93,7 +93,7 @@ class StochasticAFL(FederatedAlgorithm):
         with obs.span("phase1_model_update", round=round_index,
                       sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down",
-                                count=len(np.unique(sampled)), floats=d)
+                                count=len(set(sampled.tolist())), floats=d)
             entries: list[tuple[str, float, np.ndarray]] = []
             # With-replacement sampling: duplicates chain in the dispatcher.
             work: list[ClientWork] = []

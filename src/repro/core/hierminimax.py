@@ -261,7 +261,7 @@ class HierMinimax(FederatedAlgorithm):
             # Cloud broadcasts w^(k) and the checkpoint index to the sampled
             # edges.
             self.tracker.record(self._links[0], "down",
-                                count=len(np.unique(sampled)),
+                                count=len(set(sampled.tolist())),
                                 floats=d + len(self._links))
             upload_floats = self._upload_floats()
             entries: list[tuple[str, float, np.ndarray]] = []

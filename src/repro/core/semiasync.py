@@ -125,7 +125,7 @@ class SemiAsyncHierMinimax(HierMinimax):
             if dispatched:
                 # Cloud broadcasts w^(k) and (c1, c2) to the dispatched edges.
                 self.tracker.record(self._links[0], "down",
-                                    count=len(np.unique(dispatched)),
+                                    count=len(set(dispatched)),
                                     floats=d + len(self._links))
             # All dispatches leave the cloud at the same instant; each leg's
             # arrival is its own (measured, non-blocking) duration later.

@@ -206,10 +206,21 @@ class PopulationSpec:
         return gen.sample(labels, rng)
 
     def class_means(self) -> np.ndarray:
-        """Class prototype means of the ``synthetic`` family (C, d); pure in seed."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(_PROTO_KEY,)))
-        return self.class_scale * rng.standard_normal((self.num_classes, self.dim))
+        """Class prototype means of the ``synthetic`` family (C, d); pure in seed.
+
+        Computed once per spec and returned as a shared read-only array.
+        """
+        means = self.__dict__.get("_class_means")
+        if means is None:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=self.seed, spawn_key=(_PROTO_KEY,)))
+            means = self.class_scale * rng.standard_normal(
+                (self.num_classes, self.dim))
+            means.flags.writeable = False
+            # The spec is frozen; the cache is not a field, so equality,
+            # hashing and to_dict() never see it.
+            object.__setattr__(self, "_class_means", means)
+        return means
 
     def image_generator(self):
         """The (stateless) image sampler shared by every client of the family."""

@@ -8,12 +8,23 @@ stream exactly where it left off) and the local-step counter.  The
 ``client_id % num_shards`` so checkpoints and future distribution can move
 shards independently.
 
-Each client is one immutable ``bytes`` record
+A client's state goes in and comes out as one immutable ``bytes`` record
 (:func:`~repro.data.batching.pack_client_record`): a fixed 64-byte
 little-endian header — PCG64 ``state`` and ``inc`` (16 bytes each),
 ``has_uint32``, ``uinteger``, ``cursor``, ``batches_drawn``,
-``sgd_steps_taken`` — followed by the epoch permutation as int64.  With 8
-samples per client a record is 128 bytes, about 160 bytes as a Python object.
+``sgd_steps_taken`` — followed by the epoch permutation as int64, 128 bytes
+for 8 samples.  Inside, the store keeps no Python object per client: one
+ascending ``int64`` id array and one fixed-width ``uint8`` row matrix, one
+row per client.  A row is the record narrowed by
+:func:`~repro.data.batching.narrow_client_records`: the same header, a
+1-byte dtype code, then the permutation in the smallest unsigned dtype that
+holds ``n - 1``.  An 8-sample client costs a 73-byte row plus its 8-byte id,
+about 81 bytes (at most an eighth more while the table has spare capacity);
+one ``bytes`` object per client in a dict cost about 220.  Shards are a
+view, ``client_id % num_shards``, taken when the store is written or
+loaded.  A round's cohort goes in as rows with one
+:meth:`~ClientStateStore.put_rows` merge, and an edge's contiguous id range
+comes out with one :meth:`~ClientStateStore.get_range`.
 
 Memory is O(clients ever visited), independent of the population size: a
 1M-client run that samples 5 edges x 1000 clients per round for 20 rounds holds
@@ -46,8 +57,12 @@ import json
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from repro.chaos.hooks import fire as chaos_fire
-from repro.data.batching import client_record_from_entry, client_record_to_entry
+from repro.data.batching import (client_record_from_entry,
+                                 client_record_to_entry,
+                                 narrow_client_records, widen_client_rows)
 from repro.utils.serialization import (crc32_of, durable_write, fsync_dir,
                                        previous_path)
 
@@ -71,35 +86,157 @@ class ClientStateStore:
     A record is the immutable ``bytes`` value
     :func:`~repro.data.batching.pack_client_record` builds from a live client
     and :func:`~repro.data.batching.restore_client_record` unpacks into one.
+    :meth:`get` returns the bytes :meth:`put` was given.  One store holds
+    records of one length (one ``samples_per_client``); a record of another
+    length raises ``ValueError``.
     """
 
     def __init__(self, num_shards: int = DEFAULT_SHARDS) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = int(num_shards)
-        self._shards: list[dict[int, bytes]] = [
-            {} for _ in range(self.num_shards)]
+        self._clear()
+
+    def _clear(self, row_dtype="V1", record_len: int | None = None) -> None:
+        # _ids[:_n] ascending; _rows[i] is the narrowed record of _ids[i],
+        # one fixed-width void item, so a row moves as one element.  Both
+        # arrays own spare capacity past _n.  No view of either outlives a
+        # method call, so _reserve may resize them in place.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._rows = np.empty(0, dtype=row_dtype)
+        self._record_len = record_len
+        self._n = 0
+
+    @staticmethod
+    def _widen(rows: np.ndarray) -> np.ndarray:
+        """Records ``(k, L)`` of ``k`` contiguous table rows."""
+        return widen_client_rows(
+            rows.view(np.uint8).reshape(len(rows), rows.itemsize))
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _shard(self, client_id: int) -> dict[int, bytes]:
-        return self._shards[int(client_id) % self.num_shards]
+    def _find(self, client_id: int) -> int | None:
+        i = int(np.searchsorted(self._ids[:self._n], client_id))
+        return i if i < self._n and self._ids[i] == client_id else None
 
     def get(self, client_id: int) -> bytes | None:
         """The record stored for ``client_id`` (None if absent)."""
-        return self._shard(client_id).get(int(client_id))
+        i = self._find(int(client_id))
+        if i is None:
+            return None
+        return self._widen(self._rows[i:i + 1]).tobytes()
+
+    def get_range(self, start: int, stop: int) -> dict[int, bytes]:
+        """Every stored ``client_id -> record`` with ``start <= id < stop``."""
+        lo, hi = np.searchsorted(self._ids[:self._n], [start, stop]).tolist()
+        records = self._widen(self._rows[lo:hi])
+        return {cid: records[k].tobytes()
+                for k, cid in enumerate(self._ids[lo:hi].tolist())}
 
     def put(self, client_id: int, record: bytes) -> None:
         """Store ``record`` for ``client_id`` (overwrites)."""
-        if not isinstance(record, bytes):
-            raise TypeError(
-                f"client record must be bytes, got {type(record).__name__}")
-        self._shard(client_id)[int(client_id)] = record
+        self.put_many([int(client_id)], [record])
+
+    def put_many(self, client_ids, records) -> None:
+        """Store ``records[i]`` for ``client_ids[i]`` with one merge.
+
+        Same result as calling :meth:`put` for each pair in order, so a
+        later duplicate id wins.
+        """
+        self.put_rows(client_ids, self._narrow(records))
+
+    def put_rows(self, client_ids, rows: np.ndarray) -> None:
+        """:meth:`put_many` for records already narrowed to ``(k, W)`` rows
+        (:func:`~repro.data.batching.pack_client_rows`): one merge, with a
+        later duplicate id winning."""
+        if not len(rows):
+            if len(np.asarray(client_ids).reshape(-1)):
+                raise ValueError("client ids given without records")
+            return
+        record_len = widen_client_rows(rows[:1]).shape[1]
+        if self._record_len not in (None, record_len):
+            raise ValueError(
+                f"this store holds {self._record_len}-byte client records; "
+                f"got {record_len}-byte records")
+        ids, rows = self._sorted(client_ids, rows)
+        if self._record_len is None:
+            self._clear(rows.dtype, record_len)
+        n = self._n
+        pos = np.searchsorted(self._ids[:n], ids)
+        hit = pos < n
+        hit[hit] = self._ids[pos[hit]] == ids[hit]
+        if hit.any():
+            self._rows[pos[hit]] = rows[hit]
+            new = ~hit
+            ids, rows, pos = ids[new], rows[new], pos[new]
+        m = len(ids)
+        if not m:
+            return
+        self._reserve(n + m)
+        # Open the gaps in place: the old rows in [pos[j], pos[j + 1]) move
+        # right by j + 1.  Back to front, no row is overwritten before it
+        # moves, and a 1-D slice copy needs no temporary.
+        bounds = np.append(pos, n)
+        for j in np.flatnonzero(bounds[:-1] < bounds[1:])[::-1].tolist():
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            self._ids[lo + j + 1:hi + j + 1] = self._ids[lo:hi]
+            self._rows[lo + j + 1:hi + j + 1] = self._rows[lo:hi]
+        dest = pos + np.arange(m)
+        self._ids[dest] = ids
+        self._rows[dest] = rows
+        self._n = n + m
+
+    def _reserve(self, size: int) -> None:
+        capacity = len(self._ids)
+        if size <= capacity:
+            return
+        # Grow by an eighth: in-place realloc, so no second copy of the
+        # table is ever live, and at most an eighth of it is spare.
+        capacity = max(size, capacity + capacity // 8, 256)
+        self._ids.resize(capacity, refcheck=False)
+        self._rows.resize(capacity, refcheck=False)
+
+    @staticmethod
+    def _narrow(records) -> np.ndarray:
+        """``(k, W)`` store rows of a sequence of same-length records."""
+        records = list(records)
+        for kind in set(map(type, records)) - {bytes}:
+            raise TypeError(f"client record must be bytes, got {kind.__name__}")
+        if len(set(map(len, records))) > 1:
+            raise ValueError("client records in one store must share one "
+                             "length (one samples_per_client)")
+        if not records:
+            return np.empty((0, 0), dtype=np.uint8)
+        return narrow_client_records(np.frombuffer(
+            b"".join(records), dtype=np.uint8).reshape(len(records), -1))
+
+    @staticmethod
+    def _sorted(client_ids, rows: np.ndarray) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+        """``(ids, rows)`` with ids ascending and unique (the last row of a
+        repeated id wins) and each row one fixed-width void item."""
+        ids = np.asarray(client_ids, dtype=np.int64).reshape(-1)
+        if len(ids) != len(rows):
+            raise ValueError(f"{len(ids)} client ids for {len(rows)} records")
+        rows = np.ascontiguousarray(rows).view(
+            np.dtype((np.void, rows.shape[1])))[:, 0]
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids, rows = ids[order], rows[order]
+            last = np.append(ids[1:] != ids[:-1], True)
+            ids, rows = ids[last], rows[last]
+        return ids, rows
 
     def discard(self, client_id: int) -> None:
         """Drop ``client_id``'s record, if any."""
-        self._shard(client_id).pop(int(client_id), None)
+        i = self._find(int(client_id))
+        if i is None:
+            return
+        n = self._n - 1
+        self._ids[i:n] = self._ids[i + 1:n + 1]
+        self._rows[i:n] = self._rows[i + 1:n + 1]
+        self._n = n
 
     def __contains__(self, client_id: object) -> bool:
         # Membership tests arrive from generic containers ("is this thing a
@@ -107,41 +244,54 @@ class ClientStateStore:
         # absent — not a crash.
         try:
             cid = int(client_id)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+            return self._find(cid) is not None
+        except (TypeError, ValueError, OverflowError):  # past int64
             return False
-        return cid in self._shards[cid % self.num_shards]
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return self._n
 
     def client_ids(self) -> Iterator[int]:
         """All client ids with any stored state (ascending)."""
-        ids = [cid for shard in self._shards for cid in shard]
-        return iter(sorted(ids))
+        return iter(self._ids[:self._n].tolist())
 
     def shard_sizes(self) -> list[int]:
         """Entry count per shard (diagnostics / balance checks)."""
-        return [len(shard) for shard in self._shards]
+        return np.bincount(self._ids[:self._n] % self.num_shards,
+                           minlength=self.num_shards).tolist()
 
     def record_bytes(self) -> int:
         """Total length of every stored record (the store's payload size)."""
-        return sum(len(record) for shard in self._shards
-                   for record in shard.values())
+        return self._n * (self._record_len or 0)
 
     # ------------------------------------------------------------------
     # Checkpointing (inline)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _entries(shard: dict[int, bytes]) -> dict[str, dict]:
-        return {str(cid): client_record_to_entry(record)
-                for cid, record in sorted(shard.items())}
+    def _shard_entries(self) -> Iterator[tuple[int, dict[str, dict]]]:
+        """``(index, entries)`` of every non-empty shard, ascending; a shard
+        is the ids with ``client_id % num_shards == index``, keyed by
+        stringified id in ascending id order."""
+        ids = self._ids[:self._n].copy()  # no view held across a yield
+        shard_of = ids % self.num_shards
+        by_shard = np.argsort(shard_of, kind="stable")
+        counts = np.bincount(shard_of, minlength=self.num_shards).tolist()
+        start = 0
+        for index, count in enumerate(counts):
+            if not count:
+                continue
+            take = by_shard[start:start + count]
+            start += count
+            records = self._widen(self._rows[take])
+            yield index, {
+                str(cid): client_record_to_entry(records[k].tobytes())
+                for k, cid in enumerate(ids[take].tolist())}
 
     def state_dict(self) -> dict:
         """Exact JSON-clean snapshot; client keys are stringified."""
         return {
             "num_shards": self.num_shards,
-            "shards": {str(i): self._entries(shard)
-                       for i, shard in enumerate(self._shards) if shard},
+            "shards": {str(index): entries
+                       for index, entries in self._shard_entries()},
         }
 
     def load_state_dict(self, state: Mapping) -> None:
@@ -165,7 +315,8 @@ class ClientStateStore:
             raise ValueError(
                 f"store state 'shards' must be a mapping of shard snapshots, "
                 f"got {type(shards_in).__name__}")
-        rebuilt: list[dict[int, bytes]] = [{} for _ in range(self.num_shards)]
+        cids: list[int] = []
+        records: list[bytes] = []
         for shard_key, shard in shards_in.items():
             if not isinstance(shard, Mapping):
                 raise ValueError(
@@ -191,8 +342,11 @@ class ClientStateStore:
                     raise ValueError(
                         f"state for client {cid} is not a valid client "
                         f"entry: {exc!r}") from None
-                rebuilt[cid % self.num_shards][cid] = record
-        self._shards = rebuilt
+                cids.append(cid)
+                records.append(record)
+        rows = self._narrow(records)
+        self._clear()
+        self.put_rows(cids, rows)
 
     # ------------------------------------------------------------------
     # Durable sidecar shard files
@@ -211,10 +365,7 @@ class ClientStateStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest: dict = {"num_shards": self.num_shards, "shards": {}}
-        for index, shard in enumerate(self._shards):
-            if not shard:
-                continue
-            entries = self._entries(shard)
+        for index, entries in self._shard_entries():
             crc = crc32_of(entries)
             path = durable_write(
                 shard_file_path(directory, index),

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.data.batching import pack_client_record, restore_client_record
+from repro.data.batching import pack_client_rows, restore_client_record
 from repro.data.dataset import Dataset, concat_datasets
 from repro.population.base import Population
 from repro.population.spec import PopulationSpec
@@ -37,6 +37,9 @@ from repro.sim.edge import EdgeServer
 
 __all__ = ["VirtualPopulation", "VirtualEdgeServer", "VirtualClientRoster",
            "VirtualDatasetView"]
+
+#: ``VirtualPopulation.client``'s default: look the record up in the store.
+_LOOKUP = object()
 
 
 class VirtualEdgeServer(EdgeServer):
@@ -298,14 +301,16 @@ class VirtualPopulation(Population):
     # ------------------------------------------------------------------
     # Cohort lifecycle
     # ------------------------------------------------------------------
-    def client(self, client_id: int) -> Client:
+    def client(self, client_id: int, record: object = _LOOKUP) -> Client:
         """Materialize (or return the live) client ``client_id``.
 
         Construction is a pure function of ``(spec.seed, client_id)`` — shard
         from the spec's data law, RNG stream from ``stream_at("client", cid)``,
         identical to the eager builder's per-client streams — composed with any
         persisted sampler state, so a re-visited client continues its minibatch
-        sequence exactly where its last round left it.
+        sequence exactly where its last round left it.  ``record`` is that
+        state when the caller has already read it from the store (None: no
+        stored state); by default it is looked up.
         """
         cid = int(client_id)
         live = self._live.get(cid)
@@ -317,7 +322,8 @@ class VirtualPopulation(Population):
         shard = self.spec.client_shard(cid, image_generator=self.image_generator)
         rng = self._rng_factory.stream_at("client", cid)
         client = Client(cid, shard, self._batch_size, rng)
-        record = self.store.get(cid)
+        if record is _LOOKUP:
+            record = self.store.get(cid)
         if record is not None:
             client.sgd_steps_taken = restore_client_record(client.sampler,
                                                            record)
@@ -328,8 +334,14 @@ class VirtualPopulation(Population):
         return client
 
     def edge_clients(self, edge_id: int) -> list[Client]:
-        """Materialize edge ``edge_id``'s full roster (the cohort unit)."""
-        return [self.client(cid) for cid in self.spec.edge_client_ids(edge_id)]
+        """Materialize edge ``edge_id``'s full roster (the cohort unit).
+
+        The roster is a contiguous id range, so its stored records come from
+        one range read rather than one store lookup per client.
+        """
+        ids = self.spec.edge_client_ids(edge_id)
+        records = self.store.get_range(ids.start, ids.stop)
+        return [self.client(cid, records.get(cid)) for cid in ids]
 
     @property
     def live_client_ids(self) -> list[int]:
@@ -338,15 +350,19 @@ class VirtualPopulation(Population):
     def flush(self) -> None:
         """Persist every live client's surviving state into the store.
 
-        Clients that never advanced (no batches drawn, no SGD steps) are
-        skipped: their state is still the pure function of ``(seed, cid)`` that
-        materialization reproduces, so storing it would only grow the store.
+        The cohort goes in as one batched put of store rows packed in one
+        pass, ascending by id.  Clients that never advanced
+        (no batches drawn, no SGD steps) are skipped: their state is still the
+        pure function of ``(seed, cid)`` that materialization reproduces, so
+        storing it would only grow the store.
         """
-        for cid, client in self._live.items():
-            if client.sampler.batches_drawn == 0 and client.sgd_steps_taken == 0:
-                continue
-            self.store.put(cid, pack_client_record(client.sampler,
-                                                   client.sgd_steps_taken))
+        live = self._live
+        ids = sorted(cid for cid, client in live.items()
+                     if client.sampler.batches_drawn or client.sgd_steps_taken)
+        clients = [live[cid] for cid in ids]
+        self.store.put_rows(ids, pack_client_rows(
+            [client.sampler for client in clients],
+            [client.sgd_steps_taken for client in clients]))
 
     def end_round(self, round_index: int) -> None:
         """Flush and discard the round's cohort."""

@@ -112,6 +112,19 @@ def test_plain_run_loads_no_feature_module():
     assert "concurrent.futures" not in loaded
 
 
+@pytest.mark.skipif(
+    _fresh_interpreter("import json, sys, numpy\n"
+                       "print(json.dumps('numpy.ma' in sys.modules))"),
+    reason="a bare `import numpy` already loads numpy.ma (NumPy 1.x)")
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
+def test_plain_run_does_not_load_numpy_ma(backend):
+    """``numpy.ma`` costs about 1.2 MB resident; a round counts distinct
+    sampled edges without ``np.unique``, which would import it."""
+    rounds, loaded = _run_in_fresh_interpreter(backend=repr(backend))
+    assert rounds >= 1
+    assert "numpy.ma" not in loaded
+
+
 @pytest.mark.parametrize("run, expected", [
     (dict(backend='"thread"'), {"repro.exec.threads", "concurrent.futures"}),
     (dict(backend='"vectorized"'), {"repro.exec.vectorized"}),

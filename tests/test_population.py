@@ -15,12 +15,17 @@ The contracts under test (DESIGN.md §"Virtual populations"):
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.baselines.registry import make_algorithm
 from repro.core.hierminimax import HierMinimax
-from repro.data.batching import MinibatchSampler, pack_client_record
+from repro.data.batching import (MinibatchSampler, client_record_to_entry,
+                                 narrow_client_records, pack_client_record,
+                                 pack_client_rows)
 from repro.data.dataset import Dataset
 from repro.membership import ChurnPlan
 from repro.multilayer import MultiLevelHierMinimax
@@ -169,6 +174,146 @@ class TestClientStateStore:
                 store.load_state_dict(bad)
             # Validation failures never clobber the current content.
             assert store.get(7) == record
+
+
+class _DictStore:
+    """The store's contract as one plain dict: the reference the columnar
+    table is checked against."""
+
+    def __init__(self, num_shards: int) -> None:
+        self.num_shards = num_shards
+        self.records: dict[int, bytes] = {}
+
+    def state_dict(self) -> dict:
+        shards: dict[str, dict] = {}
+        for cid in sorted(self.records):
+            shards.setdefault(str(cid % self.num_shards), {})[str(cid)] = (
+                client_record_to_entry(self.records[cid]))
+        return {"num_shards": self.num_shards, "shards": shards}
+
+
+def _sized_record(samples: int, seed: int) -> bytes:
+    shard = Dataset(np.zeros((samples, 1)), np.zeros(samples, dtype=np.int64), 2)
+    sampler = MinibatchSampler(shard, 3, np.random.default_rng(seed))
+    sampler.next_batch()
+    return pack_client_record(sampler, 1)
+
+
+class TestColumnarStore:
+    POOL = [_record(i, draws=i % 9 + 1) for i in range(40)]
+
+    def _assert_matches(self, store, ref, rng):
+        assert len(store) == len(ref.records)
+        assert list(store.client_ids()) == sorted(ref.records)
+        assert store.record_bytes() == sum(map(len, ref.records.values()))
+        assert sum(store.shard_sizes()) == len(ref.records)
+        for cid in range(-2, 310):
+            assert store.get(cid) == ref.records.get(cid)
+            assert (cid in store) == (cid in ref.records)
+        for _ in range(20):
+            start, stop = sorted(rng.integers(-5, 320, size=2).tolist())
+            assert store.get_range(start, stop) == {
+                cid: rec for cid, rec in ref.records.items()
+                if start <= cid < stop}
+        doc = store.state_dict()
+        assert doc == ref.state_dict()
+        assert (json.dumps(doc, sort_keys=True)
+                == json.dumps(ref.state_dict(), sort_keys=True))
+
+    def test_batched_put_and_range_get_match_per_client_calls(self):
+        rng = np.random.default_rng(0)
+        batched, single = ClientStateStore(5), ClientStateStore(5)
+        ref = _DictStore(5)
+        for _ in range(12):
+            # Unordered ids with repeats, overwriting earlier rounds.
+            ids = rng.integers(0, 300, size=int(rng.integers(0, 60))).tolist()
+            records = [self.POOL[k] for k in
+                       rng.integers(0, len(self.POOL), size=len(ids))]
+            batched.put_many(ids, records)
+            for cid, record in zip(ids, records):
+                single.put(cid, record)
+                ref.records[cid] = record
+            for cid in rng.integers(0, 300, size=5).tolist():
+                batched.discard(cid)
+                single.discard(cid)
+                ref.records.pop(cid, None)
+            self._assert_matches(batched, ref, rng)
+            self._assert_matches(single, ref, rng)
+        reloaded = ClientStateStore(3)
+        reloaded.load_state_dict(batched.state_dict())
+        assert {cid: reloaded.get(cid) for cid in reloaded.client_ids()} == (
+            ref.records)
+
+    @pytest.mark.parametrize("samples", [1, 256, 257, 300])
+    def test_permutation_dtype_boundaries_round_trip(self, samples):
+        store = ClientStateStore(4)
+        records = [_sized_record(samples, seed) for seed in range(3)]
+        store.put_many([9, 2, 5], records)
+        assert [store.get(cid) for cid in (9, 2, 5)] == records
+        assert store.record_bytes() == 3 * len(records[0])
+
+    @pytest.mark.parametrize("samples, clients", [(8, 300), (257, 3)])
+    def test_packed_rows_equal_narrowed_records(self, samples, clients):
+        # More clients than one packing chunk, and a uint16 permutation.
+        shard = Dataset(np.zeros((samples, 1)),
+                        np.zeros(samples, dtype=np.int64), 2)
+        samplers = [MinibatchSampler(shard, 3, np.random.default_rng(i))
+                    for i in range(clients)]
+        for i, sampler in enumerate(samplers):
+            for _ in range(i % 7):
+                sampler.next_batch()
+        steps = [5 * i for i in range(clients)]
+        records = [pack_client_record(s, n) for s, n in zip(samplers, steps)]
+        rows = pack_client_rows(samplers, steps)
+        assert np.array_equal(rows, narrow_client_records(np.frombuffer(
+            b"".join(records), dtype=np.uint8).reshape(clients, -1)))
+        store = ClientStateStore(4)
+        store.put_rows(range(clients), rows)
+        assert [store.get(cid) for cid in range(clients)] == records
+
+    def test_second_record_length_is_rejected(self):
+        store = ClientStateStore(4)
+        store.put(1, _record(1))
+        with pytest.raises(ValueError, match="byte client records"):
+            store.put(2, _sized_record(5, 0))
+        with pytest.raises(ValueError, match="one length"):
+            store.put_many([3, 4], [_record(3), _sized_record(5, 0)])
+        with pytest.raises(ValueError):
+            store.put(5, _record(5)[:-3])
+        assert list(store.client_ids()) == [1]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_footprint_is_a_table_not_an_object_per_client(self, batched):
+        def footprint(n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                store = ClientStateStore()
+                # Ids and records are new objects, as a flush packs them.
+                ids = range(10**6, 10**6 + 3 * n, 3)
+                records = (bytes(bytearray(self.POOL[i % len(self.POOL)]))
+                           for i in range(n))
+                if batched:
+                    store.put_many(ids, list(records))
+                else:
+                    for cid, record in zip(ids, records):
+                        store.put(cid, record)
+                used = tracemalloc.get_traced_memory()[0] - base
+                blocks = len(tracemalloc.take_snapshot().traces)
+            finally:
+                tracemalloc.stop()
+            assert len(store) == n
+            return used / n, blocks
+
+        footprint(1_000)  # warm NumPy's and the interpreter's caches
+        _, small_blocks = footprint(1_000)
+        per_client, blocks = footprint(10_000)
+        # 73-byte narrowed row + 8-byte id, plus at most an eighth spare
+        # (the dict store held ~220 B per 8-sample client).
+        assert per_client <= 96
+        # The allocation count does not follow the client count: an object
+        # per client would add at least 9,000 blocks here.
+        assert blocks < small_blocks + 1_000
 
 
 # ---------------------------------------------------------------------------
