@@ -793,7 +793,7 @@ def _cmd_population(args) -> int:
               f"{args.rounds} rounds -> "
               f"avg acc {result.history.final().record.average_accuracy:.4f}")
         print(f"cohort: materialized {pop.clients_materialized_total:,} "
-              f"total, max {pop.max_live_clients:,} live, "
+              f"total, max {pop.max_live_clients:,} per round, "
               f"{len(pop.store):,} with stored state "
               f"({pop.store.record_bytes():,} record bytes)")
         within = peak_mb <= args.budget_mb

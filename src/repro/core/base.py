@@ -319,11 +319,11 @@ class FederatedAlgorithm(ABC):
                                 # graph — what the critical-path analyzer
                                 # replays into per-entity blame.
                                 round_span.set(sim_tree=tree)
-                # Cohort lifecycle boundary: flush live clients' surviving
-                # state (sampler cursors, step counters) to the population's
-                # state store and discard the materialized cohort, so peak
-                # memory tracks the cohort — not the population.  A no-op for
-                # eager populations.
+                # Cohort lifecycle boundary: flush whatever clients are still
+                # live (the round body releases each edge's roster after its
+                # last leg) to the population's state store, discard them,
+                # and start the next round's cohort.  A no-op for eager
+                # populations.
                 self.population.end_round(k)
                 self.rounds_completed = k + 1
                 if invariants is not None:
@@ -608,6 +608,16 @@ class FederatedAlgorithm(ABC):
         if roster is not None and not roster:
             return EDGE_UNAVAILABLE
         return roster
+
+    def _release_area(self, eid: int) -> None:
+        """Area ``eid`` ran its last leg of the phase: a virtual population
+        flushes and drops its roster's clients (eager populations keep
+        theirs)."""
+        population = self.population
+        if population.virtual:
+            ids = self.membership.roster_ids(eid)
+            population.release(self.edges[eid].client_ids() if ids is None
+                               else ids)
 
     def _combine(self, round_index: int, entries, *, ref: np.ndarray,
                  link: str, stage: str = "phase1_model_update",

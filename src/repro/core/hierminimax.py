@@ -266,16 +266,22 @@ class HierMinimax(FederatedAlgorithm):
             upload_floats = self._upload_floats()
             entries: list[tuple[str, float, np.ndarray]] = []
             ckpt_entries: list[tuple[str, float, np.ndarray]] = []
+            # An edge drawn more than once keeps its roster until its last
+            # draw: draws come in random order, and repeat often once p
+            # concentrates on the worst edges.
+            last_draw = {int(e): i for i, e in enumerate(sampled)}
             # Sampled edges work concurrently: the synchronous barrier means
             # Phase 1's simulated duration is the slowest edge's leg.
             with timing.parallel("phase1"):
-                for e in sampled:
+                for i, e in enumerate(sampled):
                     eid = int(e)
                     with timing.branch(f"edge:{eid}" if timing.record
                                        else None):
                         delivered = self._edge_upload(round_index, eid,
                                                       checkpoint,
                                                       upload_floats)
+                    if last_draw[eid] == i:
+                        self._release_area(eid)
                     if delivered is None:
                         continue
                     w_e, w_e_ckpt = delivered
@@ -342,6 +348,7 @@ class HierMinimax(FederatedAlgorithm):
                                         floats=1.0, tracker=self.tracker)
                                     est = (None if delivered is None
                                            else delivered[0])
+                    self._release_area(eid)
                     if est is None:
                         # Dark edge or lost probe: fall back to the last loss
                         # the cloud saw for this edge, if any.

@@ -110,7 +110,8 @@ class SemiAsyncHierMinimax(HierMinimax):
             # synchronous loop calls ModelUpdate once per sample.
             dispatched: list[int] = []
             legs: list[dict] = []
-            for e in sampled:
+            last_draw = {int(e): i for i, e in enumerate(sampled)}
+            for i, e in enumerate(sampled):
                 eid = int(e)
                 if eid in busy:
                     continue
@@ -119,6 +120,8 @@ class SemiAsyncHierMinimax(HierMinimax):
                                     else None) as leg:
                     delivered = self._edge_upload(round_index, eid, checkpoint,
                                                   upload_floats)
+                if last_draw[eid] == i:
+                    self._release_area(eid)
                 w_e, w_ckpt = (None, None) if delivered is None else delivered
                 legs.append({"eid": eid, "round": round_index, "w_e": w_e,
                              "w_ckpt": w_ckpt, "duration": leg.duration})

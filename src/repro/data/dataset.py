@@ -73,6 +73,24 @@ class Dataset:
         """Histogram of labels, length ``num_classes``."""
         return np.bincount(self.y, minlength=self.num_classes)
 
+    def row_blocks(self, rows: int) -> list["Dataset"]:
+        """Consecutive ``rows``-row blocks as datasets over views of this one.
+
+        This dataset was validated when it was built, so the blocks skip the
+        constructor's checks; each block's arrays are C-contiguous views.
+        """
+        n = len(self)
+        if rows < 1 or n % rows:
+            raise ValueError(f"cannot split {n} rows into blocks of {rows}")
+        blocks = []
+        for lo in range(0, n, rows):
+            block = Dataset.__new__(Dataset)
+            block.X = self.X[lo:lo + rows]
+            block.y = self.y[lo:lo + rows]
+            block.num_classes = self.num_classes
+            blocks.append(block)
+        return blocks
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Dataset(n={len(self)}, d={self.input_dim}, "
                 f"classes={self.num_classes})")

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ops.numerics import median
+
 __all__ = ["AGGREGATORS", "AggregationOutcome", "RobustAggregator",
            "WeightedMean", "CoordinateMedian", "TrimmedMean", "Krum",
            "NormClip", "resolve_aggregator"]
@@ -226,7 +228,7 @@ class NormClip(RobustAggregator):
         deltas = mat - origin
         norms = np.linalg.norm(deltas, axis=1)
         bound = (self.max_norm if self.max_norm is not None
-                 else self.factor * float(np.median(norms)))
+                 else self.factor * float(median(norms)))
         if bound <= 0.0:  # all uploads identical to ref: nothing to clip
             return AggregationOutcome(value=_weighted_mean(mat, weights))
         scale = np.minimum(1.0, bound / np.maximum(norms, 1e-300))

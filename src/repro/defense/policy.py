@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.ops.numerics import median
 from repro.utils.spec import convert, to_float, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; loaded with a defense
@@ -165,7 +166,7 @@ def clip_loss_reports(losses: dict, factor: float,
     """
     if len(losses) < 3:
         return losses, [], float("inf")
-    cap = factor * float(np.median(list(losses.values())))
+    cap = factor * float(median(list(losses.values())))
     if cap <= 0.0:
         return losses, [], cap
     clipped_ids = [k for k, v in losses.items() if v > cap]

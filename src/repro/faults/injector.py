@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_TRACER
+from repro.ops.numerics import median
 from repro.utils.rng import stable_key
 
 __all__ = ["FaultInjector", "resolve_injector"]
@@ -317,10 +318,10 @@ class FaultInjector:
         cohort = self._norm_cohort.setdefault(link, [])
         if len(cohort) >= GUARD_MIN_COHORT:
             arr = np.asarray(cohort)
-            center = float(np.median(arr))
+            center = float(median(arr))
             # MAD scaled to the normal-consistent sigma; floor keeps tiny
             # homogeneous cohorts from flagging numerical noise.
-            sigma = 1.4826 * float(np.median(np.abs(arr - center)))
+            sigma = 1.4826 * float(median(np.abs(arr - center)))
             sigma = max(sigma, 1e-9 * max(abs(center), 1.0))
             worst = max(abs(n - center) for n in norms) / sigma
             if worst > self.plan.guard_zscore:

@@ -104,6 +104,10 @@ class MembershipManager:
         self.home: dict[int, int] = {}
         self.edge_up: dict[int, bool] = {}
         self.partitioned: set[int] = set()
+        # Roster ids per edge, computed on first use in a round: the live
+        # topology only changes in begin_round (and on bind/restore), and a
+        # roster scan walks every client id.
+        self._rosters: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------ rng plumbing
     def _rng(self, round_index: int, kind: str,
@@ -170,6 +174,7 @@ class MembershipManager:
 
     def _init_population(self, client_ids) -> None:
         self._client_ids = tuple(client_ids)
+        self._rosters.clear()
         self.home = dict(self._initial_home)
         self.edge_up = {eid: True for eid in range(self._num_edges)}
         self.partitioned = set()
@@ -195,14 +200,23 @@ class MembershipManager:
         """Is this client currently a member of the federation?"""
         return not self.enabled or client_id in self.active
 
+    def roster_ids(self, edge_id: int) -> list[int] | None:
+        """Ids of :meth:`roster`, without resolving a single actor."""
+        if not self.enabled or not self._rehoming:
+            return None
+        ids = self._rosters.get(edge_id)
+        if ids is None:
+            ids = self._rosters[edge_id] = [
+                cid for cid in self._client_ids
+                if cid in self.active and self.home.get(cid) == edge_id]
+        return ids
+
     def roster(self, edge_id: int):
         """The edge's *current* client actors, or ``None`` when membership is
         disabled (or flat-bound) — callers fall back to the construction-time
         roster, byte-identically."""
-        if not self.enabled or not self._rehoming:
-            return None
-        return [self._actors[cid] for cid in self._client_ids
-                if cid in self.active and self.home.get(cid) == edge_id]
+        ids = self.roster_ids(edge_id)
+        return None if ids is None else [self._actors[cid] for cid in ids]
 
     # ------------------------------------------------------------- transitions
     def begin_round(self, round_index: int, *, tracker=None, timing=None,
@@ -221,6 +235,7 @@ class MembershipManager:
         if not self._bound:
             raise RuntimeError("MembershipManager.begin_round before bind(); "
                                "the algorithm must bind its topology first")
+        self._rosters.clear()
         plan = self.plan
         if plan.edge_mttf > 0.0 and self._num_edges:
             self._edge_episodes(round_index, tracker, timing, dim)
@@ -410,6 +425,7 @@ class MembershipManager:
         """
         if not state or not self.enabled:
             return
+        self._rosters.clear()
         self.active = {int(c) for c in state.get("active", ())}
         self.home = {int(c): int(e)
                      for c, e in state.get("home", {}).items()}

@@ -164,6 +164,10 @@ class NullMembership:
         """``None``: algorithms take their static (bit-identical) path."""
         return None
 
+    def roster_ids(self, edge_id: int):
+        """``None``: the edge's roster is its static one."""
+        return None
+
     def state_dict(self) -> dict:
         """Empty: nothing to checkpoint."""
         return {}

@@ -143,6 +143,12 @@ class MultiLevelHierMinimax(HierMinimax):
         return self._subtree_update(round_index, 1, self._top_nodes[eid],
                                     self.w, digits)
 
+    def _release_area(self, eid: int) -> None:
+        # An area is a top subtree; its clients are the subtree's leaves.
+        if self.population.virtual:
+            self.population.release(
+                self.tree.leaves_under(1, self._top_nodes[eid]).tolist())
+
     def _bottom_server(self, node: int) -> EdgeServer | None:
         """The level-``L-1`` server ``node`` over its active leaf clients
         (``None`` when every one of them has left)."""

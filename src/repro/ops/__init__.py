@@ -7,6 +7,7 @@ __all__ = [
     "flat_norm",
     "log_softmax",
     "logsumexp",
+    "median",
     "one_hot",
     "softmax",
     "weighted_average",
@@ -20,8 +21,8 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.ops.numerics": (
-        "clip_by_norm", "flat_norm", "log_softmax", "logsumexp", "one_hot",
-        "softmax", "weighted_average",
+        "clip_by_norm", "flat_norm", "log_softmax", "logsumexp", "median",
+        "one_hot", "softmax", "weighted_average",
     ),
     "repro.ops.projections": (
         "Projection", "identity_projection", "project_box",

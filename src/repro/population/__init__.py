@@ -3,10 +3,11 @@
 ``repro.population`` inverts client ownership: instead of materializing every
 client and its dataset up front (capping population size at memory), a
 :class:`PopulationSpec` *describes* the population and a
-:class:`VirtualPopulation` derives each round's sampled cohort on demand —
+:class:`VirtualPopulation` derives each sampled edge's roster on demand —
 datasets, RNG streams, and sampler cursors as pure functions of
-``(spec.seed, client_id)`` — then discards it, persisting only what must
-survive in a sharded :class:`ClientStateStore`.  Wrapping a materialized
+``(spec.seed, client_id)`` — then discards it after the edge's last leg of
+the phase, persisting only what must survive in a sharded
+:class:`ClientStateStore`.  Wrapping a materialized
 dataset with :class:`EagerPopulation` (what ``FederatedAlgorithm`` does when no
 ``population=`` is given) reproduces the pre-population behavior byte for byte.
 

@@ -58,8 +58,13 @@ class Population:
     def begin_round(self, round_index: int) -> None:
         """Hook before a round's work starts."""
 
+    def release(self, client_ids) -> None:
+        """Hook after an edge's last leg of a phase: flush and drop those
+        of ``client_ids`` that are materialized (no-op for eager
+        populations)."""
+
     def end_round(self, round_index: int) -> None:
-        """Hook after a round's work: flush/discard the materialized cohort."""
+        """Hook after a round's work: flush/discard what is still live."""
 
     def flush(self) -> None:
         """Persist any live per-client state (no-op for eager populations)."""

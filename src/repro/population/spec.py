@@ -189,21 +189,41 @@ class PopulationSpec:
     # ------------------------------------------------------------------
     # Data law (pure functions of (seed, id))
     # ------------------------------------------------------------------
-    def _labels(self, edge_id: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.partition == "iid":
-            return rng.integers(0, self.num_classes, size=n).astype(np.int64)
-        classes = np.asarray(self.edge_classes(edge_id), dtype=np.int64)
-        return classes[rng.integers(0, classes.size, size=n)]
+    def _derive(self, edge_ids: list[int], rngs, n: int,
+                image_generator=None) -> list[Dataset]:
+        """One ``n``-row dataset per ``(edge_ids[k], rng)`` pair, in one pass.
 
-    def _features(self, labels: np.ndarray, rng: np.random.Generator,
-                  image_generator=None) -> np.ndarray:
-        if self.family == "synthetic":
+        Each stream draws its labels, then its features, exactly as a lone
+        derivation would; ``rngs`` may be lazy, so only one data stream is
+        alive at a time.  The class lookup, the synthetic family's feature
+        arithmetic and the validation run once over one ``(streams × n, d)``
+        array whose consecutive row blocks are the datasets.
+        """
+        y = np.empty(len(edge_ids) * n, dtype=np.int64)
+        X = np.empty((y.size, self.input_dim))
+        synthetic = self.family == "synthetic"
+        if not synthetic and image_generator is None:
+            image_generator = self.image_generator()
+        classes_of: dict[int, np.ndarray] = {}
+        for k, (edge_id, rng) in enumerate(zip(edge_ids, rngs)):
+            classes = classes_of.get(edge_id)
+            if classes is None:
+                classes = classes_of[edge_id] = np.asarray(
+                    self.edge_classes(edge_id), dtype=np.int64)
+            rows = slice(k * n, (k + 1) * n)
+            y[rows] = classes[rng.integers(0, classes.size, size=n)]
+            if synthetic:
+                rng.standard_normal(out=X[rows])
+            else:
+                X[rows] = image_generator.sample(y[rows], rng).X
+        if synthetic:
+            # means[y] + noise * z elementwise, the same bits in place, one
+            # class at a time so no (rows, d) copy of the means is built.
+            X *= self.noise
             means = self.class_means()
-            X = means[labels] + self.noise * rng.standard_normal(
-                (labels.size, self.dim))
-            return X
-        gen = image_generator if image_generator is not None else self.image_generator()
-        return gen.sample(labels, rng)
+            for c in np.flatnonzero(np.bincount(y, minlength=self.num_classes)):
+                np.add(X, means[c], out=X, where=(y == c)[:, None])
+        return Dataset(X, y, self.num_classes).row_blocks(n)
 
     def class_means(self) -> np.ndarray:
         """Class prototype means of the ``synthetic`` family (C, d); pure in seed.
@@ -243,10 +263,20 @@ class PopulationSpec:
         Bit-identical for a given ``(spec.seed, client_id)`` no matter when, on
         which backend, or in which order clients are visited.
         """
-        rng = self.client_rng(client_id)
-        y = self._labels(self.edge_of(client_id), self.samples_per_client, rng)
-        X = self._features(y, rng, image_generator=image_generator)
-        return Dataset(X, y, self.num_classes)
+        return self.client_shards([client_id],
+                                  image_generator=image_generator)[0]
+
+    def client_shards(self, client_ids, *,
+                      image_generator=None) -> list[Dataset]:
+        """Training shards of ``client_ids`` in one pass (a roster's unit).
+
+        Shard ``k`` equals ``client_shard(client_ids[k])`` bit for bit; the
+        shards are row views of one array, so they live and die together.
+        """
+        ids = [int(cid) for cid in client_ids]
+        return self._derive([self.edge_of(cid) for cid in ids],
+                            map(self.client_rng, ids),
+                            self.samples_per_client, image_generator)
 
     def edge_test(self, edge_id: int, *, image_generator=None) -> Dataset:
         """Materialize edge ``edge_id``'s shared test set (pure in (seed, edge_id))."""
@@ -255,9 +285,8 @@ class PopulationSpec:
             raise ValueError(f"edge id {e} outside {self.num_edges} edges")
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=self.seed, spawn_key=(_TEST_KEY, e)))
-        y = self._labels(e, self.test_per_edge, rng)
-        X = self._features(y, rng, image_generator=image_generator)
-        return Dataset(X, y, self.num_classes)
+        return self._derive([e], [rng], self.test_per_edge,
+                            image_generator)[0]
 
     def eval_edge_ids(self, round_index: int) -> np.ndarray | None:
         """Seeded evaluation cohort for ``round_index`` (None means *all* edges).

@@ -7,8 +7,10 @@ The pieces
   data law, RNG stream from :meth:`~repro.utils.rng.RngFactory.stream_at`
   (bit-identical to the eager builder's ``streams("client", N)[cid]``), then any
   persisted sampler cursor / step counter is restored from the
-  :class:`~repro.population.store.ClientStateStore`.  ``end_round`` flushes the
-  live cohort's state back to the store and drops the cohort.
+  :class:`~repro.population.store.ClientStateStore`.  ``edge_clients(e)``
+  derives a whole roster in one pass.  ``release(ids)`` flushes those live
+  clients' state back to the store and drops them; ``end_round`` does the
+  same for whatever is still live.
 * :class:`VirtualEdgeServer` — an :class:`~repro.sim.edge.EdgeServer` whose
   ``clients`` list is a materializing property; the inherited ``model_update``
   and ``estimate_loss`` run unchanged on it.
@@ -17,8 +19,13 @@ The pieces
 * :class:`VirtualDatasetView` — duck-types :class:`~repro.data.dataset.FederatedDataset`
   for shape queries and lazily generated per-edge test sets.
 
-Memory contract: at any instant the population holds the live cohort plus the
-state store (O(clients ever visited)); nothing scales with population size.
+Memory contract: a client is live for one edge leg, not one round.  The
+algorithm releases an edge's roster after that edge's last Phase-1 draw of
+the round and after each Phase-2 probe, so at any instant the population
+holds the rosters of the edges whose leg is running or still pending in the
+current phase, plus the state store (O(clients ever visited)); nothing
+scales with population size.  A client needed again in the same round (a
+Phase-2 probe of a Phase-1 edge) re-derives from the store bit-identically.
 """
 
 from __future__ import annotations
@@ -37,10 +44,6 @@ from repro.sim.edge import EdgeServer
 
 __all__ = ["VirtualPopulation", "VirtualEdgeServer", "VirtualClientRoster",
            "VirtualDatasetView"]
-
-#: ``VirtualPopulation.client``'s default: look the record up in the store.
-_LOOKUP = object()
-
 
 class VirtualEdgeServer(EdgeServer):
     """An edge server whose client roster materializes on access.
@@ -250,10 +253,17 @@ class VirtualPopulation(Population):
         self.store = store if store is not None else ClientStateStore()
         self._view = VirtualDatasetView(self)
         self._live: dict[int, Client] = {}
+        # Ids touched this round, live or released: the round's cohort.
+        self._cohort: set[int] = set()
         self._rng_factory = None
         self._batch_size: int | None = None
         self._image_generator = None
-        # Lifecycle counters (surfaced by the population bench / gate command).
+        # Lifecycle counters (surfaced by the population bench / gate
+        # command).  Both count each round's cohort, every client once per
+        # round however often it is released and re-derived:
+        # ``clients_materialized_total`` sums the cohorts, and
+        # ``max_live_clients`` is the largest one.  The resident set is
+        # smaller; see the module docstring.
         self.clients_materialized_total = 0
         self.max_live_clients = 0
 
@@ -301,73 +311,94 @@ class VirtualPopulation(Population):
     # ------------------------------------------------------------------
     # Cohort lifecycle
     # ------------------------------------------------------------------
-    def client(self, client_id: int, record: object = _LOOKUP) -> Client:
+    def client(self, client_id: int) -> Client:
         """Materialize (or return the live) client ``client_id``.
 
         Construction is a pure function of ``(spec.seed, client_id)`` — shard
         from the spec's data law, RNG stream from ``stream_at("client", cid)``,
         identical to the eager builder's per-client streams — composed with any
         persisted sampler state, so a re-visited client continues its minibatch
-        sequence exactly where its last round left it.  ``record`` is that
-        state when the caller has already read it from the store (None: no
-        stored state); by default it is looked up.
+        sequence exactly where it was last flushed.
         """
         cid = int(client_id)
         live = self._live.get(cid)
         if live is not None:
             return live
-        if self._rng_factory is None:
-            raise RuntimeError("population is unbound; call build_edges / "
-                               "build_flat_clients first")
-        shard = self.spec.client_shard(cid, image_generator=self.image_generator)
-        rng = self._rng_factory.stream_at("client", cid)
-        client = Client(cid, shard, self._batch_size, rng)
-        if record is _LOOKUP:
-            record = self.store.get(cid)
-        if record is not None:
-            client.sgd_steps_taken = restore_client_record(client.sampler,
-                                                           record)
-        self._live[cid] = client
-        self.clients_materialized_total += 1
-        if len(self._live) > self.max_live_clients:
-            self.max_live_clients = len(self._live)
-        return client
+        return self._materialize([cid], [self.store.get(cid)])[0]
 
     def edge_clients(self, edge_id: int) -> list[Client]:
         """Materialize edge ``edge_id``'s full roster (the cohort unit).
 
-        The roster is a contiguous id range, so its stored records come from
-        one range read rather than one store lookup per client.
+        The roster's missing clients are derived together: one range read
+        of the store, one pass over their shards and streams.
         """
         ids = self.spec.edge_client_ids(edge_id)
-        records = self.store.get_range(ids.start, ids.stop)
-        return [self.client(cid, records.get(cid)) for cid in ids]
+        live = self._live
+        missing = [cid for cid in ids if cid not in live]
+        if missing:
+            records = self.store.get_range(ids.start, ids.stop)
+            self._materialize(missing, [records.get(cid) for cid in missing])
+        return [self.client(cid) for cid in ids]
+
+    def _materialize(self, ids: list[int], records: list) -> list[Client]:
+        """Derive the clients ``ids`` (none of them live), restore each one's
+        stored ``records`` entry (None: nothing stored), and make them live."""
+        if self._rng_factory is None:
+            raise RuntimeError("population is unbound; call build_edges / "
+                               "build_flat_clients first")
+        shards = self.spec.client_shards(ids,
+                                         image_generator=self.image_generator)
+        rngs = self._rng_factory.streams_at("client", ids)
+        clients = []
+        for cid, shard, rng, record in zip(ids, shards, rngs, records):
+            client = Client(cid, shard, self._batch_size, rng)
+            if record is not None:
+                client.sgd_steps_taken = restore_client_record(client.sampler,
+                                                               record)
+            self._live[cid] = client
+            clients.append(client)
+            if cid not in self._cohort:
+                self._cohort.add(cid)
+                self.clients_materialized_total += 1
+        self.max_live_clients = max(self.max_live_clients, len(self._cohort))
+        return clients
 
     @property
     def live_client_ids(self) -> list[int]:
         return sorted(self._live)
 
-    def flush(self) -> None:
-        """Persist every live client's surviving state into the store.
-
-        The cohort goes in as one batched put of store rows packed in one
-        pass, ascending by id.  Clients that never advanced
-        (no batches drawn, no SGD steps) are skipped: their state is still the
+    def _persist(self, clients) -> None:
+        """Put ``clients``' surviving state into the store with one batched
+        put of rows packed in one pass.  Clients that never advanced (no
+        batches drawn, no SGD steps) are skipped: their state is still the
         pure function of ``(seed, cid)`` that materialization reproduces, so
-        storing it would only grow the store.
+        storing it would only grow the store."""
+        moved = [client for client in clients
+                 if client.sampler.batches_drawn or client.sgd_steps_taken]
+        self.store.put_rows([client.client_id for client in moved],
+                            pack_client_rows(
+                                [client.sampler for client in moved],
+                                [client.sgd_steps_taken for client in moved]))
+
+    def flush(self) -> None:
+        """Persist every live client's surviving state into the store."""
+        self._persist(self._live.values())
+
+    def release(self, client_ids) -> None:
+        """Flush and drop the live clients among ``client_ids``.
+
+        Called once an edge has run its last leg of a phase; a client that
+        is needed again this round re-derives from the store bit-identically
+        and is not counted twice.
         """
         live = self._live
-        ids = sorted(cid for cid, client in live.items()
-                     if client.sampler.batches_drawn or client.sgd_steps_taken)
-        clients = [live[cid] for cid in ids]
-        self.store.put_rows(ids, pack_client_rows(
-            [client.sampler for client in clients],
-            [client.sgd_steps_taken for client in clients]))
+        self._persist([live.pop(cid) for cid in client_ids if cid in live])
 
     def end_round(self, round_index: int) -> None:
-        """Flush and discard the round's cohort."""
+        """Flush and discard whatever is still live; start a new cohort."""
         self.flush()
         self._live.clear()
+        self._cohort.clear()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -414,6 +445,7 @@ class VirtualPopulation(Population):
                     "checkpoint was written by a different PopulationSpec; "
                     f"saved {saved} vs current {self.spec.to_dict()}")
         self._live.clear()
+        self._cohort.clear()
         manifest = state.get("store_manifest")
         if manifest is not None:
             if shard_dir is None:

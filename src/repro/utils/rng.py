@@ -143,11 +143,18 @@ class RngFactory:
         what lets virtual populations derive a single client's generator on
         demand out of millions without materializing the full list.
         """
-        if i < 0:
-            raise ValueError(f"stream index must be >= 0, got {i}")
-        ss = np.random.SeedSequence(entropy=self._seed,
-                                    spawn_key=(stable_key(name), int(i)))
-        return np.random.default_rng(ss)
+        return self.streams_at(name, [i])[0]
+
+    def streams_at(self, name: str, indices) -> list[np.random.Generator]:
+        """``[stream_at(name, i) for i in indices]``, hashing ``name`` once."""
+        key = stable_key(name)
+        out = []
+        for i in indices:
+            if i < 0:
+                raise ValueError(f"stream index must be >= 0, got {i}")
+            out.append(np.random.default_rng(np.random.SeedSequence(
+                entropy=self._seed, spawn_key=(key, int(i)))))
+        return out
 
     def streams(self, name: str, n: int) -> list[np.random.Generator]:
         """Return ``n`` independent generators, e.g. one per client."""

@@ -116,13 +116,54 @@ def test_plain_run_loads_no_feature_module():
     _fresh_interpreter("import json, sys, numpy\n"
                        "print(json.dumps('numpy.ma' in sys.modules))"),
     reason="a bare `import numpy` already loads numpy.ma (NumPy 1.x)")
-@pytest.mark.parametrize("backend", ["serial", "vectorized"])
-def test_plain_run_does_not_load_numpy_ma(backend):
-    """``numpy.ma`` costs about 1.2 MB resident; a round counts distinct
-    sampled edges without ``np.unique``, which would import it."""
-    rounds, loaded = _run_in_fresh_interpreter(backend=repr(backend))
+@pytest.mark.parametrize("run", [
+    dict(backend='"serial"'),
+    dict(backend='"vectorized"'),
+    dict(backend='"vectorized"',
+         setup="from repro.faults import FaultPlan",
+         faults='FaultPlan.parse("client_dropout=0.2,msg_loss=0.1,'
+                'guard_zscore=3,seed=1")',
+         defense='"edge=trimmed_mean,cloud=norm_clip,trim=0.34,'
+                 'loss_clip=2.0"'),
+], ids=["serial", "vectorized", "faults_defense"])
+def test_plain_run_does_not_load_numpy_ma(run):
+    """``numpy.ma`` costs about 1.2 MB resident.  A round counts distinct
+    sampled edges without ``np.unique``, and the robustness layers' 1-D
+    medians go through :func:`repro.ops.numerics.median`; ``np.unique`` and
+    ``np.median`` would import it."""
+    rounds, loaded = _run_in_fresh_interpreter(**run)
     assert rounds >= 1
     assert "numpy.ma" not in loaded
+
+
+#: Upper bound on the ``repro`` source lines the benchmark child's set-up
+#: imports load (10,270 when this bound was set).
+SETUP_SOURCE_LINES = 10_400
+
+
+def test_setup_imports_stay_within_the_source_budget():
+    """Set-up time scales with the ``repro`` source the set-up imports load:
+    with bytecode writing off, every fresh interpreter compiles each module
+    it imports (see DESIGN.md, "Set-up path")."""
+    modules, lines = _fresh_interpreter(
+        "import json, sys\n"
+        "from repro.core.hierminimax import HierMinimax\n"
+        "from repro.exec import make_backend\n"
+        "from repro.experiments.runner import run_experiment\n"
+        "from repro.faults import FaultPlan\n"
+        "from repro.faults.checkpoint import load_checkpoint_file\n"
+        "from repro.obs import TraceWriter, Tracer\n"
+        "files = [m.__file__ for name, m in list(sys.modules.items())\n"
+        "         if name == 'repro' or name.startswith('repro.')]\n"
+        "lines = 0\n"
+        "for path in files:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        lines += sum(1 for _ in fh)\n"
+        "print(json.dumps([len(files), lines]))")
+    assert modules > 0
+    assert lines <= SETUP_SOURCE_LINES, (
+        f"set-up imports load {lines} lines of repro source in {modules} "
+        f"modules; the budget is {SETUP_SOURCE_LINES}")
 
 
 @pytest.mark.parametrize("run, expected", [

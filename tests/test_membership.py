@@ -256,6 +256,30 @@ class TestManagerTransitions:
         other.begin_round(15)
         assert mgr.state_dict() == other.state_dict()
 
+    def test_rosters_follow_every_transition(self):
+        # Roster ids are kept per round; each transition must start afresh.
+        def scan(mgr, eid):
+            return [cid for cid in mgr._client_ids
+                    if cid in mgr.active and mgr.home.get(cid) == eid]
+
+        kw = dict(arrive=0.3, depart=0.3, edge_mttf=2, edge_mttr=2,
+                  link_mttf=3, seed=4)
+        mgr = self._bound_manager(**kw)
+        changed = 0
+        for k in range(20):
+            before = [mgr.roster_ids(e) for e in range(3)]
+            mgr.begin_round(k)
+            after = [mgr.roster_ids(e) for e in range(3)]
+            assert after == [scan(mgr, e) for e in range(3)]
+            assert [[c.client_id for c in mgr.roster(e)]
+                    for e in range(3)] == after
+            changed += before != after
+        assert changed > 0
+        other = self._bound_manager(**kw)
+        assert [other.roster_ids(e) for e in range(3)] != after
+        other.load_state_dict(mgr.state_dict())
+        assert [other.roster_ids(e) for e in range(3)] == after
+
     def test_empty_state_is_noop(self):
         mgr = self._bound_manager(arrive=0.2, seed=1)
         before = mgr.state_dict()

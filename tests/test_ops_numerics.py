@@ -13,6 +13,7 @@ from repro.ops.numerics import (
     flat_norm,
     log_softmax,
     logsumexp,
+    median,
     one_hot,
     softmax,
     weighted_average,
@@ -154,3 +155,34 @@ class TestWeightedAverage:
 class TestFlatNorm:
     def test_matrix(self):
         assert flat_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+
+
+#: Samples drawn from a few values (ties, ±0, ±inf, NaN) or from the whole
+#: float range, odd and even lengths, n = 1 included.
+median_samples = hnp.arrays(
+    dtype=np.float64, shape=st.integers(1, 12),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True)))
+
+
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(x=median_samples)
+    def test_bits_equal_np_median(self, x):
+        # inf - inf and overflowing sums warn in both; only bits matter.
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.median(x)
+            got = median(x)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_accepts_a_list_and_leaves_the_input_alone(self):
+        values = [3.0, -1.0, 2.0, 8.0]
+        assert median(values) == 2.5
+        assert values == [3.0, -1.0, 2.0, 8.0]
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]]])
+    def test_rejects_empty_or_non_1d(self, bad):
+        with pytest.raises(ValueError):
+            median(bad)

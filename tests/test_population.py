@@ -7,14 +7,15 @@ The contracts under test (DESIGN.md §"Virtual populations"):
   bit-identical across backends, visitation orders, and checkpoint resumes;
 * wrapping an eager dataset as a degenerate population changes nothing, bit
   for bit, on any algorithm or backend;
-* per-round memory is O(sampled cohort): materialized clients are flushed to
-  the :class:`~repro.population.ClientStateStore` and discarded after every
-  round, and a re-materialized client continues its minibatch stream exactly
-  where it left off.
+* memory is O(rosters in flight): an edge's materialized clients are flushed
+  to the :class:`~repro.population.ClientStateStore` and discarded after the
+  edge's last leg of a phase, and a re-materialized client continues its
+  minibatch stream exactly where it left off.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -27,6 +28,7 @@ from repro.data.batching import (MinibatchSampler, client_record_to_entry,
                                  narrow_client_records, pack_client_record,
                                  pack_client_rows)
 from repro.data.dataset import Dataset
+from repro.faults import FaultPlan
 from repro.membership import ChurnPlan
 from repro.multilayer import MultiLevelHierMinimax
 from repro.nn.models import make_model_factory
@@ -483,6 +485,213 @@ class TestVirtualCohorts:
         pop.build_edges(batch_size=4, rng_factory=_rng_factory(seed=0))
         with pytest.raises(ValueError):
             pop.build_edges(batch_size=8, rng_factory=_rng_factory(seed=0))
+
+
+# ---------------------------------------------------------------------------
+# Edge-scoped cohorts: a roster lives for its edge's legs, not the round
+# ---------------------------------------------------------------------------
+def _resident_probe(monkeypatch, algo):
+    """Record ``(allowed, live)`` after every edge leg of ``algo``'s run.
+
+    ``allowed`` is the clients of the edges whose leg is running or still
+    pending in the current phase: for Phase-1 draw ``i`` of the sampled
+    sequence, the drawn edge plus every edge drawn both before and after
+    it; for a Phase-2 probe, the probed edge alone.  Also records the live
+    count after every ``end_round``.
+    """
+    import repro.core.hierminimax as hm
+    from repro.population.virtual import VirtualEdgeServer
+
+    pop = algo.population
+    per_edge = pop.spec.clients_per_edge
+    legs: list[tuple[int, int]] = []
+    after_round: list[int] = []
+    draws: dict = {"seq": [], "i": 0}
+    sample = hm.sample_by_weight
+
+    def sample_by_weight(*args, **kwargs):
+        out = sample(*args, **kwargs)
+        draws["seq"], draws["i"] = [int(e) for e in out], 0
+        return out
+
+    def phase1_allowed() -> int:
+        seq, i = draws["seq"], draws["i"]
+        draws["i"] += 1
+        pending = {seq[i]} | (set(seq[:i]) & set(seq[i + 1:]))
+        return len(pending) * per_edge
+
+    model_update = VirtualEdgeServer.model_update
+    estimate_loss = VirtualEdgeServer.estimate_loss
+    end_round = pop.end_round
+
+    def probed_update(self, *args, **kwargs):
+        out = model_update(self, *args, **kwargs)
+        legs.append((phase1_allowed(), len(pop._live)))
+        return out
+
+    def probed_loss(self, *args, **kwargs):
+        out = estimate_loss(self, *args, **kwargs)
+        legs.append((per_edge, len(pop._live)))
+        return out
+
+    def probed_end_round(round_index):
+        end_round(round_index)
+        after_round.append(len(pop._live))
+
+    monkeypatch.setattr(hm, "sample_by_weight", sample_by_weight)
+    monkeypatch.setattr(VirtualEdgeServer, "model_update", probed_update)
+    monkeypatch.setattr(VirtualEdgeServer, "estimate_loss", probed_loss)
+    monkeypatch.setattr(pop, "end_round", probed_end_round)
+    return legs, after_round
+
+
+#: Final params, weights and communication totals of the tiny runs below,
+#: recorded while cohorts still lived for a whole round: releasing rosters
+#: earlier must not move a bit.  Each case also keeps its cohort counters
+#: and store size ``(materialized_total, max_live, stored)``.
+EDGE_SCOPED_DIGESTS = {
+    "plain": ("920ee21bc5993168e366efa19b3900677da7f1b173a5fc0f67a8f20b938df872",
+              (256, 32, 32)),
+    "churn_rehome": (
+        "ed7777e58e3b85ad0762982fbd9a5edd3f9bb3707ab56ac71723129edfe7640c",
+        (170, 27, 29)),
+    "client_dropout": (
+        "db032d94f9b89207a7d02c0a9e49c35c3446c9795fb39388dcc4936a155c8e84",
+        (256, 32, 32)),
+    # Without a cost model the semi-async variant is HierMinimax, bit for bit.
+    "semiasync": (
+        "920ee21bc5993168e366efa19b3900677da7f1b173a5fc0f67a8f20b938df872",
+        (256, 32, 32)),
+    "multilevel": (
+        "fa40e8fd3bac97151f540b89b8744e2c3e60fb67bc40a808b9a8b9d92547c34b",
+        (256, 32, 32)),
+}
+TINY_SPEC = PopulationSpec.parse("clients=32,edges=4,samples=8,test=8,seed=5")
+
+
+def _tiny_algo(case: str):
+    """The algorithm behind ``EDGE_SCOPED_DIGESTS[case]`` (run 8 rounds)."""
+    factory = spec_factory(TINY_SPEC)
+    hm = dict(tau1=2, tau2=2, m_edges=4, batch_size=4, seed=1)
+    if case == "semiasync":
+        algo = make_algorithm("semiasync_hierminimax", TINY_SPEC, factory,
+                              **hm)
+    elif case == "multilevel":
+        algo = MultiLevelHierMinimax(TINY_SPEC, factory, taus=(2, 2),
+                                     m_top=4, batch_size=4, seed=1)
+    else:
+        run = {"plain": {},
+               "churn_rehome": {"churn": ChurnPlan.parse(
+                   "arrive=0.1,depart=0.1,edge_mttf=3,edge_mttr=2,"
+                   "rehome=1,seed=2")},
+               "client_dropout": {"faults": FaultPlan.parse(
+                   "client_dropout=0.3,seed=4")}}[case]
+        algo = HierMinimax(TINY_SPEC, factory, **hm, **run)
+    return algo
+
+
+class TestEdgeScopedCohorts:
+    @pytest.mark.parametrize("spec, m_edges, rounds", [
+        (PopulationSpec.parse("clients=400,edges=20,samples=4,test=8,"
+                              "seed=3"), 5, 12),
+        (TINY_SPEC, 4, 8),
+        (PopulationSpec.parse("clients=100000,edges=1000,samples=8,test=16,"
+                              "eval_edges=20,seed=0"), 5, 4),
+    ], ids=["20_edges", "m_equals_edges", "population_100k"])
+    def test_resident_set_is_the_rosters_in_flight(self, monkeypatch, spec,
+                                                    m_edges, rounds):
+        algo = HierMinimax(spec, spec_factory(spec), tau1=2, tau2=2,
+                           m_edges=m_edges, batch_size=4, seed=0)
+        legs, after_round = _resident_probe(monkeypatch, algo)
+        algo.run(rounds=rounds)
+        assert len(legs) == 2 * m_edges * rounds
+        for allowed, live in legs:
+            assert 0 < live <= allowed
+        # m_E = 5 draws leave at most 3 rosters in flight (not 2 · m_E).
+        bound = (m_edges // 2 + 1) * spec.clients_per_edge
+        assert max(live for _, live in legs) <= bound
+        assert after_round == [0] * rounds
+
+    @pytest.mark.parametrize("case", sorted(EDGE_SCOPED_DIGESTS))
+    def test_release_changes_no_bit(self, monkeypatch, case):
+        # m_edges = num_edges: Phase 1 repeats edges non-adjacently, and
+        # Phase 2 probes every edge Phase 1 trained, so clients are released
+        # and re-derived inside one round.
+        algo = _tiny_algo(case)
+        pop = algo.population
+        release = pop.release
+        released = []
+
+        def probed_release(client_ids):
+            ids = list(client_ids)
+            release(ids)
+            assert not set(ids) & set(pop._live)
+            released.append(len(ids))
+
+        monkeypatch.setattr(pop, "release", probed_release)
+        result = algo.run(rounds=8)
+        assert sum(released) > 0
+        snap = algo.tracker.snapshot()
+        digest = hashlib.sha256()
+        digest.update(result.final_params.tobytes())
+        digest.update(result.final_weights.tobytes())
+        digest.update(json.dumps({"c": snap.cycles, "m": snap.messages,
+                                  "f": snap.floats}, sort_keys=True).encode())
+        expected_digest, expected_counts = EDGE_SCOPED_DIGESTS[case]
+        assert digest.hexdigest() == expected_digest
+        assert (pop.clients_materialized_total, pop.max_live_clients,
+                len(pop.store)) == expected_counts
+        assert not pop._live
+
+    def test_released_client_is_not_counted_twice(self):
+        pop = VirtualPopulation(SPEC)
+        pop.build_edges(batch_size=4, rng_factory=_rng_factory(seed=0))
+        first = pop.edge_clients(2)
+        draws = [first[0].sampler.next_batch() for _ in range(2)]
+        pop.release(SPEC.edge_client_ids(2))
+        assert not pop._live and first[0].client_id in pop.store
+        again = pop.edge_clients(2)
+        assert again[0] is not first[0]
+        assert (pop.clients_materialized_total, pop.max_live_clients) == (
+            SPEC.clients_per_edge, SPEC.clients_per_edge)
+        # The re-derived client continues its stream, not a fresh one.
+        fresh = VirtualPopulation(SPEC)
+        fresh.build_edges(batch_size=4, rng_factory=_rng_factory(seed=0))
+        reference = fresh.client(first[0].client_id).sampler
+        expected = [reference.next_batch() for _ in range(3)]
+        assert np.array_equal(again[0].sampler.next_batch()[0],
+                              expected[2][0])
+        assert np.array_equal(draws[1][0], expected[1][0])
+        pop.end_round(0)
+        pop.edge_clients(2)
+        assert pop.clients_materialized_total == 2 * SPEC.clients_per_edge
+
+    def test_roster_shards_equal_lone_derivations(self):
+        for spec in (SPEC, PopulationSpec.parse(
+                "clients=24,edges=3,samples=5,test=7,partition=iid,"
+                "noise=0.37,seed=9")):
+            ids = spec.edge_client_ids(1)
+            shards = spec.client_shards(ids)
+            for cid, shard in zip(ids, shards):
+                # The data law written out per client.
+                rng = spec.client_rng(cid)
+                classes = np.asarray(spec.edge_classes(1), dtype=np.int64)
+                y = classes[rng.integers(0, classes.size,
+                                         size=spec.samples_per_client)]
+                X = spec.class_means()[y] + spec.noise * rng.standard_normal(
+                    (spec.samples_per_client, spec.dim))
+                assert np.array_equal(shard.y, y)
+                assert shard.X.tobytes() == X.tobytes()
+                assert shard.X.flags.c_contiguous
+
+    def test_image_family_roster_derives(self):
+        spec = PopulationSpec.parse("clients=8,edges=2,samples=4,test=6,"
+                                    "family=mnist_like,side=8,seed=2")
+        shards = spec.client_shards(spec.edge_client_ids(1))
+        lone = spec.client_shard(6)
+        assert np.array_equal(shards[2].X, lone.X)
+        assert np.array_equal(shards[2].y, lone.y)
+        assert spec.edge_test(0).X.shape == (6, spec.input_dim)
 
 
 # ---------------------------------------------------------------------------
