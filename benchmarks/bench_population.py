@@ -82,13 +82,13 @@ def test_population_memory_independence(bench_trajectory, save_report):
 
     lines = [
         f"{'population':<22s} {'clients':>10s} {'peak MB':>9s} "
-        f"{'materialized':>13s} {'max live':>9s} {'wall s':>7s}",
+        f"{'materialized':>13s} {'max cohort':>10s} {'wall s':>7s}",
         f"{'small':<22s} {SMALL.num_clients:>10,d} {small_peak / 1e6:>9.2f} "
-        f"{small['materialized']:>13,d} {small['max_live']:>9,d} "
+        f"{small['materialized']:>13,d} {small['max_live']:>10,d} "
         f"{small['wall_s']:>7.2f}",
         f"{'large (10x)':<22s} {LARGE.num_clients:>10,d} "
         f"{large_peak / 1e6:>9.2f} "
-        f"{large['materialized']:>13,d} {large['max_live']:>9,d} "
+        f"{large['materialized']:>13,d} {large['max_live']:>10,d} "
         f"{large['wall_s']:>7.2f}",
         f"memory independence ratio (small/large): {independence:.3f}",
     ]

@@ -9,12 +9,10 @@ fairness-blind control of the paper's figures.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
+from repro.sim.edge import combine
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -61,62 +59,15 @@ class FedAvg(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One FedAvg round: uniform sample, τ1 local steps, weighted average."""
-        d = self.w.size
-        obs = self.obs
-        faults = self.faults
-        injecting = faults.enabled
         sampled = sample_uniform_subset(len(self.clients), self.m_clients, self.rng)
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_clients=len(sampled)):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down", count=len(sampled),
-                                floats=d)
-            entries: list[tuple[str, float, np.ndarray]] = []
-            work: list[ClientWork] = []
-            membership = self.membership
-            for i in sampled:
-                client = self.clients[int(i)]
-                if membership.enabled and not membership.client_active(
-                        client.client_id):
-                    continue
-                steps = self.tau1 if not injecting else faults.client_steps(
-                    round_index, client.client_id, self.tau1)
-                if steps < 1:
-                    continue
-                work.append(ClientWork(client, steps))
-            results = run_local_steps(
-                self.backend, self.engine, self.w, work, lr=self.eta_w,
-                projection=self.projection_w, obs=obs) if work else []
-            timing = self.timing
-            if timing.enabled:
-                # Sampled clients work concurrently on the flat client-cloud
-                # link; the round costs the slowest (down + steps + up) chain.
-                with timing.parallel():
-                    for item in work:
-                        cid = item.client.client_id
-                        scale = (faults.plan.straggler_slowdown
-                                 if injecting and item.steps < self.tau1
-                                 else 1.0)
-                        with timing.branch():
-                            timing.transfer("client_cloud", cid, d)
-                            timing.compute(cid, item.steps, scale=scale)
-                            timing.transfer("client_cloud", cid, d)
-            for item, result in zip(work, results):
-                client, w_end = item.client, result.w_end
-                self.tracker.record("client_cloud", "up", count=1, floats=d)
-                if injecting:
-                    delivered = faults.receive(
-                        round_index, "client_cloud",
-                        f"client:{client.client_id}", w_end, floats=d,
-                        tracker=self.tracker, ref=self.w)
-                    if delivered is None:
-                        continue
-                    (w_end,) = delivered
-                weight = float(client.num_samples) if self.weight_by_data else 1.0
-                entries.append((f"client:{client.client_id}", weight, w_end))
-            self.tracker.sync_cycle("client_cloud")
+                                floats=self.w.size)
+            entries, _ = self._client_leg(round_index, sampled, tau1=self.tau1,
+                                          weight_by_data=self.weight_by_data)
             # Survivor-weighted average (or the robust rule): dropped clients
             # simply leave the denominator.
-            combined = self._combine(round_index, entries, ref=self.w,
-                                     link="client_cloud", stage="model_update")
-            if combined is not None:
-                self.w = combined
+            self.w, _ = combine(self.w, entries, stage="model_update",
+                                aggregator=self._cloud_agg, faults=self.faults,
+                                round_index=round_index, link="client_cloud")

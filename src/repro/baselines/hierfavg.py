@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.nn.models import ModelFactory
+from repro.sim.edge import combine, deliver
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -63,24 +64,22 @@ class HierFAVG(FederatedAlgorithm):
     def run_round(self, round_index: int) -> None:
         """One HierFAVG round: uniform edge sample, hierarchical update, average."""
         d = self.w.size
-        obs = self.obs
         faults = self.faults
-        injecting = faults.enabled
+        timing = self.timing
         sampled = sample_uniform_subset(self.dataset.num_edges, self.m_edges, self.rng)
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled)):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_edges=len(sampled)):
             self.tracker.record("edge_cloud", "down", count=len(sampled),
                                 floats=d)
             entries: list[tuple[str, float, np.ndarray]] = []
-            timing = self.timing
             # Sampled edges work concurrently: the round's simulated duration
             # is the slowest edge's (broadcast + blocks + upload) chain.
             with timing.parallel():
                 for e in sampled:
                     edge = self.edges[int(e)]
                     with timing.branch():
-                        if injecting and faults.edge_dark(round_index,
-                                                          edge.edge_id):
+                        if faults.enabled and faults.edge_dark(round_index,
+                                                               edge.edge_id):
                             continue
                         roster = self._edge_roster(edge.edge_id)
                         if roster is EDGE_UNAVAILABLE:
@@ -93,28 +92,23 @@ class HierFAVG(FederatedAlgorithm):
                             checkpoint=None,
                             tracker=self.tracker,
                             weight_by_data=self.weight_by_data,
-                            obs=obs, faults=faults, round_index=round_index,
-                            backend=self.backend, defense=self._edge_agg,
-                            timing=timing, roster=roster)
-                        self.tracker.record("edge_cloud", "up", count=1,
-                                            floats=d)
+                            obs=self.obs, faults=faults,
+                            round_index=round_index, backend=self.backend,
+                            defense=self._edge_agg, timing=timing,
+                            roster=roster)
                         if timing.enabled:
                             timing.transfer("edge_cloud", edge.edge_id, d)
-                        if injecting:
-                            delivered = faults.receive(
-                                round_index, "edge_cloud",
-                                f"edge:{edge.edge_id}", w_e,
-                                floats=d, tracker=self.tracker, ref=self.w)
-                            if delivered is None:
-                                continue
-                            (w_e,) = delivered
-                        weight = (float(edge.num_samples)
-                                  if self.weight_by_data else 1.0)
-                        entries.append((f"edge:{edge.edge_id}", weight, w_e))
+                        sender = f"edge:{edge.edge_id}"
+                        delivered = deliver(faults, round_index, "edge_cloud",
+                                            sender, w_e, floats=d,
+                                            tracker=self.tracker, ref=self.w)
+                        if delivered is not None:
+                            weight = (float(edge.num_samples)
+                                      if self.weight_by_data else 1.0)
+                            entries.append((sender, weight, delivered[0]))
             self.tracker.sync_cycle("edge_cloud")
             # Survivor-weighted average (or the robust rule): dark edges
             # leave the denominator.
-            combined = self._combine(round_index, entries, ref=self.w,
-                                     link="edge_cloud", stage="model_update")
-            if combined is not None:
-                self.w = combined
+            self.w, _ = combine(self.w, entries, stage="model_update",
+                                aggregator=self._cloud_agg, faults=faults,
+                                round_index=round_index, link="edge_cloud")

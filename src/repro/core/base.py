@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.data.batching import restore_sampler_state
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import clip_loss_reports, resolve_defense, \
-    robust_combine
+from repro.defense.policy import resolve_defense
 from repro.faults.checkpoint import CheckpointError, load_checkpoint_file, \
     previous_checkpoint_path, save_checkpoint_file
 from repro.faults.injector import resolve_injector
@@ -35,7 +34,9 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import resolve_population
 from repro.simtime import resolve_timing
+from repro.sim.edge import clip_losses, probe_leg, train_leg
 from repro.topology.comm import CommSnapshot, CommunicationTracker
+from repro.topology.sampling import sample_uniform_subset
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.utils.logging import NullLogger
 from repro.utils.rng import RngFactory, restore_generator
@@ -215,6 +216,9 @@ class FederatedAlgorithm(ABC):
         self.timing = resolve_timing(timing)
         self.membership = resolve_membership(churn, obs=self.obs)
         self.w: np.ndarray = self.engine.get_params()
+        # Last loss the cloud saw per probed entity: Phase 2's stale
+        # fallback (minimax algorithms only).
+        self._last_losses: dict[int, float] = {}
         self.rounds_completed = 0
         self._history: TrainingHistory | None = None
         self._resume_history: TrainingHistory | None = None
@@ -619,58 +623,82 @@ class FederatedAlgorithm(ABC):
             population.release(self.edges[eid].client_ids() if ids is None
                                else ids)
 
-    def _combine(self, round_index: int, entries, *, ref: np.ndarray,
-                 link: str, stage: str = "phase1_model_update",
-                 checkpoint: bool = False, tier: str = "cloud",
-                 ) -> np.ndarray | None:
-        """One aggregation point above the edge blocks (Eqs. (5)/(6)).
+    def _client_leg(self, round_index: int, sampled, *, tau1: int,
+                    checkpoint_step: int | None = None,
+                    down_floats: float | None = None,
+                    weight_by_data: bool = False) -> tuple[list, list]:
+        """Phase 1 of a two-layer baseline: the sampled clients still in the
+        federation train from ``w`` and upload straight to the cloud.
 
-        ``entries`` are the delivered ``(sender, weight, w)`` uploads in
-        delivery order.  The policy's active robust rule for ``tier``
-        (``"cloud"``, or ``"edge"`` for a multi-layer tree's interior nodes)
-        combines them when one is installed; otherwise they are summed in
-        order and divided by their summed weight — with unit weights that is
-        the ``÷ m`` of Eq. (5) over a full cohort and the renormalized mean
-        over survivors.  Returns ``None`` when nothing was delivered, after
-        recording the degraded round (the checkpoint fallback when
-        ``checkpoint``) under ``stage``; the caller keeps its current model.
+        Sampled duplicates train once per draw, chaining their minibatch
+        streams in the dispatcher.  Returns the delivered entries and
+        checkpoint entries of :func:`~repro.sim.edge.train_leg`, weighted by
+        data size or uniformly.
         """
-        aggregator = self._cloud_agg if tier == "cloud" else self._edge_agg
-        combined = None
-        if aggregator is not None:
-            combined = robust_combine(aggregator, entries, ref=ref,
-                                      faults=self.faults,
-                                      round_index=round_index, link=link)
-        elif entries:
-            combined = np.zeros(ref.size)
-            total = 0.0
-            for _, weight, w in entries:
-                combined += weight * w
-                total += weight
-            combined /= total
-        if combined is None:
-            if checkpoint:
-                self.faults.checkpoint_fallback(round_index, stage)
-            else:
-                self.faults.degraded_round(round_index, stage)
-        return combined
+        active = self.membership.client_active
+        cohort = [client for client in (self.clients[int(i)] for i in sampled)
+                  if active(client.client_id)]
+        weights = [float(c.num_samples) if weight_by_data else 1.0
+                   for c in cohort]
+        entries, ckpt_entries = train_leg(
+            self.engine, self.w, cohort, weights, tau1=tau1, lr=self.eta_w,
+            link="client_cloud", round_index=round_index,
+            checkpoint_step=checkpoint_step, projection=self.projection_w,
+            tracker=self.tracker, faults=self.faults, backend=self.backend,
+            obs=self.obs, timing=self.timing, down_floats=down_floats)
+        self.tracker.sync_cycle("client_cloud")
+        return entries, ckpt_entries
 
-    def _clip_losses(self, round_index: int, losses: dict,
-                     entity_prefix: str) -> dict:
-        """Score-damped minimax weight update: cap reports at the policy's
-        ``loss_clip ×`` the round's median, flagging the capped senders.
+    def _client_probes(self, round_index: int, w: np.ndarray) -> tuple:
+        """Phase 2 of a two-layer minimax baseline: probe a fresh uniform
+        client subset at ``w``; returns the probed ids and the delivered
+        losses by client id."""
+        probed = [int(i) for i in sample_uniform_subset(
+            len(self.clients), self.m_clients, self.rng)]
+        self.tracker.record("client_cloud", "down", count=len(probed),
+                            floats=w.size)
+        active = self.membership.client_active
+        replies = probe_leg(self.engine, w,
+                            [self.clients[i] for i in probed if active(i)],
+                            link="client_cloud", round_index=round_index,
+                            tracker=self.tracker, faults=self.faults,
+                            timing=self.timing)
+        self.tracker.sync_cycle("client_cloud")
+        return probed, replies
 
-        A no-op (returning ``losses`` unchanged, the same dict) without an
-        active ``loss_clip`` — the healthy path stays bit-identical.
+    def _ascend(self, round_index: int, weights: np.ndarray, probed,
+                replies: dict, *, prefix: str, eta: float, tau1: int = 1,
+                tau2: int = 1) -> np.ndarray:
+        """Eq. (7) from Phase 2's replies: the projected ascent step on the
+        mixing weights, returned (``weights`` itself when no loss arrived).
+
+        A probed entity that stayed silent falls back to the last loss the
+        cloud saw for it; the reports are then clipped (see
+        :func:`~repro.sim.edge.clip_losses`) and scaled into the unbiased
+        gradient estimate of §4.2.
         """
-        if self._loss_clip is None or not losses:
-            return losses
-        clipped, ids, cap = clip_loss_reports(losses, self._loss_clip)
-        for eid in ids:
-            self.faults.suspect(round_index, f"{entity_prefix}:{eid}",
-                                action="loss_clipped", aggregator="loss_clip",
-                                cap=round(cap, 6))
-        return clipped
+        faults = self.faults
+        losses: dict[int, float] = {}
+        for key in probed:
+            loss = replies.get(key)
+            if loss is None:
+                # Dark or silent, or its reply was lost: the stale loss.
+                loss = self._last_losses.get(key)
+                if loss is None:
+                    continue
+                faults.stale_loss(round_index, f"{prefix}:{key}", loss)
+            losses[key] = loss
+        losses = clip_losses(losses, self._loss_clip, faults, round_index,
+                             prefix)
+        if not losses:
+            # No loss information at all this round: keep the weights.
+            faults.degraded_round(round_index, "phase2_weight_update")
+            return weights
+        self._last_losses.update(losses)
+        self.obs.gauge(f"worst_{prefix}_loss", max(losses.values()))
+        v = self.cloud.build_loss_vector(losses)
+        return self.cloud.update_weights(weights, v, eta_p=eta, tau1=tau1,
+                                         tau2=tau2)
 
     def _evaluation_point(self, round_index: int) -> HistoryPoint:
         # eval_edge_ids is None unless an evaluation cohort was requested

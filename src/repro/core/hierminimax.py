@@ -31,13 +31,14 @@ import numpy as np
 
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-# Not called here any more (the cloud tier combines in
-# FederatedAlgorithm._combine), but benchmarks/e2e/ledger.py wraps this module
-# attribute by name, so it stays importable.
+# Not called here (every tier combines through repro.sim.edge.combine), but
+# benchmarks/e2e/ledger.py wraps this module attribute by name, so it stays
+# importable.
 from repro.defense.policy import robust_combine  # noqa: F401
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
+from repro.sim.edge import combine, deliver
 from repro.topology.sampling import (
     sample_by_weight,
     sample_checkpoint_slot,
@@ -115,9 +116,6 @@ class HierMinimax(FederatedAlgorithm):
         self.compressor = compressor
         self._comp_rng = self.rng_factory.stream("compression")
         self._dim = self.w.size
-        # Last loss estimate seen per edge — Phase 2's stale fallback when an
-        # edge is dark or its probe reply is lost.
-        self._last_losses: dict[int, float] = {}
 
     def _bind_areas(self) -> int:
         """Build the actors below the cloud, bind membership to them, and
@@ -180,23 +178,18 @@ class HierMinimax(FederatedAlgorithm):
         w_e, w_e_ckpt = update
         if self.compressor is not None:
             # Edge transmits compressed deltas against the broadcast w^(k).
+            # No sender is attributed, so top-k error feedback (kept per
+            # client) does not apply on this link.
             w_e = self.w + self.compressor.compress(w_e - self.w,
                                                     self._comp_rng)
             if w_e_ckpt is not None:
                 w_e_ckpt = self.w + self.compressor.compress(
                     w_e_ckpt - self.w, self._comp_rng)
         # Edge uploads its round-final model (and its checkpoint model).
-        self.tracker.record(top, "up", count=1, floats=upload_floats)
         if timing.enabled:
             timing.transfer(top, eid, upload_floats)
-        if faults.enabled:
-            delivered = faults.receive(
-                round_index, top, f"edge:{eid}", w_e, w_e_ckpt,
-                floats=upload_floats, tracker=self.tracker, ref=self.w)
-            if delivered is None:
-                return None
-            w_e, w_e_ckpt = delivered
-        return w_e, w_e_ckpt
+        return deliver(faults, round_index, top, f"edge:{eid}", w_e, w_e_ckpt,
+                       floats=upload_floats, tracker=self.tracker, ref=self.w)
 
     def _area_update(self, round_index: int, eid: int,
                      checkpoint: tuple[int, int] | None, roster,
@@ -235,15 +228,10 @@ class HierMinimax(FederatedAlgorithm):
         model the round makes no model step; with no delivered checkpoint
         (or the ablation without one) Phase 2 probes the current ``w``.
         """
-        w_ref = self.w
-        top = self._links[0]
-        combined = self._combine(round_index, entries, ref=w_ref, link=top)
-        if combined is not None:
-            self.w = combined
-        if not self.use_checkpoint:
-            return self.w
-        w_checkpoint = self._combine(round_index, ckpt_entries, ref=w_ref,
-                                     link=top, checkpoint=True)
+        self.w, w_checkpoint = combine(
+            self.w, entries, ckpt_entries if self.use_checkpoint else None,
+            stage="phase1_model_update", aggregator=self._cloud_agg,
+            faults=self.faults, round_index=round_index, link=self._links[0])
         return self.w if w_checkpoint is None else w_checkpoint
 
     # ------------------------------------------------------------------ round
@@ -312,60 +300,37 @@ class HierMinimax(FederatedAlgorithm):
                               w_checkpoint: np.ndarray) -> None:
         """Phase 2 (Eq. (7)): probe a uniform edge subset, ascend the weights."""
         d = self._dim
-        obs = self.obs
         faults = self.faults
         timing = self.timing
         top = self._links[0]
-        injecting = faults.enabled
-        with obs.span("phase2_weight_update", round=round_index):
-            probed = sample_uniform_subset(self.cloud.num_edges, self.m_edges,
-                                           self.rng)
+        with self.obs.span("phase2_weight_update", round=round_index):
+            probed = [int(e) for e in sample_uniform_subset(
+                self.cloud.num_edges, self.m_edges, self.rng)]
             self.tracker.record(top, "down", count=len(probed), floats=d)
-            losses: dict[int, float] = {}
+            replies: dict[int, float] = {}
             # Probed edges answer concurrently; Phase 2 costs the slowest probe.
             with timing.parallel("phase2"):
-                for e in probed:
-                    eid = int(e)
-                    est: float | None = None
+                for eid in probed:
                     roster = self._edge_roster(eid)
                     with timing.branch(f"edge:{eid}" if timing.record
                                        else None):
                         if roster is not EDGE_UNAVAILABLE and not (
-                                injecting and faults.edge_dark(round_index,
-                                                               eid)):
+                                faults.enabled and faults.edge_dark(
+                                    round_index, eid)):
                             if timing.enabled:
                                 timing.transfer(top, eid, d)
                             est = self._area_loss(round_index, eid,
                                                   w_checkpoint, roster)
                             if est is not None:
-                                self.tracker.record(top, "up", count=1,
-                                                    floats=1)
                                 if timing.enabled:
                                     timing.transfer(top, eid, 1)
-                                if injecting:
-                                    delivered = faults.receive(
-                                        round_index, top, f"edge:{eid}", est,
-                                        floats=1.0, tracker=self.tracker)
-                                    est = (None if delivered is None
-                                           else delivered[0])
+                                delivered = deliver(
+                                    faults, round_index, top, f"edge:{eid}",
+                                    est, floats=1.0, tracker=self.tracker)
+                                if delivered is not None:
+                                    replies[eid] = delivered[0]
                     self._release_area(eid)
-                    if est is None:
-                        # Dark edge or lost probe: fall back to the last loss
-                        # the cloud saw for this edge, if any.
-                        stale = self._last_losses.get(eid)
-                        if stale is not None:
-                            faults.stale_loss(round_index, f"edge:{eid}", stale)
-                            losses[eid] = stale
-                        continue
-                    losses[eid] = est
             self.tracker.sync_cycle(top)
-            losses = self._clip_losses(round_index, losses, "edge")
-            if losses:
-                self._last_losses.update(losses)
-                obs.gauge("worst_edge_loss", max(losses.values()))
-                v = self.cloud.build_loss_vector(losses)
-                self.p = self.cloud.update_weights(self.p, v, eta_p=self.eta_p,
-                                                   tau1=self.tau1, tau2=self.tau2)
-            else:
-                # No loss information at all this round: keep p^(k) as is.
-                faults.degraded_round(round_index, "phase2_weight_update")
+            self.p = self._ascend(round_index, self.p, probed, replies,
+                                  prefix="edge", eta=self.eta_p,
+                                  tau1=self.tau1, tau2=self.tau2)

@@ -104,10 +104,10 @@ class MembershipManager:
         self.home: dict[int, int] = {}
         self.edge_up: dict[int, bool] = {}
         self.partitioned: set[int] = set()
-        # Roster ids per edge, computed on first use in a round: the live
-        # topology only changes in begin_round (and on bind/restore), and a
-        # roster scan walks every client id.
-        self._rosters: dict[int, list[int]] = {}
+        # Edge -> ids homed there (active or not), derived from ``home`` and
+        # kept in step with it, so a roster costs O(its edge's clients)
+        # instead of a scan over every client id.  Never checkpointed.
+        self._homed: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------ rng plumbing
     def _rng(self, round_index: int, kind: str,
@@ -174,8 +174,8 @@ class MembershipManager:
 
     def _init_population(self, client_ids) -> None:
         self._client_ids = tuple(client_ids)
-        self._rosters.clear()
         self.home = dict(self._initial_home)
+        self._index_homes()
         self.edge_up = {eid: True for eid in range(self._num_edges)}
         self.partitioned = set()
         self.active = set(self._client_ids)
@@ -200,16 +200,28 @@ class MembershipManager:
         """Is this client currently a member of the federation?"""
         return not self.enabled or client_id in self.active
 
+    def _index_homes(self) -> None:
+        """Rebuild the edge -> homed-ids index from ``home``."""
+        self._homed = {}
+        for cid, eid in self.home.items():
+            self._homed.setdefault(eid, set()).add(cid)
+
+    def _rehome(self, client_id: int, edge_id: int) -> None:
+        """Home ``client_id`` at ``edge_id``, keeping the index in step."""
+        old = self.home.get(client_id)
+        if old is not None:
+            self._homed[old].discard(client_id)
+        self.home[client_id] = edge_id
+        self._homed.setdefault(edge_id, set()).add(client_id)
+
     def roster_ids(self, edge_id: int) -> list[int] | None:
-        """Ids of :meth:`roster`, without resolving a single actor."""
+        """Ids of :meth:`roster` in ascending order, without resolving a
+        single actor."""
         if not self.enabled or not self._rehoming:
             return None
-        ids = self._rosters.get(edge_id)
-        if ids is None:
-            ids = self._rosters[edge_id] = [
-                cid for cid in self._client_ids
-                if cid in self.active and self.home.get(cid) == edge_id]
-        return ids
+        active = self.active
+        return [cid for cid in sorted(self._homed.get(edge_id, ()))
+                if cid in active]
 
     def roster(self, edge_id: int):
         """The edge's *current* client actors, or ``None`` when membership is
@@ -235,7 +247,6 @@ class MembershipManager:
         if not self._bound:
             raise RuntimeError("MembershipManager.begin_round before bind(); "
                                "the algorithm must bind its topology first")
-        self._rosters.clear()
         plan = self.plan
         if plan.edge_mttf > 0.0 and self._num_edges:
             self._edge_episodes(round_index, tracker, timing, dim)
@@ -297,14 +308,10 @@ class MembershipManager:
         survivors = [e for e in range(self._num_edges)
                      if e != dead_eid and self.edge_up[e]
                      and e not in self.partitioned]
-        orphans = [cid for cid in self._client_ids
-                   if self.home.get(cid) == dead_eid]
+        orphans = sorted(self._homed.get(dead_eid, ()))
         if not survivors or not orphans:
             return
-        load = {e: 0 for e in survivors}
-        for cid, eid in self.home.items():
-            if eid in load:
-                load[eid] += 1
+        load = {e: len(self._homed.get(e, ())) for e in survivors}
         n = self._num_edges
 
         def ring(e: int) -> int:
@@ -314,7 +321,7 @@ class MembershipManager:
         for cid in orphans:
             target = min(survivors, key=lambda e: (load[e], ring(e), e))
             load[target] += 1
-            self.home[cid] = target
+            self._rehome(cid, target)
             handoff_targets.add(target)
             if cid in self.active:
                 self._emit(round_index, "re-homed", f"client:{cid}",
@@ -394,7 +401,7 @@ class MembershipManager:
                                 loads[h] += 1
                         eid = min(survivors,
                                   key=lambda e: (loads[e], e))
-                        self.home[cid] = eid
+                        self._rehome(cid, eid)
                 self._emit(round_index, "joined", entity, edge=eid)
                 self.obs.count("membership_joined_total")
                 # Warm join: the current model is shipped down before the
@@ -425,10 +432,10 @@ class MembershipManager:
         """
         if not state or not self.enabled:
             return
-        self._rosters.clear()
         self.active = {int(c) for c in state.get("active", ())}
         self.home = {int(c): int(e)
                      for c, e in state.get("home", {}).items()}
+        self._index_homes()
         self.edge_up = {int(e): bool(up)
                         for e, up in state.get("edge_up", {}).items()}
         self.partitioned = {int(e) for e in state.get("partitioned", ())}

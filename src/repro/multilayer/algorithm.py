@@ -21,8 +21,8 @@ generalization:
 The class is :class:`~repro.core.hierminimax.HierMinimax` plus a tree
 recursion: the cloud tier (sampling, Eqs. (5)–(7), faults, timing, stale
 losses) is inherited unchanged, interior levels ``1 … L-2`` recurse over their
-children with the shared :meth:`~repro.core.base.FederatedAlgorithm._combine`,
-and each bottom server (level ``L-1``) *is* an
+children with the shared :func:`~repro.sim.edge.deliver` and
+:func:`~repro.sim.edge.combine`, and each bottom server (level ``L-1``) *is* an
 :class:`~repro.sim.edge.EdgeServer` running ModelUpdate / LossEstimation over
 its active leaf clients.  At depth 2 nothing is added, so the class executes
 Algorithm 1 for every fan-in and period (asserted bit for bit by the test
@@ -37,12 +37,11 @@ import numpy as np
 
 from repro.core.hierminimax import HierMinimax
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import clip_loss_reports
 from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection
 from repro.population import resolve_population
-from repro.sim.edge import EdgeServer
+from repro.sim.edge import EdgeServer, combine, deliver, mean_loss
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_int
 
@@ -208,17 +207,14 @@ class MultiLevelHierMinimax(HierMinimax):
                 for k, out in uploads:
                     if out is None:
                         continue
-                    w_k, w_kc = out
-                    floats = d * (1 if w_kc is None else 2)
-                    tracker.record(link, "up", count=1, floats=floats)
                     sender = f"node:{level + 1}:{k}"
-                    if faults.enabled:
-                        delivered = faults.receive(
-                            round_index, link, sender, w_k, w_kc,
-                            floats=floats, tracker=tracker, ref=w)
-                        if delivered is None:
-                            continue
-                        w_k, w_kc = delivered
+                    delivered = deliver(
+                        faults, round_index, link, sender, *out,
+                        floats=d * (1 if out[1] is None else 2),
+                        tracker=tracker, ref=w)
+                    if delivered is None:
+                        continue
+                    w_k, w_kc = delivered
                     entries.append((sender, 1.0, w_k))
                     if w_kc is not None:
                         ckpt_entries.append((sender, 1.0, w_kc))
@@ -226,18 +222,13 @@ class MultiLevelHierMinimax(HierMinimax):
                 # Interior nodes are the generalization of the edge tier: the
                 # policy's edge-slot rule applies at every level below the
                 # cloud.  Both combines reference the block's broadcast model.
-                stage = f"node:{level}:{node}:block:{t}"
-                combined = self._combine(round_index, entries, ref=w,
-                                         link=link, stage=stage, tier="edge")
-                w_block = w
-                if combined is not None:
-                    w = combined
+                w, block_ckpt = combine(
+                    w, entries, ckpt_entries if on_path else None,
+                    stage=f"node:{level}:{node}:block:{t}",
+                    aggregator=self._edge_agg, faults=faults,
+                    round_index=round_index, link=link)
                 if on_path:
-                    w_ckpt = self._combine(round_index, ckpt_entries,
-                                           ref=w_block, link=link, stage=stage,
-                                           checkpoint=True, tier="edge")
-                    if w_ckpt is None:
-                        w_ckpt = w.copy()
+                    w_ckpt = block_ckpt
         return w, w_ckpt
 
     def _area_loss(self, round_index: int, eid: int, w: np.ndarray,
@@ -257,45 +248,25 @@ class MultiLevelHierMinimax(HierMinimax):
                                                              edge, w)
         kids = self.tree.children_of(level, node)
         link = self._links[level]
-        d = w.size
-        faults = self.faults
         timing = self.timing
-        self.tracker.record(link, "down", count=len(kids), floats=d)
-        reports: dict[str, float] = {}
+        self.tracker.record(link, "down", count=len(kids), floats=w.size)
+        reports: dict[int, float] = {}
         with timing.parallel():
             for k in kids:
                 with timing.branch():
                     if timing.enabled:
-                        timing.transfer(link, k, d)
+                        timing.transfer(link, k, w.size)
                     loss = self._subtree_loss(round_index, level + 1, k, w)
                     if loss is None:
                         continue
                     if timing.enabled:
                         timing.transfer(link, k, 1)
-                    self.tracker.record(link, "up", count=1, floats=1)
-                    sender = f"node:{level + 1}:{k}"
-                    if faults.enabled:
-                        delivered = faults.receive(
-                            round_index, link, sender, loss,
-                            floats=1.0, tracker=self.tracker)
-                        if delivered is None:
-                            continue
-                        (loss,) = delivered
-                    reports[sender] = loss
+                    delivered = deliver(self.faults, round_index, link,
+                                        f"node:{level + 1}:{k}", loss,
+                                        floats=1.0, tracker=self.tracker)
+                    if delivered is not None:
+                        reports[k] = delivered[0]
         self.tracker.sync_cycle(link)
-        if not reports:
-            return None
-        if self._loss_clip is not None:
-            # Every interior node damps its children's cohort before
-            # averaging — one inflated report cannot poison the whole
-            # subtree's score on its way up.
-            clipped, ids, cap = clip_loss_reports(reports, self._loss_clip)
-            if ids:
-                for sender in ids:
-                    faults.suspect(round_index, sender, action="loss_clipped",
-                                   aggregator="loss_clip", cap=round(cap, 6))
-                return sum(clipped.values()) / len(reports)
-        total = 0.0
-        for loss in reports.values():
-            total += loss
-        return total / len(reports)
+        # Every interior node damps its children's cohort before averaging.
+        return mean_loss(reports, self._loss_clip, self.faults, round_index,
+                         f"node:{level + 1}")

@@ -1,4 +1,5 @@
-"""Simulation actors: clients, edge servers, cloud server, and wiring helpers."""
+"""Simulation actors: clients, edge servers (with the cohort leg every tier
+runs), cloud server, and wiring helpers."""
 
 from repro._lazy import lazy_exports
 

@@ -1,15 +1,14 @@
-"""Cloud-server actor: global aggregation and the edge-weight ascent step.
+"""Cloud-server actor: the mixing-weight ascent step of Phase 2.
 
-The cloud's responsibilities in Algorithm 1 are mechanical — averaging the sampled
-edges' models (Eqs. (5)–(6)) and the projected gradient-ascent update of the edge
-weights (Eq. (7)).  They are factored here so HierMinimax, HierFAVG, and the
-two-layer baselines (which treat clients as degenerate "edges") share one audited
-implementation.
+The cloud's weight update in Algorithm 1 is mechanical — the unbiased loss
+vector of §4.2 and the projected gradient-ascent step of Eq. (7).  HierMinimax
+(weights ``p`` over edges) and the two-layer minimax baselines (weights ``q``
+over clients, each client a degenerate "edge") share this implementation.
+Averaging the uploaded models (Eqs. (5)–(6)) is not done here: every tier
+folds its uploads with :func:`repro.sim.edge.combine`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,7 @@ __all__ = ["CloudServer"]
 
 
 class CloudServer:
-    """Aggregation and weight-update logic at the top of the hierarchy.
+    """Weight-update logic at the top of the hierarchy.
 
     Parameters
     ----------
@@ -40,17 +39,6 @@ class CloudServer:
     def initial_weights(self) -> np.ndarray:
         """The uniform initialization ``p^(0) = [1/N_E, …, 1/N_E]``."""
         return np.full(self.num_edges, 1.0 / self.num_edges)
-
-    @staticmethod
-    def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
-        """Uniform average of the received model vectors (Eqs. (5)/(6))."""
-        if not models:
-            raise ValueError("cannot aggregate zero models")
-        acc = np.array(models[0], dtype=np.float64, copy=True)
-        for w in models[1:]:
-            acc += w
-        acc /= len(models)
-        return acc
 
     def build_loss_vector(self, losses: dict[int, float]) -> np.ndarray:
         """Construct the unbiased gradient estimate ``v`` of §4.2.

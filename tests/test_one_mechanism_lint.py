@@ -1,13 +1,13 @@
-"""One mechanism each: spec parsing, durable writes, aggregation and local
-training have a single home.
+"""One mechanism each: spec parsing, durable writes, aggregation, upload
+delivery and local training have a single home.
 
 ``key=value`` splitting lives only in :mod:`repro.utils.spec`; ``os.fsync``
-and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`;
-``robust_combine`` is called only by the edge block (:mod:`repro.sim.edge`)
-and the shared upload combine (:mod:`repro.core.base`); ``run_local_steps`` is
-called only by the edge block and the three flat-topology baselines (plus the
-``substrate`` CLI gate, which checks the dispatcher itself); the run-wide
-``faults=``/``timing=``/``churn=`` arguments are resolved only in
+and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`; the round's
+plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
+``robust_combine`` is called only by its ``combine``, ``run_local_steps``
+only by its ``train_leg`` (plus the ``substrate`` CLI gate, which checks the
+dispatcher itself) and ``FaultInjector.receive`` only by its ``deliver``; the
+run-wide ``faults=``/``timing=``/``churn=`` arguments are resolved only in
 ``FederatedAlgorithm.__init__`` (and inside the resolvers' own modules).
 AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
 docstrings does not trip it — only real calls, attribute references and
@@ -85,15 +85,14 @@ def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
 @pytest.mark.parametrize("finder, homes", [
     (_spec_splits, ("utils/spec.py",)),
     (_durable_calls, ("utils/serialization.py",)),
-    (_calls_of("robust_combine"), ("sim/edge.py", "core/base.py")),
-    (_calls_of("run_local_steps"), ("sim/edge.py", "baselines/fedavg.py",
-                                    "baselines/drfa.py",
-                                    "baselines/stochastic_afl.py", "cli.py")),
+    (_calls_of("robust_combine"), ("sim/edge.py",)),
+    (_calls_of("run_local_steps"), ("sim/edge.py", "cli.py")),
+    (_calls_of("receive"), ("sim/edge.py",)),
     (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
                               "simtime/null.py", "simtime/cost.py",
                               "membership/plan.py")),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
-        "run-resolution"])
+        "link-delivery", "run-resolution"])
 def test_mechanism_has_one_home(finder, homes):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes)
@@ -110,6 +109,9 @@ def test_mechanism_has_one_home(finder, homes):
     (_durable_calls, "from zlib import crc32"),
     (_calls_of("robust_combine"), "robust_combine(agg, entries)"),
     (_calls_of("run_local_steps"), "dispatch.run_local_steps(backend, work)"),
+    (_calls_of("robust_combine"), "policy.robust_combine(agg, entries)"),
+    (_calls_of("run_local_steps"), "run_local_steps(backend, engine, w, work)"),
+    (_calls_of("receive"), "faults.receive(k, link, sender, w, floats=d)"),
     (_calls_of(*_RESOLVERS), "timing = resolve_timing(cost_model)"),
     (_calls_of(*_RESOLVERS), "inj = faults.resolve_injector(plan, obs=obs)"),
 ])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
+from repro.faults import FaultInjector, FaultPlan
 from repro.nn.models import logistic_regression
 from repro.ops.projections import project_l2_ball
 from repro.sim.builder import build_edge_servers, build_flat_clients
 from repro.sim.client import Client
 from repro.sim.cloud import CloudServer
-from repro.sim.edge import EdgeServer
+from repro.sim.edge import EdgeServer, combine
 from repro.topology.comm import CommunicationTracker
 from repro.utils.rng import RngFactory
 
@@ -210,23 +211,42 @@ class TestEdgeServer:
         assert edge.full_loss(engine, w) == pytest.approx(np.mean(vals))
 
 
+class TestCombine:
+    def test_combine_mean(self):
+        w = np.zeros(2)
+        out, ckpt = combine(w, [("a", 1.0, np.array([0.0, 2.0])),
+                                ("b", 1.0, np.array([2.0, 0.0]))],
+                            stage="test")
+        np.testing.assert_allclose(out, [1.0, 1.0])
+        assert ckpt is None
+
+    def test_combine_expected_cohort_divides_only_when_short(self):
+        w = np.zeros(2)
+        full = [("a", 0.5, np.array([2.0, 2.0])), ("b", 0.5, np.array([4.0, 0.0]))]
+        out, _ = combine(w, full, stage="test", expected=2)
+        np.testing.assert_allclose(out, [3.0, 1.0])
+        out, _ = combine(w, full[:1], stage="test", expected=2)
+        np.testing.assert_allclose(out, [2.0, 2.0])
+
+    def test_combine_does_not_mutate_inputs(self):
+        a = np.array([1.0, 1.0])
+        w = np.zeros(2)
+        combine(w, [("a", 1.0, a), ("b", 1.0, np.array([3.0, 3.0]))],
+                stage="test")
+        np.testing.assert_array_equal(a, [1.0, 1.0])
+        np.testing.assert_array_equal(w, [0.0, 0.0])
+
+    def test_combine_empty_keeps_the_model(self):
+        inj = FaultInjector(FaultPlan(client_dropout=0.5, seed=0))
+        w = np.array([1.0, 2.0])
+        out, ckpt = combine(w, [], [], stage="test", faults=inj)
+        assert out is w and ckpt is w
+
+
 class TestCloudServer:
     def test_initial_weights_uniform(self):
         cloud = CloudServer(4)
         np.testing.assert_allclose(cloud.initial_weights(), np.full(4, 0.25))
-
-    def test_aggregate_mean(self):
-        out = CloudServer.aggregate([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
-        np.testing.assert_allclose(out, [1.0, 1.0])
-
-    def test_aggregate_does_not_mutate_inputs(self):
-        a = np.array([1.0, 1.0])
-        CloudServer.aggregate([a, np.array([3.0, 3.0])])
-        np.testing.assert_array_equal(a, [1.0, 1.0])
-
-    def test_aggregate_empty_raises(self):
-        with pytest.raises(ValueError):
-            CloudServer.aggregate([])
 
     def test_build_loss_vector_scaling(self):
         cloud = CloudServer(4)
