@@ -60,8 +60,7 @@ import argparse
 import numpy as np
 
 from repro import AttackPlan, FaultPlan, HierMinimax, NullTracer, \
-    SemiAsyncHierMinimax, Tracer, apply_label_flip, make_federated_dataset, \
-    make_model_factory
+    SemiAsyncHierMinimax, Tracer, make_federated_dataset, make_model_factory
 from repro.exec import resolve_backend
 from repro.simtime import resolve_timing
 from repro.utils.logging import RunLogger
@@ -148,14 +147,8 @@ def main() -> None:
     if args.attack:
         from dataclasses import replace
 
-        attack = AttackPlan.parse(args.attack)
         plan = replace(plan if plan is not None else FaultPlan(),
-                       byzantine=attack)
-        if args.population and attack.attack == "label_flip":
-            parser.error("--attack label_flip rewrites eager shards and is "
-                         "incompatible with --population (virtual shards "
-                         "are derived, not stored)")
-        data = apply_label_flip(data, attack)
+                       byzantine=AttackPlan.parse(args.attack))
         print(f"attack : {args.attack}")
     if args.defense:
         print(f"defense: {args.defense}")

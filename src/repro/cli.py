@@ -46,6 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_WORKERS env var or auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
     def add_common(p, *, seeds: bool = True):
         p.add_argument("--scale", default="small",
                        choices=("tiny", "small", "paper"))
@@ -54,31 +59,29 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", type=int, default=1,
                            help="seed replicates to average")
 
-    p_fig3 = sub.add_parser("fig3", help="Figure 3: convex-loss comparison")
-    add_common(p_fig3)
-    p_fig3.add_argument("--plot", action="store_true",
-                        help="render ASCII accuracy curves")
+    for name, what in (("fig3", "Figure 3: convex-loss comparison"),
+                       ("fig4", "Figure 4: non-convex comparison")):
+        p_fig = add(name, _cmd_figure, help=what)
+        add_common(p_fig)
+        p_fig.add_argument("--plot", action="store_true",
+                           help="render ASCII accuracy curves")
 
-    p_fig4 = sub.add_parser("fig4", help="Figure 4: non-convex comparison")
-    add_common(p_fig4)
-    p_fig4.add_argument("--plot", action="store_true")
-
-    p_t1 = sub.add_parser("table1", help="Table 1: complexity/rate orders")
+    p_t1 = add("table1", _cmd_table1, help="Table 1: complexity/rate orders")
     p_t1.add_argument("--horizon", type=int, default=100_000)
     p_t1.add_argument("--alpha", type=float, default=0.25)
 
-    p_t2 = sub.add_parser("table2", help="Table 2: fairness comparison")
+    p_t2 = add("table2", _cmd_table2, help="Table 2: fairness comparison")
     add_common(p_t2, seeds=False)
     p_t2.add_argument("--datasets", nargs="+", default=None,
                       help="subset of the five Table 2 datasets")
 
-    p_tr = sub.add_parser("tradeoff", help="empirical §5 alpha sweep")
+    p_tr = add("tradeoff", _cmd_tradeoff, help="empirical §5 alpha sweep")
     p_tr.add_argument("--horizon", type=int, default=512)
     p_tr.add_argument("--alphas", type=float, nargs="+",
                       default=(0.0, 0.2, 0.4, 0.6))
 
-    p_trace = sub.add_parser("trace-report",
-                             help="analyze a JSONL trace from repro.obs")
+    p_trace = add("trace-report", _cmd_trace_report,
+                  help="analyze a JSONL trace from repro.obs")
     p_trace.add_argument("trace", help="path to a .trace.jsonl file")
     p_trace.add_argument("--timeline", type=int, default=5,
                          help="rounds to show at each end of the timeline")
@@ -93,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="--follow gives up after this many seconds "
                               "without new events (default: wait forever)")
 
-    p_prof = sub.add_parser(
-        "trace-profile",
+    p_prof = add(
+        "trace-profile", _cmd_trace_profile,
         help="profile a JSONL trace: self/cumulative time tables, folded "
              "stacks, speedscope export")
     p_prof.add_argument("trace", help="path to a .trace.jsonl file")
@@ -108,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--speedscope", default=None, metavar="OUT.json",
                         help="also write a speedscope-format profile here")
 
-    p_perf = sub.add_parser(
-        "perf-check",
+    p_perf = add(
+        "perf-check", _cmd_perf_check,
         help="compare fresh BENCH_*.json bench results against the committed "
              "baselines")
     p_perf.add_argument("--baseline-dir", default=".",
@@ -129,24 +132,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="promote the current results to baselines "
                              "instead of checking")
 
-    p_deg = sub.add_parser(
-        "degradation",
+    def add_demo(name, func, help, *, rounds, tolerance=None):
+        """A comparison demo's subparser with the flags all four share."""
+        p = add(name, func, help=help)
+        p.add_argument("--scale", default="tiny", choices=("tiny", "small"))
+        p.add_argument("--rounds", type=int, default=rounds)
+        p.add_argument("--seed", type=int, default=0)
+        if tolerance is not None:
+            p.add_argument("--tolerance", type=float, default=tolerance,
+                           help="max tolerated worst-edge accuracy drop vs "
+                                "the clean run")
+        return p
+
+    p_deg = add_demo(
+        "degradation", _cmd_degradation, rounds=80, tolerance=0.10,
         help="graceful-degradation demo: fault-free vs faulted HierMinimax")
-    p_deg.add_argument("--scale", default="tiny", choices=("tiny", "small"))
-    p_deg.add_argument("--rounds", type=int, default=80)
-    p_deg.add_argument("--seed", type=int, default=0)
     p_deg.add_argument("--faults", default="client_dropout=0.2,seed=1",
                        help="FaultPlan spec, e.g. "
                             "'client_dropout=0.2,edge_outage=0.05,seed=1'")
-    p_deg.add_argument("--tolerance", type=float, default=0.10,
-                       help="max tolerated worst-edge accuracy drop")
 
-    p_byz = sub.add_parser(
-        "byzantine",
+    p_byz = add_demo(
+        "byzantine", _cmd_byzantine, rounds=400, tolerance=0.05,
         help="byzantine demo: clean vs attacked (mean) vs attacked+defense")
-    p_byz.add_argument("--scale", default="tiny", choices=("tiny", "small"))
-    p_byz.add_argument("--rounds", type=int, default=400)
-    p_byz.add_argument("--seed", type=int, default=0)
     p_byz.add_argument("--attack", default="sign_flip,scale=5",
                        help="AttackPlan spec, e.g. "
                             "'sign_flip,fraction=0.2,seed=1' or "
@@ -161,16 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "trim=0.34,loss_clip=2.0",
                        help="DefensePolicy spec, e.g. 'trimmed_mean' or "
                             "'edge=median,cloud=krum,loss_clip=3'")
-    p_byz.add_argument("--tolerance", type=float, default=0.05,
-                       help="max tolerated worst-edge accuracy drop of the "
-                            "defended run vs the clean run")
 
-    p_ts = sub.add_parser(
-        "timesim",
+    p_ts = add_demo(
+        "timesim", _cmd_timesim, rounds=40,
         help="simulated-time demo: sync vs semi-async HierMinimax makespans")
-    p_ts.add_argument("--scale", default="tiny", choices=("tiny", "small"))
-    p_ts.add_argument("--rounds", type=int, default=40)
-    p_ts.add_argument("--seed", type=int, default=0)
     p_ts.add_argument("--cost-model",
                       default="hetero,seed=1,slow_fraction=0.1,slow_factor=10",
                       help="CostModel spec for repro.simtime.make_cost_model, "
@@ -180,13 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="semi-async staleness bound S (0 reproduces the "
                            "synchronous trajectory and makespan exactly)")
 
-    p_ch = sub.add_parser(
-        "churn",
+    p_ch = add_demo(
+        "churn", _cmd_churn, rounds=150, tolerance=0.15,
         help="dynamic-membership demo: clean vs churn+re-homing vs churn "
              "without failover")
-    p_ch.add_argument("--scale", default="tiny", choices=("tiny", "small"))
-    p_ch.add_argument("--rounds", type=int, default=150)
-    p_ch.add_argument("--seed", type=int, default=0)
     p_ch.add_argument("--churn",
                       default="arrive=0.05,depart=0.02,edge_mttf=5,"
                               "edge_mttr=4,seed=1",
@@ -198,12 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="CostModel spec pricing failover traffic "
                            "(simulated makespan; numerical results "
                            "unchanged)")
-    p_ch.add_argument("--tolerance", type=float, default=0.15,
-                      help="max tolerated worst-edge accuracy drop of the "
-                           "re-homed run vs the clean run")
 
-    p_pop = sub.add_parser(
-        "population",
+    p_pop = add(
+        "population", _cmd_population,
         help="virtual-population gate: eager-wrap bit-identity plus a "
              "fixed-memory scale run")
     p_pop.add_argument("--clients", type=int, default=100_000,
@@ -222,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pop.add_argument("--skip-equivalence", action="store_true",
                        help="run only the scale gate")
 
-    p_chaos = sub.add_parser(
-        "chaos",
+    p_chaos = add(
+        "chaos", _cmd_chaos,
         help="crash-safety gate: seeded kill-points (torn checkpoint "
              "write, crash after save, bit-flipped shard) must all recover "
              "bit-identically")
@@ -243,32 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "shards, quarantined files) here instead of "
                               "a deleted temp dir")
 
-    p_substrate = sub.add_parser(
-        "substrate",
-        help="execution-substrate gate: logistic AND MLP dispatches must be "
-             "bit-identical to serial on every backend with every MLP task "
-             "batched, and fused evaluation must match the two-pass bytes")
-    p_substrate.add_argument("--scale", default="tiny",
-                             choices=["tiny", "small", "paper"],
-                             help="dataset scale (default tiny)")
-    p_substrate.add_argument("--seed", type=int, default=0,
-                             help="seed of the dataset, init and samplers")
-    p_substrate.add_argument("--steps", type=int, default=4,
-                             help="local SGD steps per dispatched client")
-
-    sub.add_parser("info", help="version and system inventory")
+    add("info", _cmd_info, help="version and system inventory")
     return parser
 
 
-def _cmd_figure(args, which: str) -> int:
+def _cmd_figure(args) -> int:
     from repro.experiments import fig3, fig4, format_figure_report
     from repro.utils.serialization import save_json
 
-    builder = fig3 if which == "fig3" else fig4
+    make_figure = fig3 if args.command == "fig3" else fig4
     seeds = tuple(range(max(1, args.seeds)))
-    fig = builder(scale=args.scale, seeds=seeds)
+    fig = make_figure(scale=args.scale, seeds=seeds)
     print(format_figure_report(fig))
-    if getattr(args, "plot", False):
+    if args.plot:
         from repro.plotting import plot_figure_series
 
         print()
@@ -477,30 +459,74 @@ def _cmd_perf_check(args) -> int:
     return 1 if failed else 0
 
 
-def _demo(args):
-    """Set-up shared by the degradation, byzantine, timesim and churn demos.
+def _worst(result) -> float:
+    return result.history.final().record.worst_accuracy
 
-    Returns the emnist-digits dataset at ``--scale``/``--seed``, a builder
-    ``build(data=dataset, cls=HierMinimax, **run)`` of the demos' logistic
-    HierMinimax configuration (``run`` carries the run-wide arguments:
-    ``faults=``, ``timing=``, ``churn=``, …), and the ``run()`` schedule of
-    ``--rounds`` rounds with ten evaluations.
+
+def _compare(args, info, arms, *, traced=None, counters=(), rows=(),
+             width=12, delta=False, on_build=None, **common):
+    """One comparison for the degradation, byzantine, timesim and churn demos.
+
+    Each arm of ``arms`` (label -> run-wide arguments on top of ``common``,
+    and ``cls=`` for another algorithm class) trains the demos' logistic
+    HierMinimax on ``info["dataset"]`` for ``--rounds`` rounds, ``traced``
+    under a metrics-only tracer and shown to ``on_build`` before it trains.
+    Prints the header (``info``), the accuracy table (plus ``rows`` of
+    ``(label, value of a RunResult, format)``) and ``counters`` (block
+    title, keys); returns the RunResults and the traced counters.
     """
     from repro.core.hierminimax import HierMinimax
-    from repro.data.registry import make_federated_dataset
     from repro.nn.models import make_model_factory
+    from repro.obs import Tracer
 
-    dataset = make_federated_dataset("emnist_digits", seed=args.seed,
-                                     scale=args.scale)
+    pad = max(map(len, info))
+    for key, value in info.items():
+        print(f"{key:<{pad}s} : {value}")
+    dataset = info["dataset"]
     factory = make_model_factory("logistic", dataset.input_dim,
                                  dataset.num_classes)
+    tracer = Tracer(None)
+    results = {}
+    for label, run in arms.items():
+        run = {"cls": HierMinimax, **common, **run}
+        algo = run.pop("cls")(
+            dataset, factory, batch_size=8, eta_w=0.05, eta_p=2e-3, tau1=2,
+            tau2=2, m_edges=5, seed=args.seed,
+            obs=tracer if label == traced else None, **run)
+        if label == traced and on_build is not None:
+            on_build(algo)
+        results[label] = algo.run(rounds=args.rounds,
+                                  eval_every=max(1, args.rounds // 10))
 
-    def build(data=dataset, cls=HierMinimax, **run):
-        return cls(data, factory, batch_size=8, eta_w=0.05, eta_p=2e-3,
-                   tau1=2, tau2=2, m_edges=5, seed=args.seed, **run)
+    print("\n" + " ".join([" " * 24] + [f"{a:>{width}s}" for a in arms]
+                          + (["    delta"] if delta else [])))
+    for label, value, fmt in (
+            ("worst edge accuracy", _worst, ".4f"),
+            ("average accuracy",
+             lambda r: r.history.final().record.average_accuracy, ".4f"),
+            *rows):
+        vals = [value(res) for res in results.values()]
+        cells = [f"{v:{width}{fmt}}" for v in vals]
+        if delta:
+            cells.append(f"{vals[-1] - vals[0]:+9.4f}")
+        print(" ".join([f"{label:<24s}"] + cells))
+    snapshot = tracer.snapshot()["counters"]
+    if traced is not None:
+        title, keys = counters
+        key_width = max(28, 1 + max(map(len, keys)))
+        print(f"\n{title} counters ({traced} run):")
+        for key in keys:
+            if key in snapshot:
+                print(f"  {key:<{key_width}s} {snapshot[key]:g}")
+    return results, snapshot
 
-    return dataset, build, dict(rounds=args.rounds,
-                                eval_every=max(1, args.rounds // 10))
+
+def _demo_dataset(args):
+    """The demos' emnist-digits dataset at ``--scale``/``--seed``."""
+    from repro.data.registry import make_federated_dataset
+
+    return make_federated_dataset("emnist_digits", seed=args.seed,
+                                  scale=args.scale)
 
 
 def _cmd_degradation(args) -> int:
@@ -511,36 +537,18 @@ def _cmd_degradation(args) -> int:
     the fault-free run.  Exit code 1 signals the tolerance was exceeded.
     """
     from repro.faults import FaultPlan
-    from repro.obs import Tracer
 
     plan = FaultPlan.parse(args.faults)
-    dataset, build, schedule = _demo(args)
-    print(f"dataset : {dataset}")
-    print(f"plan    : {args.faults}")
-
-    def run(faults, obs=None):
-        res = build(obs=obs, faults=faults).run(**schedule)
-        return res.history.final().record
-
-    clean = run(None)
-    obs = Tracer(None)  # metrics-only: collect the fault counters
-    faulted = run(plan, obs=obs)
-    counters = obs.snapshot()["counters"]
-
-    drop = clean.worst_accuracy - faulted.worst_accuracy
-    print(f"\n{'':24s} {'fault-free':>12s} {'faulted':>12s} {'delta':>9s}")
-    for label, attr in (("worst edge accuracy", "worst_accuracy"),
-                        ("average accuracy", "average_accuracy")):
-        a, b = getattr(clean, attr), getattr(faulted, attr)
-        print(f"{label:<24s} {a:12.4f} {b:12.4f} {b - a:+9.4f}")
-    print("\nfault counters (faulted run):")
-    for key in ("clients_dropped_total", "stragglers_total",
-                "edge_outages_total", "messages_lost_total",
-                "messages_corrupted_total", "retries_total",
-                "stale_loss_fallbacks_total", "rounds_degraded",
-                "quarantined_senders"):
-        if key in counters:
-            print(f"  {key:<28s} {counters[key]:g}")
+    results, _ = _compare(
+        args, {"dataset": _demo_dataset(args), "plan": args.faults},
+        {"fault-free": {}, "faulted": dict(faults=plan)}, delta=True,
+        traced="faulted", counters=("fault", (
+            "clients_dropped_total", "stragglers_total", "edge_outages_total",
+            "messages_lost_total", "messages_corrupted_total",
+            "retries_total", "stale_loss_fallbacks_total", "rounds_degraded",
+            "quarantined_senders")))
+    clean, faulted = map(_worst, results.values())
+    drop = clean - faulted
     ok = drop <= args.tolerance
     print(f"\nworst-edge accuracy drop {drop:+.4f} "
           f"{'within' if ok else 'EXCEEDS'} tolerance {args.tolerance:.2f}")
@@ -558,12 +566,11 @@ def _cmd_byzantine(args) -> int:
     """
     from dataclasses import replace
 
-    from repro.defense import AttackPlan, apply_label_flip, resolve_defense
+    from repro.defense import AttackPlan, resolve_defense
     from repro.faults import FaultPlan
-    from repro.obs import Tracer
 
     attack = AttackPlan.parse(args.attack)
-    dataset, build, schedule = _demo(args)
+    dataset = _demo_dataset(args)
     if attack.fraction == 0.0 and not attack.clients:
         # Deterministic roster: --fraction of the clients, one per edge area
         # (the first client of each of the first N areas), so the per-cohort
@@ -574,40 +581,23 @@ def _cmd_byzantine(args) -> int:
             cpe * e for e in range(min(n_byz, dataset.num_edges))))
     plan = FaultPlan(byzantine=attack)
     policy = resolve_defense(args.defense)
-    poisoned = apply_label_flip(dataset, attack)
-    print(f"dataset : {dataset}")
     n_byz = len(attack.roster(dataset.num_clients))
-    print(f"attack  : {args.attack} "
-          f"({n_byz}/{dataset.num_clients} clients byzantine)")
-    print(f"defense : {policy.describe() if policy else 'mean'}")
-
-    def run(data, faults, defense, obs=None):
-        res = build(data, obs=obs, faults=faults,
-                    defense=defense).run(**schedule)
-        return res.history.final().record
-
-    clean = run(dataset, None, None)
-    undefended = run(poisoned, plan, None)
-    obs = Tracer(None)  # metrics-only: collect the attack/defense counters
-    defended = run(poisoned, plan, policy, obs=obs)
-    counters = obs.snapshot()["counters"]
-
-    print(f"\n{'':24s} {'clean':>10s} {'attacked':>10s} {'defended':>10s}")
-    for label, attr in (("worst edge accuracy", "worst_accuracy"),
-                        ("average accuracy", "average_accuracy")):
-        vals = [getattr(r, attr) for r in (clean, undefended, defended)]
-        print(f"{label:<24s} " + " ".join(f"{v:10.4f}" for v in vals))
-    print("\nbyzantine counters (defended run):")
-    for key in ("byzantine_attacks_total", "byzantine_filtered_total",
-                "norm_guard_rejections_total"):
-        if key in counters:
-            print(f"  {key:<28s} {counters[key]:g}")
-    drop = clean.worst_accuracy - defended.worst_accuracy
+    results, _ = _compare(
+        args, {"dataset": dataset,
+               "attack": f"{args.attack} ({n_byz}/{dataset.num_clients} "
+                         f"clients byzantine)",
+               "defense": policy.describe() if policy else "mean"},
+        {"clean": {}, "attacked": dict(faults=plan),
+         "defended": dict(faults=plan, defense=policy)}, width=10,
+        traced="defended", counters=("byzantine", (
+            "byzantine_attacks_total", "byzantine_filtered_total",
+            "norm_guard_rejections_total")))
+    clean, attacked, defended = map(_worst, results.values())
+    drop = clean - defended
     ok = drop <= args.tolerance
     print(f"\ndefended worst-edge accuracy drop {drop:+.4f} "
           f"{'within' if ok else 'EXCEEDS'} tolerance {args.tolerance:.2f} "
-          f"(undefended drop "
-          f"{clean.worst_accuracy - undefended.worst_accuracy:+.4f})")
+          f"(undefended drop {clean - attacked:+.4f})")
     return 0 if ok else 1
 
 
@@ -622,34 +612,24 @@ def _cmd_timesim(args) -> int:
     """
     from repro.core.semiasync import SemiAsyncHierMinimax
 
-    dataset, build, schedule = _demo(args)
-    print(f"dataset    : {dataset}")
-    print(f"cost model : {args.cost_model}")
-    print(f"staleness  : {args.staleness}")
-
-    def run(**kwargs):
-        res = build(timing=args.cost_model, **kwargs).run(**schedule)
-        return res.history.final().record, res.sim_time_s
-
-    sync_rec, sync_t = run()
-    semi_rec, semi_t = run(cls=SemiAsyncHierMinimax,
-                           staleness=args.staleness)
-
-    print(f"\n{'':24s} {'sync':>12s} {'semi-async':>12s}")
-    for label, attr in (("worst edge accuracy", "worst_accuracy"),
-                        ("average accuracy", "average_accuracy")):
-        a, b = getattr(sync_rec, attr), getattr(semi_rec, attr)
-        print(f"{label:<24s} {a:12.4f} {b:12.4f}")
-    print(f"{'simulated time (s)':<24s} {sync_t:12.4f} {semi_t:12.4f}")
-    faster = semi_t < sync_t
-    close = semi_rec.worst_accuracy >= sync_rec.worst_accuracy - 0.02
-    speedup = sync_t / semi_t if semi_t > 0 else float("inf")
+    results, _ = _compare(
+        args, {"dataset": _demo_dataset(args), "cost model": args.cost_model,
+               "staleness": args.staleness},
+        {"sync": {}, "semi-async": dict(cls=SemiAsyncHierMinimax,
+                                        staleness=args.staleness)},
+        rows=[("simulated time (s)", lambda r: r.sim_time_s, ".4f")],
+        timing=args.cost_model)
+    sync, semi = results["sync"], results["semi-async"]
+    faster = semi.sim_time_s < sync.sim_time_s
+    close = _worst(semi) >= _worst(sync) - 0.02
+    speedup = (sync.sim_time_s / semi.sim_time_s if semi.sim_time_s > 0
+               else float("inf"))
     print(f"\nsemi-async {'is' if faster else 'is NOT'} faster "
           f"({speedup:.2f}x) and its worst-edge accuracy "
           f"{'matches' if close else 'LAGS'} the synchronous run")
     if args.staleness == 0:
-        exact = (semi_t == sync_t
-                 and semi_rec.worst_accuracy == sync_rec.worst_accuracy)
+        exact = (semi.sim_time_s == sync.sim_time_s
+                 and _worst(semi) == _worst(sync))
         print(f"staleness=0 reproduction: {'exact' if exact else 'BROKEN'}")
         return 0 if exact else 1
     return 0 if faster and close else 1
@@ -669,67 +649,41 @@ def _cmd_churn(args) -> int:
     from dataclasses import replace
 
     from repro.membership import ChurnPlan
-    from repro.obs import Tracer
 
     plan = ChurnPlan.parse(args.churn)
-    dataset, build, schedule = _demo(args)
-    print(f"dataset : {dataset}")
-    print(f"churn   : {args.churn}")
-
-    def run(churn, obs=None):
-        algo = build(obs=obs, churn=churn, timing=args.cost_model)
-        initial = len(algo.membership.active) if algo.membership.enabled else 0
-        res = algo.run(**schedule)
-        final = len(algo.membership.active) if algo.membership.enabled else 0
-        return res, initial, final
-
-    clean, _, _ = run(None)
-    obs = Tracer(None)  # metrics-only: collect the membership counters
-    rehomed, initial, final = run(plan, obs=obs)
-    norehome, _, _ = run(replace(plan, rehome=False))
-    counters = obs.snapshot()["counters"]
-
-    recs = {name: res.history.final().record
-            for name, res in (("clean", clean), ("re-homed", rehomed),
-                              ("no-failover", norehome))}
-    print(f"\n{'':24s} {'clean':>12s} {'re-homed':>12s} {'no-failover':>12s}")
-    for label, attr in (("worst edge accuracy", "worst_accuracy"),
-                        ("average accuracy", "average_accuracy")):
-        vals = [getattr(recs[n], attr)
-                for n in ("clean", "re-homed", "no-failover")]
-        print(f"{label:<24s} " + " ".join(f"{v:12.4f}" for v in vals))
-    print(f"{'total traffic (MB)':<24s} "
-          + " ".join(f"{res.comm.total_bytes / 1e6:12.2f}"
-                     for res in (clean, rehomed, norehome)))
+    rows = [("total traffic (MB)", lambda r: r.comm.total_bytes / 1e6, ".2f")]
     if args.cost_model:
-        print(f"{'simulated time (s)':<24s} "
-              + " ".join(f"{res.sim_time_s:12.3f}"
-                         for res in (clean, rehomed, norehome)))
-    print("\nmembership counters (re-homed run):")
-    for key in ("membership_joined_total", "membership_left_total",
-                "membership_rehomed_total", "membership_edge_crashes_total",
-                "membership_recovered_total", "membership_partitions_total",
-                "membership_heals_total", "membership_handoffs_total"):
-        if key in counters:
-            print(f"  {key:<30s} {counters[key]:g}")
+        rows.append(("simulated time (s)", lambda r: r.sim_time_s, ".3f"))
+    opening = []  # the re-homed arm's ledger opens before round 0
+    results, counters = _compare(
+        args, {"dataset": _demo_dataset(args), "churn": args.churn},
+        {"clean": {}, "re-homed": dict(churn=plan),
+         "no-failover": dict(churn=replace(plan, rehome=False))},
+        rows=rows, timing=args.cost_model, on_build=lambda algo: (
+            opening.extend((algo.membership, len(algo.membership.active)))),
+        traced="re-homed", counters=("membership", (
+            "membership_joined_total", "membership_left_total",
+            "membership_rehomed_total", "membership_edge_crashes_total",
+            "membership_recovered_total", "membership_partitions_total",
+            "membership_heals_total", "membership_handoffs_total")))
 
     joined = int(counters.get("membership_joined_total", 0))
     left = int(counters.get("membership_left_total", 0))
+    membership, initial = opening
+    final = len(membership.active)
     balanced = joined - left == final - initial
     print(f"\nledger: {joined} joined - {left} left == "
           f"{final} - {initial} active "
           f"({'balanced' if balanced else 'IMBALANCED'})")
-    drop = recs["clean"].worst_accuracy - recs["re-homed"].worst_accuracy
-    survives = (recs["re-homed"].worst_accuracy
-                >= recs["no-failover"].worst_accuracy)
+    clean, rehomed, norehome = map(_worst, results.values())
+    drop = clean - rehomed
+    survives = rehomed >= norehome
     ok = balanced and survives and drop <= args.tolerance
     print(f"re-homed worst-edge accuracy drop {drop:+.4f} "
           f"{'within' if drop <= args.tolerance else 'EXCEEDS'} tolerance "
           f"{args.tolerance:.2f}; re-homing "
           f"{'recovers' if survives else 'DOES NOT recover'} the "
-          f"no-failover accuracy "
-          f"({recs['re-homed'].worst_accuracy:.4f} vs "
-          f"{recs['no-failover'].worst_accuracy:.4f})")
+          f"no-failover accuracy ({rehomed:.4f} vs {norehome:.4f})")
     return 0 if ok else 1
 
 
@@ -819,105 +773,7 @@ def _cmd_chaos(args) -> int:
     return 0 if campaign_ok(outcomes) else 1
 
 
-def _cmd_substrate(args) -> int:
-    """Acceptance gate of the execution substrate; exit 1 on failure.
-
-    Gate 1 (bit-identity): one multi-step local-training dispatch — logistic
-    AND MLP engines, a duplicated client (with-replacement sampling shape),
-    mid-run ``checkpoint_after`` snapshots — must come back byte-identical to
-    serial from every available backend.  The vectorized backend must take
-    the batched kernel for *every* task of both models: a silent per-task
-    serial fallback fails the gate even though the bits would match.
-
-    Gate 2 (fused evaluation): the fused ``accuracy_and_loss`` sweep of
-    :func:`~repro.metrics.evaluation.evaluate_per_edge` must equal the
-    pre-fusion two-pass evaluation (``accuracy`` then ``loss``)
-    byte-for-byte on every edge test set.
-    """
-    import numpy as np
-
-    from repro.data.registry import make_federated_dataset
-    from repro.exec import (ClientWork, available_backends, make_backend,
-                            run_local_steps)
-    from repro.metrics.evaluation import evaluate_per_edge
-    from repro.nn.models import make_model_factory
-    from repro.obs import Tracer
-    from repro.sim.builder import build_flat_clients
-    from repro.utils.rng import RngFactory
-
-    fed = make_federated_dataset("emnist_digits", scale=args.scale,
-                                 seed=args.seed)
-    print(f"dataset : {fed}")
-    ckpt = max(1, args.steps // 2)
-    ok = True
-
-    print(f"\ngate 1: dispatch bit-identity ({args.steps} steps, "
-          f"checkpoint_after={ckpt}, duplicate client)")
-    factories = {
-        "logistic": make_model_factory("logistic", fed.input_dim,
-                                       fed.num_classes, l2=1e-3),
-        "mlp": make_model_factory("mlp", fed.input_dim, fed.num_classes,
-                                  hidden=(16,), l2=1e-3),
-    }
-    for model, factory in factories.items():
-        engine = factory()
-        engine.initialize(args.seed)
-        w0 = engine.get_params()
-
-        def dispatch(name):
-            clients = build_flat_clients(
-                fed, batch_size=8, rng_factory=RngFactory(args.seed + 77))
-            work = ([ClientWork(c, args.steps, checkpoint_after=ckpt)
-                     for c in clients]
-                    + [ClientWork(clients[0], args.steps,
-                                  checkpoint_after=ckpt)])
-            tracer = Tracer(None)
-            with make_backend(name, workers=2) as b:
-                results = run_local_steps(b, engine, w0, work, lr=0.05,
-                                          obs=tracer)
-            counters = tracer.snapshot()["counters"]
-            tracer.close()
-            ends = np.stack([r.w_end for r in results])
-            ckpts = np.stack([r.w_checkpoint for r in results])
-            return ends, ckpts, counters, len(work)
-
-        ref_ends, ref_ckpts, _, n_tasks = dispatch("serial")
-        for name in available_backends():
-            if name == "serial":
-                continue
-            ends, ckpts, counters, _ = dispatch(name)
-            identical = (np.array_equal(ref_ends, ends)
-                         and np.array_equal(ref_ckpts, ckpts))
-            note = ""
-            if name == "vectorized":
-                batched = int(counters.get("exec_vectorized_tasks_total", 0))
-                note = f"  batched {batched}/{n_tasks}"
-                identical = identical and batched == n_tasks
-            status = "ok" if identical else "FAIL"
-            print(f"  {model:<9s} {name:<11s} {status}{note}")
-            ok = ok and identical
-
-    print("\ngate 2: fused evaluation == two-pass bytes")
-    for model, factory in factories.items():
-        engine = factory()
-        engine.initialize(args.seed + 1)
-        w = engine.get_params()
-        acc_old = np.empty(fed.num_edges)
-        loss_old = np.empty(fed.num_edges)
-        for j, edge in enumerate(fed.edges):
-            acc_old[j] = engine.accuracy(edge.test.X, edge.test.y)
-            loss_old[j] = engine.loss(edge.test.X, edge.test.y)
-        acc_new, loss_new = evaluate_per_edge(engine, w, fed)
-        identical = (acc_old.tobytes() == acc_new.tobytes()
-                     and loss_old.tobytes() == loss_new.tobytes())
-        print(f"  {model:<9s} {'ok' if identical else 'FAIL'}")
-        ok = ok and identical
-
-    print(f"\nsubstrate gate: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def _cmd_info() -> int:
+def _cmd_info(args) -> int:
     import repro
 
     print(f"repro {repro.__version__} — HierMinimax (ICPP '24) reproduction")
@@ -931,9 +787,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.backend is not None or args.workers is not None:
-        # Subcommands build algorithms through several paths (figures, tables,
-        # degradation demo); the environment is the one channel they all
-        # consult via repro.exec.resolve_backend.
+        # Subcommands build algorithms through several paths; the environment
+        # is the one channel they all consult (repro.exec.resolve_backend).
         import os
 
         from repro.exec import BACKEND_ENV, WORKERS_ENV
@@ -942,32 +797,4 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.environ[BACKEND_ENV] = args.backend
         if args.workers is not None:
             os.environ[WORKERS_ENV] = str(args.workers)
-    if args.command in ("fig3", "fig4"):
-        return _cmd_figure(args, args.command)
-    if args.command == "table1":
-        return _cmd_table1(args)
-    if args.command == "table2":
-        return _cmd_table2(args)
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args)
-    if args.command == "trace-report":
-        return _cmd_trace_report(args)
-    if args.command == "trace-profile":
-        return _cmd_trace_profile(args)
-    if args.command == "perf-check":
-        return _cmd_perf_check(args)
-    if args.command == "degradation":
-        return _cmd_degradation(args)
-    if args.command == "byzantine":
-        return _cmd_byzantine(args)
-    if args.command == "timesim":
-        return _cmd_timesim(args)
-    if args.command == "churn":
-        return _cmd_churn(args)
-    if args.command == "population":
-        return _cmd_population(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "substrate":
-        return _cmd_substrate(args)
-    return _cmd_info()
+    return args.func(args)

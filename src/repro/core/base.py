@@ -32,7 +32,7 @@ from repro.metrics.history import HistoryPoint, TrainingHistory, \
 from repro.nn.models import ModelFactory
 from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
-from repro.population import resolve_population
+from repro.population import EagerPopulation, resolve_population
 from repro.simtime import resolve_timing
 from repro.sim.edge import clip_losses, probe_leg, train_leg
 from repro.topology.comm import CommSnapshot, CommunicationTracker
@@ -122,7 +122,11 @@ class FederatedAlgorithm(ABC):
         stragglers, edge outages, and message loss/corruption into the run.
         ``None`` or ``FaultPlan.none()`` disables every fault path — the
         injector has its own RNG streams, so outputs are bit-identical to a
-        run without the fault layer.
+        run without the fault layer.  A ``label_flip`` attack in the plan's
+        ``byzantine`` roster poisons data rather than payloads: the
+        attackers' shards of an eager dataset are flipped here, once, and a
+        virtual population (whose shards are derived, not stored) is
+        rejected with :class:`ValueError`.
     backend:
         Execution backend for the per-round client SGD loops: an
         :class:`~repro.exec.ExecutionBackend` instance (shared with the
@@ -187,7 +191,11 @@ class FederatedAlgorithm(ABC):
                  logger=None, obs=None, faults=None, backend=None,
                  defense=None, timing=None, churn=None,
                  population=None) -> None:
-        self.population = resolve_population(population, dataset)
+        self.obs = obs if obs is not None else NULL_TRACER
+        self.faults = resolve_injector(faults, obs=self.obs)
+        self.population = _label_flipped(
+            resolve_population(population, dataset),
+            self.faults.plan.byzantine)
         # For the eager wrap this is the dataset object itself — every
         # downstream consumer sees exactly what it saw before populations
         # existed; for virtual populations it is the lazy dataset view.
@@ -200,8 +208,6 @@ class FederatedAlgorithm(ABC):
         self.engine = model_factory(self.rng_factory.stream("init"))
         self.tracker = CommunicationTracker()
         self.logger = logger if logger is not None else NullLogger()
-        self.obs = obs if obs is not None else NULL_TRACER
-        self.faults = resolve_injector(faults, obs=self.obs)
         self.defense = resolve_defense(defense)
         # Pre-resolved per-tier hooks: None means "take the original inline
         # aggregation path" — both for no defense and for the reference mean.
@@ -636,8 +642,7 @@ class FederatedAlgorithm(ABC):
         data size or uniformly.
         """
         active = self.membership.client_active
-        cohort = [client for client in (self.clients[int(i)] for i in sampled)
-                  if active(client.client_id)]
+        cohort = [self.clients[i] for i in map(int, sampled) if active(i)]
         weights = [float(c.num_samples) if weight_by_data else 1.0
                    for c in cohort]
         entries, ckpt_entries = train_leg(
@@ -716,3 +721,24 @@ class FederatedAlgorithm(ABC):
             weights=None if weights is None else weights.copy(),
             sim_time_s=self.timing.elapsed_s,
         )
+
+
+def _label_flipped(population, attack):
+    """The population a ``label_flip`` attack trains on: the attackers'
+    shards flipped by :func:`~repro.defense.attacks.apply_label_flip`.
+
+    Every other attack tampers with payloads during the run and leaves the
+    data alone.  Flipping here, where ``faults=`` is resolved, is what keeps
+    a plan's attack the same for every caller; a caller that also flipped
+    its data would flip it back.
+    """
+    if attack is None or attack.is_null or attack.attack != "label_flip":
+        return population
+    if population.virtual:
+        raise ValueError("label_flip attacks poison materialized shards and "
+                         "cannot run against a virtual population")
+    from repro.defense.attacks import apply_label_flip
+
+    return EagerPopulation(apply_label_flip(population.dataset, attack),
+                           eval_edges=population.eval_edges,
+                           eval_seed=population.eval_seed)

@@ -23,9 +23,10 @@ Attack models
     by ``scale`` — aimed squarely at the minimax weight ascent (Eq. (7)),
     where an inflated loss drags the fairness weights toward the attacker.
 ``label_flip``
-    A data-poisoning attack applied before training via
-    :func:`apply_label_flip`: the attacker's shard labels are remapped
-    ``y → (C-1) - y``.  No payload is tampered at runtime.
+    A data-poisoning attack applied via :func:`apply_label_flip` where the
+    algorithm resolves ``faults=``, before training: the attacker's shard
+    labels are remapped ``y → (C-1) - y``.  No payload is tampered at
+    runtime.
 
 Colluding attackers (``colluding=True`` or an explicit group) share a single
 per-round noise draw, so e.g. ``gauss`` colluders submit *identical* poisoned

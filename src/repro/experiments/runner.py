@@ -3,7 +3,9 @@
 :func:`run_experiment` executes every algorithm of a preset on the *same*
 federated dataset with the same slot budget and returns their
 :class:`~repro.core.base.RunResult` objects keyed by algorithm name.  The runner is
-the single choke point used by figures, tables, ablations, examples, and benches.
+what the figures, the tables, ``benchmarks/e2e`` and ``bench_substrate.py``
+run through; the CLI demos, the examples and the other benches build their
+algorithms directly.
 
 Pass ``obs=Tracer(...)`` to collect per-phase wall-clock attribution, a metrics
 snapshot, and (with a :class:`~repro.obs.TraceWriter`) a JSONL run record — all
@@ -121,8 +123,8 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
         :class:`~repro.defense.AttackPlan` or a spec string for
         :meth:`AttackPlan.parse` (``"sign_flip,fraction=0.2"``).  Merged into
         the fault plan (creating a fresh one when ``faults`` is ``None``);
-        a ``label_flip`` attack additionally poisons the byzantine clients'
-        training shards before any algorithm runs.
+        each algorithm resolves a ``label_flip`` attack from that plan by
+        flipping the byzantine clients' training shards.
     defense:
         Optional countermeasure policy — a
         :class:`~repro.defense.DefensePolicy`, aggregator name, or spec
@@ -176,7 +178,8 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
         :class:`~repro.population.VirtualPopulation` over the shared spec, so
         cohort derivations stay pure functions of ``(spec.seed, client_id)``
         and runs remain paired.  Incompatible with ``label_flip`` attacks
-        (data poisoning needs a materialized dataset).
+        (data poisoning needs a materialized dataset): the first algorithm
+        built raises :class:`ValueError`.
     """
     obs = obs if obs is not None else NULL_TRACER
     if resume and checkpoint_dir is None:
@@ -207,19 +210,9 @@ def run_experiment(preset: ExperimentPreset, *, seed: int = 0,
             # Virtual population: nothing to materialize — the "dataset" the
             # roster shares is the spec itself; each algorithm derives its
             # own lazy cohorts from it.
-            if (faults is not None and faults.has_attack
-                    and faults.byzantine.attack == "label_flip"):
-                raise ValueError("label_flip attacks poison materialized "
-                                 "shards and cannot run against a virtual "
-                                 "population")
             dataset = population
         else:
             dataset = build_preset_dataset(preset, seed=seed)
-            if faults is not None and faults.has_attack:
-                # Data poisoning happens once, before any algorithm trains.
-                from repro.defense.attacks import apply_label_flip
-
-                dataset = apply_label_flip(dataset, faults.byzantine)
         model_factory = build_preset_model(preset, dataset)
     roster = algorithms if algorithms is not None else preset.algorithms
     timers = TimerBank()

@@ -13,13 +13,16 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tests.conftest import make_blob_fed
 from repro.core.hierminimax import HierMinimax
+from repro.data.registry import make_federated_dataset
 from repro.defense import (
     AttackPlan,
     CoordinateMedian,
@@ -34,7 +37,10 @@ from repro.defense import (
 from repro.defense.aggregators import AGGREGATORS, resolve_aggregator
 from repro.defense.policy import clip_loss_reports, robust_combine
 from repro.exec import resolve_backend
+from repro.experiments import fig3_preset, run_experiment
 from repro.faults import FaultInjector, FaultPlan
+from repro.nn.models import make_model_factory
+from repro.population import PopulationSpec
 from repro.obs import Tracer, analyze_trace, format_trace_report
 
 
@@ -130,6 +136,66 @@ class TestAttackPlan:
         assert poisoned.edges[1] is not None
         # Null attack: the same dataset object comes back.
         assert apply_label_flip(blob_fed, AttackPlan.none()) is blob_fed
+
+
+# ------------------------------------------------ label flip through faults=
+LABEL_FLIP = FaultPlan(byzantine=AttackPlan.parse("label_flip,clients=0|3|6|9"))
+
+#: Final params and weights of the fig3 tiny roster, cut to 120 slots, under
+#: a 30% label flip, recorded when the runner still flipped the shards itself.
+LABEL_FLIP_ROSTER_DIGESTS = {
+    "drfa": "d714d82e55e523132c635bde8593e1770b31e12fc38ac2f7a336416bb00aa336",
+    "fedavg":
+        "9e761e7480aff0ad97c41d3f9c2a8fe4c35fa68469d4546b554db7de86c9b5a7",
+    "hierfavg":
+        "98e4ffea1c26f846c661ed37c08131bb2682599a1338f1939897b13fea2809f3",
+    "hierminimax":
+        "5ee862c8110c58721dfb928463f97cb5a44a82c88f9f1107cea4b8ae458b1775",
+    "stochastic_afl":
+        "76562665127cc0edbd886601ed21d37e29d000deafb47fd8a2bcf2be573a7d47",
+}
+
+
+class TestLabelFlipPlan:
+    """A ``label_flip`` attack passed as ``faults=`` flips the attackers'
+    shards where the algorithm resolves the plan, exactly once."""
+
+    def test_plan_poisons_the_run_once(self):
+        data = make_federated_dataset("emnist_digits", seed=0, scale="tiny")
+        factory = make_model_factory("logistic", data.input_dim,
+                                     data.num_classes)
+
+        def run(dataset, **kw):
+            return HierMinimax(dataset, factory, batch_size=8, eta_w=0.05,
+                               eta_p=2e-3, tau1=2, tau2=2, m_edges=5, seed=0,
+                               **kw).run(rounds=5)
+
+        clean = run(data)
+        attacked = run(data, faults=LABEL_FLIP)
+        assert not np.array_equal(attacked.final_params, clean.final_params)
+        flipped = run(apply_label_flip(data, LABEL_FLIP.byzantine))
+        np.testing.assert_array_equal(attacked.final_params,
+                                      flipped.final_params)
+        np.testing.assert_array_equal(attacked.final_weights,
+                                      flipped.final_weights)
+
+    def test_virtual_population_is_rejected(self):
+        spec = PopulationSpec.parse("clients=20,edges=4,samples=4,seed=0")
+        factory = make_model_factory("logistic", spec.input_dim,
+                                     spec.num_classes)
+        with pytest.raises(ValueError, match="label_flip"):
+            HierMinimax(spec, factory, faults=LABEL_FLIP)
+
+    def test_runner_roster_bits(self):
+        out = run_experiment(replace(fig3_preset("tiny"), slots=120),
+                             attack="label_flip,fraction=0.3,seed=1")
+        digests = {}
+        for name, res in out.results.items():
+            digest = hashlib.sha256(res.final_params.tobytes())
+            if res.final_weights is not None:
+                digest.update(res.final_weights.tobytes())
+            digests[name] = digest.hexdigest()
+        assert digests == LABEL_FLIP_ROSTER_DIGESTS
 
 
 # -------------------------------------------------- aggregator property tests

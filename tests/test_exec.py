@@ -68,6 +68,19 @@ def mlp_factory(fed):
                               hidden=(12,))
 
 
+# Weight decay takes its own branch of the stacked kernel's update.
+@pytest.fixture(scope="module")
+def logistic_l2_factory(fed):
+    return make_model_factory("logistic", fed.input_dim, fed.num_classes,
+                              l2=1e-3)
+
+
+@pytest.fixture(scope="module")
+def mlp_l2_factory(fed):
+    return make_model_factory("mlp", fed.input_dim, fed.num_classes,
+                              hidden=(12,), l2=1e-3)
+
+
 def run_hierminimax(fed, factory, backend, *, rounds=4, faults=None,
                     checkpoint_path=None, checkpoint_every=None):
     algo = HierMinimax(fed, factory, tau1=2, tau2=2, m_edges=5,
@@ -180,6 +193,10 @@ class TestKernelAliasing:
 
 
 # -------------------------------------------------------- dispatch-level bits
+MODELS = ("logistic_factory", "mlp_factory", "logistic_l2_factory",
+          "mlp_l2_factory")
+
+
 class TestDispatchEquivalence:
     def _setup(self, fed, factory):
         engine = factory()
@@ -195,7 +212,7 @@ class TestDispatchEquivalence:
         states = [c.sampler.batches_drawn for c in clients]
         return results, states
 
-    @pytest.mark.parametrize("model", ("logistic_factory", "mlp_factory"))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("name", BACKENDS[1:])
     def test_matches_serial_with_checkpoints_and_duplicates(
             self, fed, name, model, request):
@@ -218,7 +235,7 @@ class TestDispatchEquivalence:
                 np.testing.assert_array_equal(r.w_checkpoint, g.w_checkpoint)
         assert [c.sampler.batches_drawn for c in clients] == ref_states
 
-    @pytest.mark.parametrize("model", ("logistic_factory", "mlp_factory"))
+    @pytest.mark.parametrize("model", MODELS)
     def test_vectorized_batches_every_eligible_task(self, fed, model,
                                                     request):
         """Both paper models take the batched kernel — no silent fallback.

@@ -5,10 +5,10 @@ delivery and local training have a single home.
 and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`; the round's
 plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
 ``robust_combine`` is called only by its ``combine``, ``run_local_steps``
-only by its ``train_leg`` (plus the ``substrate`` CLI gate, which checks the
-dispatcher itself) and ``FaultInjector.receive`` only by its ``deliver``; the
-run-wide ``faults=``/``timing=``/``churn=`` arguments are resolved only in
-``FederatedAlgorithm.__init__`` (and inside the resolvers' own modules).
+only by its ``train_leg`` and ``FaultInjector.receive`` only by its
+``deliver``; the run-wide ``faults=``/``timing=``/``churn=`` arguments are
+resolved only in ``FederatedAlgorithm.__init__`` (and inside the resolvers'
+own modules).
 AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
 docstrings does not trip it — only real calls, attribute references and
 imports count.
@@ -86,7 +86,7 @@ def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
     (_spec_splits, ("utils/spec.py",)),
     (_durable_calls, ("utils/serialization.py",)),
     (_calls_of("robust_combine"), ("sim/edge.py",)),
-    (_calls_of("run_local_steps"), ("sim/edge.py", "cli.py")),
+    (_calls_of("run_local_steps"), ("sim/edge.py",)),
     (_calls_of("receive"), ("sim/edge.py",)),
     (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
                               "simtime/null.py", "simtime/cost.py",

@@ -697,6 +697,43 @@ class TestEdgeScopedCohorts:
 # ---------------------------------------------------------------------------
 # Checkpoint / resume (including across a failover boundary)
 # ---------------------------------------------------------------------------
+#: Final params (and weights) of the two-layer baselines on a churned
+#: virtual population, recorded while Phase 1 still derived every sampled
+#: client before asking whether it had left: skipping those must not move a
+#: bit.
+CHURNED_BASELINE_DIGESTS = {
+    "drfa": "c5360d7d363ea3d2c6aecc821700e61f1b84e676542a51a5c7f97a623af145ad",
+    "fedavg":
+        "eb9daabc8c451df95825433f2b6add0b69624be981d868f6141843395c033ef4",
+    "stochastic_afl":
+        "98612b2a1b268916a3423faa10f34f38bcbb236b3632508f38987696bb13efe0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHURNED_BASELINE_DIGESTS))
+def test_baselines_derive_no_client_that_has_left(monkeypatch, name):
+    spec = PopulationSpec.parse("clients=200,edges=10,samples=8,seed=0")
+    algo = make_algorithm(name, spec, spec_factory(spec), batch_size=4,
+                          eta_w=0.05, eta_p=1e-3, tau1=2, tau2=2, m_edges=3,
+                          seed=0, churn="depart=0.3,seed=1")
+    pop = algo.population
+    client = pop.client
+    derived_after_leaving = []
+
+    def probed_client(cid):
+        if not algo.membership.client_active(cid):
+            derived_after_leaving.append(cid)
+        return client(cid)
+
+    monkeypatch.setattr(pop, "client", probed_client)
+    result = algo.run(rounds=10)
+    assert derived_after_leaving == []
+    digest = hashlib.sha256(result.final_params.tobytes())
+    if result.final_weights is not None:
+        digest.update(result.final_weights.tobytes())
+    assert digest.hexdigest() == CHURNED_BASELINE_DIGESTS[name]
+
+
 class TestVirtualCheckpointResume:
     def _algo(self, churn=None):
         return HierMinimax(SPEC, spec_factory(), tau1=2, tau2=2, m_edges=2,
