@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.hierminimax import HierMinimax
 from repro.data.registry import make_federated_dataset
-from repro.defense import AttackPlan
+from repro.defense import AttackPlan, one_per_edge_roster
 from repro.faults import FaultPlan
 from repro.nn.models import make_model_factory
 from repro.obs import Tracer
@@ -51,15 +51,6 @@ ATTACKS = (
 )
 
 
-def byzantine_roster(dataset) -> tuple[int, ...]:
-    """First client of each of the first 20% × num_edges... edges — a 20%
-    roster with exactly one attacker per affected area, so every defense
-    faces the same per-cohort breakdown ratio."""
-    cpe = dataset.edges[0].num_clients
-    n_byz = max(1, round(0.2 * dataset.num_clients))
-    return tuple(cpe * e for e in range(min(n_byz, dataset.num_edges)))
-
-
 def test_byzantine_grid(benchmark, repro_scale, save_report, make_tracer,
                         bench_trajectory):
     scale = "tiny" if repro_scale == "tiny" else "small"
@@ -68,7 +59,8 @@ def test_byzantine_grid(benchmark, repro_scale, save_report, make_tracer,
     dataset = make_federated_dataset("emnist_digits", seed=0, scale=scale)
     factory = make_model_factory("logistic", dataset.input_dim,
                                  dataset.num_classes)
-    roster = byzantine_roster(dataset)
+    # A 20% roster, one attacker per affected area.
+    roster = one_per_edge_roster(dataset, 0.2)
 
     def train(faults=None, defense=None, obs=None):
         algo = HierMinimax(dataset, factory, batch_size=8, eta_w=eta_w,

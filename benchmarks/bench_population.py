@@ -11,8 +11,8 @@ tracemalloc peaks, and distills
   below the perf-check floor exactly when the large run's memory starts
   scaling with population size,
 * the cohort counters, communication totals and client-state store footprint
-  (``store_record_bytes``, the summed length of every packed client record)
-  of the large run (exact), and
+  (``store_bytes``, 16 bytes per stored client: its id and two counters) of
+  the large run (exact), and
 * the raw peaks, gated from above by the one-sided ``memory`` kind, and the
   wall time (informational ``seconds``; machine-dependent).
 
@@ -58,7 +58,7 @@ def _train(spec: PopulationSpec, tracker: PeakMemoryTracker) -> dict:
         "materialized": pop.clients_materialized_total,
         "max_live": pop.max_live_clients,
         "stored": len(pop.store),
-        "record_bytes": pop.store.record_bytes(),
+        "store_bytes": pop.store.payload_bytes(),
         "comm_bytes": result.comm.total_bytes,
         "average_accuracy": result.history.final().record.average_accuracy,
     }
@@ -104,7 +104,7 @@ def test_population_memory_independence(bench_trajectory, save_report):
             "value": large["materialized"], "kind": "counter"},
         "max_live_clients": {"value": large["max_live"], "kind": "counter"},
         "stored_clients": {"value": large["stored"], "kind": "counter"},
-        "store_record_bytes": {"value": large["record_bytes"], "kind": "bytes"},
+        "store_bytes": {"value": large["store_bytes"], "kind": "bytes"},
         "total_comm_bytes": {"value": large["comm_bytes"], "kind": "bytes"},
         "final_average_accuracy": {
             "value": large["average_accuracy"], "kind": "exact"},

@@ -566,19 +566,15 @@ def _cmd_byzantine(args) -> int:
     """
     from dataclasses import replace
 
-    from repro.defense import AttackPlan, resolve_defense
+    from repro.defense import (AttackPlan, one_per_edge_roster,
+                               resolve_defense)
     from repro.faults import FaultPlan
 
     attack = AttackPlan.parse(args.attack)
     dataset = _demo_dataset(args)
     if attack.fraction == 0.0 and not attack.clients:
-        # Deterministic roster: --fraction of the clients, one per edge area
-        # (the first client of each of the first N areas), so the per-cohort
-        # breakdown ratio is the same for every run of the demo.
-        cpe = dataset.edges[0].num_clients
-        n_byz = max(1, round(args.fraction * dataset.num_clients))
-        attack = replace(attack, clients=tuple(
-            cpe * e for e in range(min(n_byz, dataset.num_edges))))
+        attack = replace(attack, clients=one_per_edge_roster(
+            dataset, args.fraction))
     plan = FaultPlan(byzantine=attack)
     policy = resolve_defense(args.defense)
     n_byz = len(attack.roster(dataset.num_clients))
@@ -749,7 +745,7 @@ def _cmd_population(args) -> int:
         print(f"cohort: materialized {pop.clients_materialized_total:,} "
               f"total, max {pop.max_live_clients:,} per round, "
               f"{len(pop.store):,} with stored state "
-              f"({pop.store.record_bytes():,} record bytes)")
+              f"({pop.store.payload_bytes():,} store bytes)")
         within = peak_mb <= args.budget_mb
         print(f"memory: tracemalloc peak {peak_mb:.1f} MB "
               f"{'within' if within else 'EXCEEDS'} budget "

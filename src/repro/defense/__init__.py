@@ -35,6 +35,7 @@ __all__ = [
     "WeightedMean",
     "apply_label_flip",
     "clip_loss_reports",
+    "one_per_edge_roster",
     "resolve_aggregator",
     "resolve_defense",
     "robust_combine",
@@ -46,7 +47,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "NormClip", "RobustAggregator", "TrimmedMean", "WeightedMean",
         "resolve_aggregator",
     ),
-    "repro.defense.attacks": ("ATTACKS", "AttackPlan", "apply_label_flip"),
+    "repro.defense.attacks": ("ATTACKS", "AttackPlan", "apply_label_flip",
+                              "one_per_edge_roster"),
     "repro.defense.policy": (
         "DefensePolicy", "clip_loss_reports", "resolve_defense",
         "robust_combine",

@@ -43,7 +43,7 @@ from repro.utils.rng import stable_key
 from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
-__all__ = ["ATTACKS", "AttackPlan", "apply_label_flip"]
+__all__ = ["ATTACKS", "AttackPlan", "apply_label_flip", "one_per_edge_roster"]
 
 #: Recognized attack model names (``"none"`` additionally disables the roster).
 ATTACKS = ("sign_flip", "gauss", "scale", "loss_inflation", "label_flip")
@@ -205,6 +205,19 @@ class AttackPlan:
         """
         return cls(**parse_spec(spec, "attack", dataclass_schema(cls),
                                 leading="attack"))
+
+
+def one_per_edge_roster(dataset, fraction: float) -> tuple[int, ...]:
+    """The first client of each of the first ``fraction``·clients edge areas.
+
+    A deterministic roster (at least one attacker, at most one per area) for
+    an :class:`AttackPlan`'s ``clients``: every run and every defense faces
+    the same per-cohort breakdown ratio.  Assumes equal-sized areas, so
+    area ``e``'s first client is ``e`` times the first area's size.
+    """
+    per_edge = dataset.edges[0].num_clients
+    n_byz = max(1, round(fraction * dataset.num_clients))
+    return tuple(per_edge * e for e in range(min(n_byz, dataset.num_edges)))
 
 
 def apply_label_flip(dataset, plan: AttackPlan):

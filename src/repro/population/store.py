@@ -2,40 +2,35 @@
 
 A virtual population materializes only the sampled cohort each round and throws
 it away afterwards — but some client state must *survive* the discard: the
-minibatch-sampler cursor (so a client re-sampled in a later round continues its
-stream exactly where it left off) and the local-step counter.  The
+minibatch-sampler position (so a client re-sampled in a later round continues
+its stream exactly where it left off) and the local-step counter.  The
 :class:`ClientStateStore` holds exactly that state, sharded by
 ``client_id % num_shards`` so checkpoints and future distribution can move
 shards independently.
 
-A client's state goes in and comes out as one immutable ``bytes`` record
-(:func:`~repro.data.batching.pack_client_record`): a fixed 64-byte
-little-endian header — PCG64 ``state`` and ``inc`` (16 bytes each),
-``has_uint32``, ``uinteger``, ``cursor``, ``batches_drawn``,
-``sgd_steps_taken`` — followed by the epoch permutation as int64, 128 bytes
-for 8 samples.  Inside, the store keeps no Python object per client: one
-ascending ``int64`` id array and one fixed-width ``uint8`` row matrix, one
-row per client.  A row is the record narrowed by
-:func:`~repro.data.batching.narrow_client_records`: the same header, a
-1-byte dtype code, then the permutation in the smallest unsigned dtype that
-holds ``n - 1``.  An 8-sample client costs a 73-byte row plus its 8-byte id,
-about 81 bytes (at most an eighth more while the table has spare capacity);
-one ``bytes`` object per client in a dict cost about 220.  Shards are a
-view, ``client_id % num_shards``, taken when the store is written or
-loaded.  A round's cohort goes in as rows with one
-:meth:`~ClientStateStore.put_rows` merge, and an edge's contiguous id range
-comes out with one :meth:`~ClientStateStore.get_range`.
+A client's state is two counters, ``(batches_drawn, sgd_steps_taken)``.  The
+sampler's generator is consumed only by epoch permutations, so its state, the
+permutation and the cursor are a pure function of ``(seed, cid, batch_size,
+n, batches_drawn)``: :func:`~repro.data.batching.replay_sampler` rebuilds
+them from a fresh ``stream_at("client", cid)``.  Beside the counters the
+store keeps a *sampler row* (generator state and permutation) for each client
+whose replay its owner deems long, so no restore replays a long history.
+Inside there is no Python object per client: ascending ``int64`` id arrays
+and ``uint32`` row tables, 16 bytes per client for the counters (at most an
+eighth more while a table has spare capacity).  A counter past ``uint32``
+raises; nothing wraps.  A round's cohort goes in with one
+:meth:`~ClientStateStore.put_many` merge, and an edge's contiguous id range
+comes out with one :meth:`~ClientStateStore.get_range`.  Memory is O(clients
+ever visited), independent of the population size.
 
-Memory is O(clients ever visited), independent of the population size: a
-1M-client run that samples 5 edges x 1000 clients per round for 20 rounds holds
-at most ~100k records.
-
-The store round-trips bit-identically through ``state_dict()`` /
-``load_state_dict()``.  Records convert at that boundary to the JSON entry
-layout ``{"sampler": <sampler_state_token>, "meta": {"sgd_steps_taken": n}}``
-(:func:`~repro.data.batching.client_record_to_entry`), so checkpoint
-documents and shard files keep that layout byte for byte, and any checkpoint
-in it loads.
+On disk each client is the entry ``{"sampler": <sampler_state_token>,
+"meta": {"sgd_steps_taken": n}}``, in shards ``client_id % num_shards``
+taken when the store is written or loaded: the owning population's
+:attr:`~ClientStateStore.deriver` rebuilds each token from the counters, so
+checkpoint documents and shard files keep that layout byte for byte, and
+its :attr:`~ClientStateStore.checker` rejects, naming the client, a loaded
+entry that is not its counters' state.  A bare store loads the counters
+alone.
 
 Durable shard files
 -------------------
@@ -55,20 +50,18 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.chaos.hooks import fire as chaos_fire
-from repro.data.batching import (client_record_from_entry,
-                                 client_record_to_entry,
-                                 narrow_client_records, widen_client_rows)
 from repro.utils.serialization import (crc32_of, durable_write, fsync_dir,
                                        previous_path)
 
 __all__ = ["ClientStateStore", "ShardIntegrityError", "shard_file_path"]
 
 DEFAULT_SHARDS = 64
+_COUNTER_MAX = int(np.iinfo(np.uint32).max)
 
 
 class ShardIntegrityError(RuntimeError):
@@ -80,94 +73,80 @@ def shard_file_path(directory: str | Path, index: int) -> Path:
     return Path(directory) / f"shard-{int(index):05d}.json"
 
 
-class ClientStateStore:
-    """Sharded ``client_id -> record`` map with exact round-trip.
+def _counter_rows(counters) -> np.ndarray:
+    """``(k, 2)`` uint32 rows of ``(batches_drawn, sgd_steps_taken)`` pairs.
 
-    A record is the immutable ``bytes`` value
-    :func:`~repro.data.batching.pack_client_record` builds from a live client
-    and :func:`~repro.data.batching.restore_client_record` unpacks into one.
-    :meth:`get` returns the bytes :meth:`put` was given.  One store holds
-    records of one length (one ``samples_per_client``); a record of another
-    length raises ``ValueError``.
+    Raises ``TypeError`` for values that are not integers (booleans
+    included) and ``ValueError`` for a malformed shape or a value outside
+    ``[0, 2**32)``.
     """
+    if not (isinstance(counters, np.ndarray) and counters.dtype.kind in "iu"):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in np.asarray(counters, dtype=object).flat):
+            raise TypeError(
+                f"client counters must be integer pairs, got {counters!r}")
+    counts = np.asarray(counters).reshape(-1, 2)
+    if counts.size and (counts.min() < 0 or counts.max() > _COUNTER_MAX):
+        raise ValueError(
+            f"client counters must lie in [0, {_COUNTER_MAX}]; got "
+            f"{counts.min()}..{counts.max()}")
+    return counts.astype(np.uint32)
 
-    def __init__(self, num_shards: int = DEFAULT_SHARDS) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.num_shards = int(num_shards)
-        self._clear()
 
-    def _clear(self, row_dtype="V1", record_len: int | None = None) -> None:
-        # _ids[:_n] ascending; _rows[i] is the narrowed record of _ids[i],
-        # one fixed-width void item, so a row moves as one element.  Both
-        # arrays own spare capacity past _n.  No view of either outlives a
-        # method call, so _reserve may resize them in place.
-        self._ids = np.empty(0, dtype=np.int64)
-        self._rows = np.empty(0, dtype=row_dtype)
-        self._record_len = record_len
-        self._n = 0
-
-    @staticmethod
-    def _widen(rows: np.ndarray) -> np.ndarray:
-        """Records ``(k, L)`` of ``k`` contiguous table rows."""
-        return widen_client_rows(
-            rows.view(np.uint8).reshape(len(rows), rows.itemsize))
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    def _find(self, client_id: int) -> int | None:
-        i = int(np.searchsorted(self._ids[:self._n], client_id))
-        return i if i < self._n and self._ids[i] == client_id else None
-
-    def get(self, client_id: int) -> bytes | None:
-        """The record stored for ``client_id`` (None if absent)."""
-        i = self._find(int(client_id))
-        if i is None:
-            return None
-        return self._widen(self._rows[i:i + 1]).tobytes()
-
-    def get_range(self, start: int, stop: int) -> dict[int, bytes]:
-        """Every stored ``client_id -> record`` with ``start <= id < stop``."""
-        lo, hi = np.searchsorted(self._ids[:self._n], [start, stop]).tolist()
-        records = self._widen(self._rows[lo:hi])
-        return {cid: records[k].tobytes()
-                for k, cid in enumerate(self._ids[lo:hi].tolist())}
-
-    def put(self, client_id: int, record: bytes) -> None:
-        """Store ``record`` for ``client_id`` (overwrites)."""
-        self.put_many([int(client_id)], [record])
-
-    def put_many(self, client_ids, records) -> None:
-        """Store ``records[i]`` for ``client_ids[i]`` with one merge.
-
-        Same result as calling :meth:`put` for each pair in order, so a
-        later duplicate id wins.
-        """
-        self.put_rows(client_ids, self._narrow(records))
-
-    def put_rows(self, client_ids, rows: np.ndarray) -> None:
-        """:meth:`put_many` for records already narrowed to ``(k, W)`` rows
-        (:func:`~repro.data.batching.pack_client_rows`): one merge, with a
-        later duplicate id winning."""
-        if not len(rows):
-            if len(np.asarray(client_ids).reshape(-1)):
-                raise ValueError("client ids given without records")
-            return
-        record_len = widen_client_rows(rows[:1]).shape[1]
-        if self._record_len not in (None, record_len):
+def _entry_counters(entry: Mapping) -> tuple[int, int]:
+    """``(batches_drawn, sgd_steps_taken)`` of one on-disk client entry."""
+    pair = (entry["sampler"]["batches_drawn"], entry["meta"]["sgd_steps_taken"])
+    for value in pair:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"client counters must be integers, got {pair}")
+        if not 0 <= value <= _COUNTER_MAX:
             raise ValueError(
-                f"this store holds {self._record_len}-byte client records; "
-                f"got {record_len}-byte records")
-        ids, rows = self._sorted(client_ids, rows)
-        if self._record_len is None:
-            self._clear(rows.dtype, record_len)
-        n = self._n
-        pos = np.searchsorted(self._ids[:n], ids)
+                f"client counters must lie in [0, {_COUNTER_MAX}]; got {pair}")
+    return int(pair[0]), int(pair[1])
+
+
+class _Rows:
+    """Ascending unique ``int64`` ids, each with one fixed-width ``uint32``
+    row.  Both arrays own spare capacity past ``n``; no view of either
+    outlives a method call, so :meth:`_reserve` may resize them in place."""
+
+    def __init__(self, width: int) -> None:
+        self.ids = np.empty(0, dtype=np.int64)
+        self.rows = np.empty((0, width), dtype=np.uint32)
+        self.n = 0
+
+    def find(self, client_id: int) -> int | None:
+        i = int(np.searchsorted(self.ids[:self.n], client_id))
+        return i if i < self.n and self.ids[i] == client_id else None
+
+    def span(self, start: int, stop: int) -> tuple[int, int]:
+        """Positions ``[lo, hi)`` of the ids in ``[start, stop)``."""
+        lo, hi = np.searchsorted(self.ids[:self.n], [start, stop]).tolist()
+        return lo, hi
+
+    def merge(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Write ``rows[i]`` for ``ids[i]``; a later duplicate id wins."""
+        if len(ids) != len(rows):
+            raise ValueError(f"{len(ids)} client ids for {len(rows)} rows")
+        if rows.shape[1] != self.rows.shape[1]:
+            if self.n:
+                raise ValueError(
+                    f"rows of width {rows.shape[1]} for a table of width "
+                    f"{self.rows.shape[1]}")
+            self.ids = np.empty(0, dtype=np.int64)
+            self.rows = np.empty((0, rows.shape[1]), dtype=np.uint32)
+        if not (ids[1:] > ids[:-1]).all():
+            # Ascending and unique; the last row of a repeated id wins.
+            order = np.argsort(ids, kind="stable")
+            ids, rows = ids[order], rows[order]
+            last = np.append(ids[1:] != ids[:-1], True)
+            ids, rows = ids[last], rows[last]
+        n = self.n
+        pos = np.searchsorted(self.ids[:n], ids)
         hit = pos < n
-        hit[hit] = self._ids[pos[hit]] == ids[hit]
+        hit[hit] = self.ids[pos[hit]] == ids[hit]
         if hit.any():
-            self._rows[pos[hit]] = rows[hit]
+            self.rows[pos[hit]] = rows[hit]
             new = ~hit
             ids, rows, pos = ids[new], rows[new], pos[new]
         m = len(ids)
@@ -176,67 +155,124 @@ class ClientStateStore:
         self._reserve(n + m)
         # Open the gaps in place: the old rows in [pos[j], pos[j + 1]) move
         # right by j + 1.  Back to front, no row is overwritten before it
-        # moves, and a 1-D slice copy needs no temporary.
+        # moves.
         bounds = np.append(pos, n)
         for j in np.flatnonzero(bounds[:-1] < bounds[1:])[::-1].tolist():
             lo, hi = int(bounds[j]), int(bounds[j + 1])
-            self._ids[lo + j + 1:hi + j + 1] = self._ids[lo:hi]
-            self._rows[lo + j + 1:hi + j + 1] = self._rows[lo:hi]
+            self.ids[lo + j + 1:hi + j + 1] = self.ids[lo:hi]
+            self.rows[lo + j + 1:hi + j + 1] = self.rows[lo:hi]
         dest = pos + np.arange(m)
-        self._ids[dest] = ids
-        self._rows[dest] = rows
-        self._n = n + m
+        self.ids[dest] = ids
+        self.rows[dest] = rows
+        self.n = n + m
 
     def _reserve(self, size: int) -> None:
-        capacity = len(self._ids)
+        capacity = len(self.ids)
         if size <= capacity:
             return
         # Grow by an eighth: in-place realloc, so no second copy of the
         # table is ever live, and at most an eighth of it is spare.
         capacity = max(size, capacity + capacity // 8, 256)
-        self._ids.resize(capacity, refcheck=False)
-        self._rows.resize(capacity, refcheck=False)
+        self.ids.resize(capacity, refcheck=False)
+        self.rows.resize((capacity, self.rows.shape[1]), refcheck=False)
 
-    @staticmethod
-    def _narrow(records) -> np.ndarray:
-        """``(k, W)`` store rows of a sequence of same-length records."""
-        records = list(records)
-        for kind in set(map(type, records)) - {bytes}:
-            raise TypeError(f"client record must be bytes, got {kind.__name__}")
-        if len(set(map(len, records))) > 1:
-            raise ValueError("client records in one store must share one "
-                             "length (one samples_per_client)")
-        if not records:
-            return np.empty((0, 0), dtype=np.uint8)
-        return narrow_client_records(np.frombuffer(
-            b"".join(records), dtype=np.uint8).reshape(len(records), -1))
-
-    @staticmethod
-    def _sorted(client_ids, rows: np.ndarray) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-        """``(ids, rows)`` with ids ascending and unique (the last row of a
-        repeated id wins) and each row one fixed-width void item."""
-        ids = np.asarray(client_ids, dtype=np.int64).reshape(-1)
-        if len(ids) != len(rows):
-            raise ValueError(f"{len(ids)} client ids for {len(rows)} records")
-        rows = np.ascontiguousarray(rows).view(
-            np.dtype((np.void, rows.shape[1])))[:, 0]
-        if not (ids[1:] > ids[:-1]).all():
-            order = np.argsort(ids, kind="stable")
-            ids, rows = ids[order], rows[order]
-            last = np.append(ids[1:] != ids[:-1], True)
-            ids, rows = ids[last], rows[last]
-        return ids, rows
-
-    def discard(self, client_id: int) -> None:
-        """Drop ``client_id``'s record, if any."""
-        i = self._find(int(client_id))
+    def drop(self, client_id: int) -> None:
+        i = self.find(client_id)
         if i is None:
             return
-        n = self._n - 1
-        self._ids[i:n] = self._ids[i + 1:n + 1]
-        self._rows[i:n] = self._rows[i + 1:n + 1]
-        self._n = n
+        n = self.n - 1
+        self.ids[i:n] = self.ids[i + 1:n + 1]
+        self.rows[i:n] = self.rows[i + 1:n + 1]
+        self.n = n
+
+    def nbytes(self) -> int:
+        """Bytes of the stored rows and their ids, spare capacity excluded."""
+        return self.n * (8 + 4 * self.rows.shape[1])
+
+
+class ClientStateStore:
+    """Sharded ``client_id -> (batches_drawn, sgd_steps_taken)`` table with
+    exact round-trip.
+
+    :meth:`get` returns the counter pair :meth:`put` was given.
+    :attr:`deriver` and :attr:`checker`, set by the owning
+    :class:`~repro.population.VirtualPopulation` when it is bound to a run,
+    turn counters into on-disk entries and check loaded entries against
+    them; :meth:`state_dict` and :meth:`save_shards` of a non-empty store
+    need the deriver.  Beside the counters the store keeps the owner's
+    *sampler rows* (:meth:`put_samplers`): for a client whose replay would be
+    long, its sampler state at one ``batches_drawn``, so a restore need not
+    replay it.  Rows are a cache of the replay: they never reach the disk,
+    and a row whose ``batches_drawn`` is not the client's is ignored.
+    """
+
+    def __init__(self, num_shards: int = DEFAULT_SHARDS) -> None:
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        self.num_shards = int(num_shards)
+        #: ``deriver(client_ids, counters) -> entries``, in order.
+        self.deriver: Callable | None = None
+        #: ``checker(client_ids, entries, counters) -> (ids, sampler rows)``;
+        #: raises ``ValueError`` naming a client whose entry it rejects.
+        self.checker: Callable | None = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self._counts = _Rows(2)
+        self._samplers = _Rows(0)
+
+    # ------------------------------------------------------------------
+    # Access
+    # ------------------------------------------------------------------
+    def get(self, client_id: int) -> tuple[int, int] | None:
+        """``(batches_drawn, sgd_steps_taken)`` of ``client_id`` (None if
+        absent)."""
+        i = self._counts.find(int(client_id))
+        return None if i is None else tuple(self._counts.rows[i].tolist())
+
+    def get_range(self, start: int, stop: int) -> dict[int, tuple[int, int]]:
+        """Every stored ``client_id -> counters`` with ``start <= id < stop``."""
+        lo, hi = self._counts.span(start, stop)
+        return dict(zip(self._counts.ids[lo:hi].tolist(),
+                        map(tuple, self._counts.rows[lo:hi].tolist())))
+
+    def put(self, client_id: int, counters: tuple[int, int]) -> None:
+        """Store ``(batches_drawn, sgd_steps_taken)`` for ``client_id``
+        (overwrites)."""
+        self.put_many([int(client_id)], [counters])
+
+    def put_many(self, client_ids, counters) -> None:
+        """Store ``counters[i]`` for ``client_ids[i]`` with one merge.
+
+        Same result as calling :meth:`put` for each pair in order, so a
+        later duplicate id wins.  Validated before anything changes.
+        """
+        ids = np.asarray(client_ids, dtype=np.int64).reshape(-1)
+        self._counts.merge(ids, _counter_rows(counters))
+
+    def put_samplers(self, client_ids, rows) -> None:
+        """Keep ``rows[i]``, a ``uint32`` sampler row whose first word is
+        its ``batches_drawn``, for ``client_ids[i]`` (overwrites)."""
+        self._samplers.merge(np.asarray(client_ids, dtype=np.int64).reshape(-1),
+                             np.asarray(rows, dtype=np.uint32))
+
+    def sampler(self, client_id: int, batches_drawn: int) -> np.ndarray | None:
+        """``client_id``'s sampler row kept at ``batches_drawn`` (None if
+        there is none at that count)."""
+        row = self.sampler_range(client_id, client_id + 1).get(int(client_id))
+        return row if row is not None and row[0] == batches_drawn else None
+
+    def sampler_range(self, start: int, stop: int) -> dict[int, np.ndarray]:
+        """Every kept ``client_id -> sampler row`` with ``start <= id <
+        stop``."""
+        lo, hi = self._samplers.span(start, stop)
+        return dict(zip(self._samplers.ids[lo:hi].tolist(),
+                        self._samplers.rows[lo:hi].copy()))
+
+    def discard(self, client_id: int) -> None:
+        """Drop ``client_id``'s counters and sampler row, if any."""
+        self._counts.drop(int(client_id))
+        self._samplers.drop(int(client_id))
 
     def __contains__(self, client_id: object) -> bool:
         # Membership tests arrive from generic containers ("is this thing a
@@ -244,25 +280,26 @@ class ClientStateStore:
         # absent — not a crash.
         try:
             cid = int(client_id)  # type: ignore[arg-type]
-            return self._find(cid) is not None
+            return self._counts.find(cid) is not None
         except (TypeError, ValueError, OverflowError):  # past int64
             return False
 
     def __len__(self) -> int:
-        return self._n
+        return self._counts.n
 
     def client_ids(self) -> Iterator[int]:
         """All client ids with any stored state (ascending)."""
-        return iter(self._ids[:self._n].tolist())
+        return iter(self._counts.ids[:self._counts.n].tolist())
 
     def shard_sizes(self) -> list[int]:
         """Entry count per shard (diagnostics / balance checks)."""
-        return np.bincount(self._ids[:self._n] % self.num_shards,
+        return np.bincount(self._counts.ids[:self._counts.n] % self.num_shards,
                            minlength=self.num_shards).tolist()
 
-    def record_bytes(self) -> int:
-        """Total length of every stored record (the store's payload size)."""
-        return self._n * (self._record_len or 0)
+    def payload_bytes(self) -> int:
+        """Bytes of stored state: 16 per client (id plus two counters), plus
+        the kept sampler rows and their ids."""
+        return self._counts.nbytes() + self._samplers.nbytes()
 
     # ------------------------------------------------------------------
     # Checkpointing (inline)
@@ -271,20 +308,25 @@ class ClientStateStore:
         """``(index, entries)`` of every non-empty shard, ascending; a shard
         is the ids with ``client_id % num_shards == index``, keyed by
         stringified id in ascending id order."""
-        ids = self._ids[:self._n].copy()  # no view held across a yield
+        if self.deriver is None and len(self):
+            raise RuntimeError(
+                "this store has no deriver: client entries are rebuilt by "
+                "the VirtualPopulation bound to it")
+        n = self._counts.n
+        ids = self._counts.ids[:n].copy()  # no view held across a yield
+        counts = self._counts.rows[:n].copy()
         shard_of = ids % self.num_shards
         by_shard = np.argsort(shard_of, kind="stable")
-        counts = np.bincount(shard_of, minlength=self.num_shards).tolist()
+        sizes = np.bincount(shard_of, minlength=self.num_shards).tolist()
         start = 0
-        for index, count in enumerate(counts):
-            if not count:
+        for index, size in enumerate(sizes):
+            if not size:
                 continue
-            take = by_shard[start:start + count]
-            start += count
-            records = self._widen(self._rows[take])
-            yield index, {
-                str(cid): client_record_to_entry(records[k].tobytes())
-                for k, cid in enumerate(ids[take].tolist())}
+            take = by_shard[start:start + size]
+            start += size
+            cids = ids[take].tolist()
+            yield index, dict(zip(map(str, cids), self.deriver(
+                cids, counts[take].tolist())))
 
     def state_dict(self) -> dict:
         """Exact JSON-clean snapshot; client keys are stringified."""
@@ -301,11 +343,11 @@ class ClientStateStore:
         by the current ``client_id % num_shards`` law, so resharding a
         checkpoint is safe and bit-identical at the client level.  The input
         is validated before anything is replaced: malformed shards, non-integer
-        or negative client keys, and entries that are not a valid
-        ``{"sampler": ..., "meta": ...}`` client entry raise ``ValueError``
-        naming the offending key, leaving the current content untouched.
-        Entries may be plain JSON or already passed through
-        :func:`~repro.utils.serialization.from_jsonable`.
+        or negative client keys, entries without integer counters in
+        ``uint32`` range and, with a :attr:`checker`, entries it rejects raise
+        ``ValueError`` naming the offending key, leaving the current content
+        untouched.  Entries may be plain JSON or already passed
+        through :func:`~repro.utils.serialization.from_jsonable`.
         """
         if not isinstance(state, Mapping):
             raise ValueError(
@@ -316,7 +358,8 @@ class ClientStateStore:
                 f"store state 'shards' must be a mapping of shard snapshots, "
                 f"got {type(shards_in).__name__}")
         cids: list[int] = []
-        records: list[bytes] = []
+        counters: list[tuple[int, int]] = []
+        entries: list[Mapping] = []
         for shard_key, shard in shards_in.items():
             if not isinstance(shard, Mapping):
                 raise ValueError(
@@ -337,16 +380,20 @@ class ClientStateStore:
                         f"state for client {cid} must be an entry mapping, "
                         f"got {type(entry).__name__}")
                 try:
-                    record = client_record_from_entry(entry)
+                    counters.append(_entry_counters(entry))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"state for client {cid} is not a valid client "
                         f"entry: {exc!r}") from None
                 cids.append(cid)
-                records.append(record)
-        rows = self._narrow(records)
+                entries.append(entry)
+        kept = ([], [])
+        if self.checker is not None:
+            kept = self.checker(cids, entries, counters)
         self._clear()
-        self.put_rows(cids, rows)
+        self.put_many(cids, np.array(counters, dtype=np.int64))
+        if len(kept[0]):
+            self.put_samplers(*kept)
 
     # ------------------------------------------------------------------
     # Durable sidecar shard files

@@ -5,12 +5,13 @@ The pieces
 * :class:`VirtualPopulation` — owns the lifecycle.  ``client(cid)`` materializes
   one client as a pure function of ``(spec.seed, cid)``: shard from the spec's
   data law, RNG stream from :meth:`~repro.utils.rng.RngFactory.stream_at`
-  (bit-identical to the eager builder's ``streams("client", N)[cid]``), then any
-  persisted sampler cursor / step counter is restored from the
-  :class:`~repro.population.store.ClientStateStore`.  ``edge_clients(e)``
-  derives a whole roster in one pass.  ``release(ids)`` flushes those live
-  clients' state back to the store and drops them; ``end_round`` does the
-  same for whatever is still live.
+  (bit-identical to the eager builder's ``streams("client", N)[cid]``), and
+  the sampler replayed to the ``batches_drawn`` counter persisted in the
+  :class:`~repro.population.store.ClientStateStore`, or set from the sampler
+  row stored past :data:`REPLAY_LIMIT` epochs (the step counter comes back
+  with it).  ``edge_clients(e)`` derives a whole roster in one pass.
+  ``release(ids)`` flushes those live clients' two counters to the store and
+  drops them; ``end_round`` does the same for whatever is still live.
 * :class:`VirtualEdgeServer` — an :class:`~repro.sim.edge.EdgeServer` whose
   ``clients`` list is a materializing property; the inherited ``model_update``
   and ``estimate_loss`` run unchanged on it.
@@ -34,7 +35,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.data.batching import pack_client_rows, restore_client_record
+from repro.data.batching import replay_sampler, sampler_position
 from repro.data.dataset import Dataset, concat_datasets
 from repro.population.base import Population
 from repro.population.spec import PopulationSpec
@@ -233,6 +234,33 @@ class VirtualDatasetView:
                 f"clients={self.num_clients}, family={self.spec.family!r})")
 
 
+#: Epoch rollovers a restore may replay.  A client past it is stored with
+#: its sampler row as well, so restoring it sets a generator state instead of
+#: drawing one permutation per epoch it has run.
+REPLAY_LIMIT = 16
+_WORD = 0xFFFFFFFF
+
+
+def _sampler_row(drawn: int, state: dict, order: list[int]) -> list[int]:
+    """``[batches_drawn, state words (4, low first), has_uint32, uinteger,
+    *order]``: everything a PCG64 sampler needs beyond its stream's ``inc``."""
+    word = state["state"]["state"]
+    return [drawn, word & _WORD, word >> 32 & _WORD, word >> 64 & _WORD,
+            word >> 96, state["has_uint32"], state["uinteger"], *order]
+
+
+def _resume(rng: np.random.Generator, row: list[int]) -> np.ndarray:
+    """Set ``rng`` (the client's fresh stream) to ``row``'s generator state
+    and return ``row``'s epoch permutation."""
+    bitgen = rng.bit_generator
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": row[1] | row[2] << 32 | row[3] << 64 | row[4] << 96,
+                  "inc": bitgen.state["state"]["inc"]},
+        "has_uint32": row[5], "uinteger": row[6]}
+    return np.array(row[7:], dtype=np.int64)
+
+
 class VirtualPopulation(Population):
     """A population derived on demand from a :class:`PopulationSpec`.
 
@@ -285,6 +313,8 @@ class VirtualPopulation(Population):
         if self._rng_factory is None:
             self._rng_factory = rng_factory
             self._batch_size = int(batch_size)
+            self.store.deriver = self._entries
+            self.store.checker = self._check_entries
             return
         if (self._rng_factory.seed != rng_factory.seed
                 or self._batch_size != int(batch_size)):
@@ -316,15 +346,17 @@ class VirtualPopulation(Population):
 
         Construction is a pure function of ``(spec.seed, client_id)`` — shard
         from the spec's data law, RNG stream from ``stream_at("client", cid)``,
-        identical to the eager builder's per-client streams — composed with any
-        persisted sampler state, so a re-visited client continues its minibatch
-        sequence exactly where it was last flushed.
+        identical to the eager builder's per-client streams — replayed to its
+        persisted ``batches_drawn``, so a re-visited client continues its
+        minibatch sequence exactly where it was last flushed.
         """
         cid = int(client_id)
         live = self._live.get(cid)
         if live is not None:
             return live
-        return self._materialize([cid], [self.store.get(cid)])[0]
+        pair = self.store.get(cid)
+        row = None if pair is None else self.store.sampler(cid, pair[0])
+        return self._materialize([cid], [pair], [row])[0]
 
     def edge_clients(self, edge_id: int) -> list[Client]:
         """Materialize edge ``edge_id``'s full roster (the cohort unit).
@@ -336,13 +368,18 @@ class VirtualPopulation(Population):
         live = self._live
         missing = [cid for cid in ids if cid not in live]
         if missing:
-            records = self.store.get_range(ids.start, ids.stop)
-            self._materialize(missing, [records.get(cid) for cid in missing])
+            stored = self.store.get_range(ids.start, ids.stop)
+            rows = self.store.sampler_range(ids.start, ids.stop)
+            self._materialize(missing, [stored.get(cid) for cid in missing],
+                              [rows.get(cid) for cid in missing])
         return [self.client(cid) for cid in ids]
 
-    def _materialize(self, ids: list[int], records: list) -> list[Client]:
-        """Derive the clients ``ids`` (none of them live), restore each one's
-        stored ``records`` entry (None: nothing stored), and make them live."""
+    def _materialize(self, ids: list[int], counters: list,
+                     rows: list) -> list[Client]:
+        """Derive the clients ``ids`` (none of them live), bring each one to
+        its stored ``counters`` pair (None: nothing stored) — from its
+        sampler row when the store kept one at that count, else by replay —
+        and make them live."""
         if self._rng_factory is None:
             raise RuntimeError("population is unbound; call build_edges / "
                                "build_flat_clients first")
@@ -350,11 +387,13 @@ class VirtualPopulation(Population):
                                          image_generator=self.image_generator)
         rngs = self._rng_factory.streams_at("client", ids)
         clients = []
-        for cid, shard, rng, record in zip(ids, shards, rngs, records):
-            client = Client(cid, shard, self._batch_size, rng)
-            if record is not None:
-                client.sgd_steps_taken = restore_client_record(client.sampler,
-                                                               record)
+        for cid, shard, rng, pair, row in zip(ids, shards, rngs, counters,
+                                              rows):
+            drawn, steps = pair or (0, 0)
+            order = (_resume(rng, row.tolist())
+                     if row is not None and row[0] == drawn else None)
+            client = Client(cid, shard, self._batch_size, rng, drawn, order)
+            client.sgd_steps_taken = steps
             self._live[cid] = client
             clients.append(client)
             if cid not in self._cohort:
@@ -368,17 +407,92 @@ class VirtualPopulation(Population):
         return sorted(self._live)
 
     def _persist(self, clients) -> None:
-        """Put ``clients``' surviving state into the store with one batched
-        put of rows packed in one pass.  Clients that never advanced (no
-        batches drawn, no SGD steps) are skipped: their state is still the
-        pure function of ``(seed, cid)`` that materialization reproduces, so
-        storing it would only grow the store."""
+        """Put ``clients``' two counters into the store with one merge, and
+        the sampler rows of those past :data:`REPLAY_LIMIT` rollovers with
+        another.  Clients that never advanced (no batches drawn, no SGD
+        steps) are skipped: their state is still the pure function of
+        ``(seed, cid)`` that materialization reproduces, so storing it would
+        only grow the store."""
         moved = [client for client in clients
                  if client.sampler.batches_drawn or client.sgd_steps_taken]
-        self.store.put_rows([client.client_id for client in moved],
-                            pack_client_rows(
-                                [client.sampler for client in moved],
-                                [client.sgd_steps_taken for client in moved]))
+        self.store.put_many(
+            [client.client_id for client in moved],
+            np.array([(client.sampler.batches_drawn, client.sgd_steps_taken)
+                      for client in moved], dtype=np.int64))
+        n, b = self.spec.samples_per_client, self._batch_size
+        long = {c.client_id: c.sampler for c in moved if sampler_position(
+            n, b, c.sampler.batches_drawn)[0] >= REPLAY_LIMIT}
+        if long:
+            self.store.put_samplers(list(long), [_sampler_row(
+                s.batches_drawn, s._rng.bit_generator.state, s._order.tolist())
+                for s in long.values()])
+
+    def _sampler_at(self, cid: int, drawn: int) -> tuple:
+        """``(rng, order, cursor)`` of client ``cid``'s sampler after
+        ``drawn`` batches, on a fresh stream, without building its shard."""
+        rng = self._rng_factory.stream_at("client", cid)
+        n, row = self.spec.samples_per_client, self.store.sampler(cid, drawn)
+        order = (replay_sampler(rng, n, self._batch_size, drawn)[0]
+                 if row is None else _resume(rng, row.tolist()))
+        return rng, order, sampler_position(n, self._batch_size, drawn)[1]
+
+    def _entries(self, client_ids, counters) -> Iterator[dict]:
+        """The store's deriver: each client's on-disk entry, its
+        ``sampler_state_token`` rebuilt on a fresh stream, without building
+        any shard.  Lazy, so a write holds one derived entry at a time."""
+        for cid, (drawn, steps) in zip(client_ids, counters):
+            rng, order, cursor = self._sampler_at(cid, drawn)
+            state = rng.bit_generator.state
+            yield {"sampler": {"rng": {"__bitgen__": state["bit_generator"],
+                                       "state": state},
+                               "order": {"__ndarray__": order.tolist(),
+                                         "dtype": "int64",
+                                         "shape": list(order.shape)},
+                               "cursor": cursor, "batches_drawn": drawn},
+                   "meta": {"sgd_steps_taken": steps}}
+
+    def _check_entries(self, client_ids, entries, counters) -> tuple:
+        """The store's checker: an entry within :data:`REPLAY_LIMIT` must
+        equal the replay of its counters.  One past it is not replayed: it
+        needs a PCG64 generator on the client's own stream (``inc``), a
+        permutation of the shard and its counters' cursor, and its generator
+        state becomes the client's sampler row as it stands."""
+        n = self.spec.samples_per_client
+        ids, rows = [], []
+        for cid, entry, (drawn, _) in zip(client_ids, entries, counters):
+            rollovers, cursor = sampler_position(n, self._batch_size, drawn)
+            try:
+                sampler = entry["sampler"]
+                rng, order = sampler["rng"], sampler["order"]
+                theirs = {"rng": (rng.bit_generator.state
+                                  if isinstance(rng, np.random.Generator)
+                                  else rng["state"]),
+                          "order": np.asarray(order if isinstance(
+                              order, np.ndarray) else order["__ndarray__"]),
+                          "cursor": sampler["cursor"]}
+                if rollovers < REPLAY_LIMIT:
+                    rng, order, _ = self._sampler_at(cid, drawn)
+                else:
+                    rng = self._rng_factory.stream_at("client", cid)
+                    order = _resume(rng, _sampler_row(
+                        drawn, theirs["rng"], theirs["order"].tolist()))
+                    if sorted(order.tolist()) != list(range(n)):
+                        order = None
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"state for client {cid} is not a valid "
+                                 f"client entry: {exc!r}") from None
+            mine = {"rng": rng.bit_generator.state, "order": order,
+                    "cursor": cursor}
+            for key, value in mine.items():
+                if not (np.array_equal(theirs[key], value) if key == "order"
+                        else theirs[key] == value):
+                    raise ValueError(
+                        f"state for client {cid} does not match the replay "
+                        f"of its counters: its sampler {key!r} differs")
+            if rollovers >= REPLAY_LIMIT:
+                ids.append(cid)
+                rows.append(_sampler_row(drawn, mine["rng"], order.tolist()))
+        return ids, rows
 
     def flush(self) -> None:
         """Persist every live client's surviving state into the store."""
@@ -429,6 +543,10 @@ class VirtualPopulation(Population):
                         shard_recovery: str = "fallback", obs=None) -> None:
         """Restore from :meth:`state_dict`; rejects a mismatched spec.
 
+        Once the population is bound, an entry whose generator state,
+        permutation or cursor is not the replay of its counters raises
+        ``ValueError`` naming the client, inline or from shard files.
+
         A payload written with sidecar shards (``store_manifest``) requires
         ``shard_dir``.  ``shard_recovery`` maps onto the store's corruption
         policy: ``"fallback"`` (the default) raises
@@ -444,8 +562,6 @@ class VirtualPopulation(Population):
                 raise ValueError(
                     "checkpoint was written by a different PopulationSpec; "
                     f"saved {saved} vs current {self.spec.to_dict()}")
-        self._live.clear()
-        self._cohort.clear()
         manifest = state.get("store_manifest")
         if manifest is not None:
             if shard_dir is None:
@@ -457,6 +573,9 @@ class VirtualPopulation(Population):
                                    on_corrupt=on_corrupt, obs=obs)
         else:
             self.store.load_state_dict(state.get("store", {}))
+        # Only now: a rejected store leaves the live cohort as it was.
+        self._live.clear()
+        self._cohort.clear()
         counters = dict(state.get("counters", {}))
         self.clients_materialized_total = int(
             counters.get("clients_materialized_total", 0))

@@ -35,13 +35,21 @@ class Client:
         Minibatch size of the local SGD (Eq. (4)'s ``ξ``).
     rng:
         Client-private generator driving minibatch sampling.
+    batches_drawn:
+        Minibatches already drawn from a sampler on the same fresh ``rng``;
+        the sampler resumes after them (a restored virtual client).
+    order:
+        The sampler's epoch permutation at that point, when ``rng`` already
+        stands there (see :class:`~repro.data.batching.MinibatchSampler`).
     """
 
     def __init__(self, client_id: int, shard: Dataset, batch_size: int,
-                 rng: np.random.Generator) -> None:
+                 rng: np.random.Generator, batches_drawn: int = 0,
+                 order: np.ndarray | None = None) -> None:
         self.client_id = int(client_id)
         self.shard = shard
-        self.sampler = MinibatchSampler(shard, batch_size, rng)
+        self.sampler = MinibatchSampler(shard, batch_size, rng, batches_drawn,
+                                        order)
         self.sgd_steps_taken = 0
 
     @property

@@ -35,7 +35,8 @@ def generator_token(gen: np.random.Generator) -> dict:
     PCG64's 128-bit state.  It is the ``rng`` field of
     :func:`~repro.data.batching.sampler_state_token`, the per-client layout
     eager checkpoints and virtual-population client entries carry on disk
-    (the client-state store itself keeps packed records); use it to persist
+    (the client-state store itself keeps two counters per client and replays
+    the rest); use it to persist
     generator state or to compare streams in tests.
     """
     from repro.utils.serialization import to_jsonable

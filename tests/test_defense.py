@@ -32,6 +32,7 @@ from repro.defense import (
     TrimmedMean,
     WeightedMean,
     apply_label_flip,
+    one_per_edge_roster,
     resolve_defense,
 )
 from repro.defense.aggregators import AGGREGATORS, resolve_aggregator
@@ -154,6 +155,16 @@ LABEL_FLIP_ROSTER_DIGESTS = {
     "stochastic_afl":
         "76562665127cc0edbd886601ed21d37e29d000deafb47fd8a2bcf2be573a7d47",
 }
+
+
+def test_one_per_edge_roster():
+    # The first client of each of the first fraction·clients areas: at
+    # least one attacker, never two in one area.
+    fed = make_blob_fed(num_edges=4, clients_per_edge=5)
+    assert one_per_edge_roster(fed, 0.2) == (0, 5, 10, 15)
+    assert one_per_edge_roster(fed, 0.1) == (0, 5)
+    assert one_per_edge_roster(fed, 0.0) == (0,)
+    assert one_per_edge_roster(fed, 1.0) == (0, 5, 10, 15)
 
 
 class TestLabelFlipPlan:

@@ -24,10 +24,7 @@ import pytest
 
 from repro.baselines.registry import make_algorithm
 from repro.core.hierminimax import HierMinimax
-from repro.data.batching import (MinibatchSampler, client_record_to_entry,
-                                 narrow_client_records, pack_client_record,
-                                 pack_client_rows)
-from repro.data.dataset import Dataset
+from repro.data.batching import sampler_state_token
 from repro.faults import FaultPlan
 from repro.membership import ChurnPlan
 from repro.multilayer import MultiLevelHierMinimax
@@ -42,6 +39,7 @@ from repro.population import (
     resolve_population,
     shard_file_path,
 )
+from repro.utils.serialization import to_jsonable
 
 SPEC = PopulationSpec.parse("clients=60,edges=6,samples=8,test=12,seed=3")
 
@@ -114,52 +112,56 @@ class TestPopulationSpec:
 # ---------------------------------------------------------------------------
 # ClientStateStore: sharding, round-trips
 # ---------------------------------------------------------------------------
-def _record(cid: int, draws: int = 1) -> bytes:
-    """A real packed record: a client sampler after ``draws`` batches."""
-    shard = Dataset(np.arange(8.0)[:, None], np.zeros(8, dtype=np.int64), 2)
-    sampler = MinibatchSampler(shard, 3, np.random.default_rng(cid))
-    for _ in range(draws):
-        sampler.next_batch()
-    return pack_client_record(sampler, draws)
+def _bound_store(num_shards: int, spec: PopulationSpec = SPEC,
+                 batch_size: int = 3) -> ClientStateStore:
+    """A store whose population is bound, so it can write client entries."""
+    pop = VirtualPopulation(spec, store=ClientStateStore(num_shards))
+    pop.build_edges(batch_size=batch_size,
+                    rng_factory=_rng_factory(seed=spec.seed))
+    return pop.store
+
+
+def _counters(cid: int, draws: int = 1) -> tuple[int, int]:
+    """A client's ``(batches_drawn, sgd_steps_taken)`` after ``draws``."""
+    return draws, 2 * draws + cid % 3
 
 
 class TestClientStateStore:
     def test_put_get_discard(self):
         store = ClientStateStore(num_shards=4)
-        record = _record(11, draws=3)
-        store.put(11, record)
-        assert store.get(11) == record
+        store.put(11, _counters(11, draws=3))
+        assert store.get(11) == _counters(11, draws=3)
         assert 11 in store and len(store) == 1
-        assert store.record_bytes() == len(record)
+        assert store.payload_bytes() == 16
         with pytest.raises(TypeError):
             store.put(12, {"cursor": 3})
         store.discard(11)
         assert 11 not in store and store.get(11) is None
 
     def test_state_dict_round_trip_and_resharding(self):
-        store = ClientStateStore(num_shards=8)
+        store = _bound_store(num_shards=8)
         for cid in (0, 5, 13, 999_983):
-            store.put(cid, _record(cid, draws=cid % 7))
-        # Restoring into a differently-sharded store re-homes every entry.
-        other = ClientStateStore(num_shards=3)
-        other.load_state_dict(store.state_dict())
-        assert list(other.client_ids()) == list(store.client_ids())
-        for cid in store.client_ids():
-            assert other.get(cid) == store.get(cid)
-        assert sum(other.shard_sizes()) == len(store)
+            store.put(cid, _counters(cid, draws=cid % 7 + 1))
+        # Restoring into a differently-sharded store re-homes every entry;
+        # a bare store takes the same document as counters.
+        for other in (_bound_store(num_shards=3), ClientStateStore(3)):
+            other.load_state_dict(store.state_dict())
+            assert list(other.client_ids()) == list(store.client_ids())
+            for cid in store.client_ids():
+                assert other.get(cid) == store.get(cid)
+            assert sum(other.shard_sizes()) == len(store)
 
     def test_contains_is_false_for_non_castable_ids(self):
         store = ClientStateStore(num_shards=4)
-        store.put(3, _record(3))
+        store.put(3, _counters(3))
         assert "abc" not in store
         assert None not in store
         assert (1, 2) not in store
         assert "3" in store  # int-castable strings still resolve
 
     def test_load_state_dict_rejects_malformed_input(self):
-        store = ClientStateStore(num_shards=4)
-        record = _record(7, draws=2)
-        store.put(7, record)
+        store = _bound_store(num_shards=4)
+        store.put(7, _counters(7, draws=2))
         entry = store.state_dict()["shards"]["3"]["7"]
         cases = [
             "not a mapping",
@@ -170,52 +172,49 @@ class TestClientStateStore:
             {"shards": {"0": {"1": "not a mapping"}}},
             {"shards": {"0": {"1": {"cursor": 0}}}},
             {"shards": {"0": {"1": {"sampler": entry["sampler"]}}}},
+            {"shards": {"0": {"1": {"sampler": {**entry["sampler"],
+                                                "batches_drawn": 2**32},
+                                    "meta": entry["meta"]}}}},
         ]
         for bad in cases:
             with pytest.raises(ValueError):
                 store.load_state_dict(bad)
             # Validation failures never clobber the current content.
-            assert store.get(7) == record
+            assert store.get(7) == _counters(7, draws=2)
 
 
 class _DictStore:
     """The store's contract as one plain dict: the reference the columnar
     table is checked against."""
 
-    def __init__(self, num_shards: int) -> None:
+    def __init__(self, num_shards: int, deriver) -> None:
         self.num_shards = num_shards
-        self.records: dict[int, bytes] = {}
+        self.deriver = deriver
+        self.counters: dict[int, tuple[int, int]] = {}
 
     def state_dict(self) -> dict:
         shards: dict[str, dict] = {}
-        for cid in sorted(self.records):
-            shards.setdefault(str(cid % self.num_shards), {})[str(cid)] = (
-                client_record_to_entry(self.records[cid]))
+        for cid in sorted(self.counters):
+            [entry] = self.deriver([cid], [self.counters[cid]])
+            shards.setdefault(str(cid % self.num_shards), {})[str(cid)] = entry
         return {"num_shards": self.num_shards, "shards": shards}
 
 
-def _sized_record(samples: int, seed: int) -> bytes:
-    shard = Dataset(np.zeros((samples, 1)), np.zeros(samples, dtype=np.int64), 2)
-    sampler = MinibatchSampler(shard, 3, np.random.default_rng(seed))
-    sampler.next_batch()
-    return pack_client_record(sampler, 1)
-
-
 class TestColumnarStore:
-    POOL = [_record(i, draws=i % 9 + 1) for i in range(40)]
+    POOL = [_counters(i, draws=i % 9 + 1) for i in range(40)]
 
     def _assert_matches(self, store, ref, rng):
-        assert len(store) == len(ref.records)
-        assert list(store.client_ids()) == sorted(ref.records)
-        assert store.record_bytes() == sum(map(len, ref.records.values()))
-        assert sum(store.shard_sizes()) == len(ref.records)
+        assert len(store) == len(ref.counters)
+        assert list(store.client_ids()) == sorted(ref.counters)
+        assert store.payload_bytes() == 16 * len(ref.counters)
+        assert sum(store.shard_sizes()) == len(ref.counters)
         for cid in range(-2, 310):
-            assert store.get(cid) == ref.records.get(cid)
-            assert (cid in store) == (cid in ref.records)
+            assert store.get(cid) == ref.counters.get(cid)
+            assert (cid in store) == (cid in ref.counters)
         for _ in range(20):
             start, stop = sorted(rng.integers(-5, 320, size=2).tolist())
             assert store.get_range(start, stop) == {
-                cid: rec for cid, rec in ref.records.items()
+                cid: pair for cid, pair in ref.counters.items()
                 if start <= cid < stop}
         doc = store.state_dict()
         assert doc == ref.state_dict()
@@ -224,82 +223,133 @@ class TestColumnarStore:
 
     def test_batched_put_and_range_get_match_per_client_calls(self):
         rng = np.random.default_rng(0)
-        batched, single = ClientStateStore(5), ClientStateStore(5)
-        ref = _DictStore(5)
+        batched, single = _bound_store(5), _bound_store(5)
+        ref = _DictStore(5, batched.deriver)
         for _ in range(12):
             # Unordered ids with repeats, overwriting earlier rounds.
             ids = rng.integers(0, 300, size=int(rng.integers(0, 60))).tolist()
-            records = [self.POOL[k] for k in
-                       rng.integers(0, len(self.POOL), size=len(ids))]
-            batched.put_many(ids, records)
-            for cid, record in zip(ids, records):
-                single.put(cid, record)
-                ref.records[cid] = record
+            pairs = [self.POOL[k] for k in
+                     rng.integers(0, len(self.POOL), size=len(ids))]
+            batched.put_many(ids, pairs)
+            for cid, pair in zip(ids, pairs):
+                single.put(cid, pair)
+                ref.counters[cid] = pair
             for cid in rng.integers(0, 300, size=5).tolist():
                 batched.discard(cid)
                 single.discard(cid)
-                ref.records.pop(cid, None)
+                ref.counters.pop(cid, None)
             self._assert_matches(batched, ref, rng)
             self._assert_matches(single, ref, rng)
-        reloaded = ClientStateStore(3)
+        reloaded = _bound_store(3)
         reloaded.load_state_dict(batched.state_dict())
         assert {cid: reloaded.get(cid) for cid in reloaded.client_ids()} == (
-            ref.records)
+            ref.counters)
 
     @pytest.mark.parametrize("samples", [1, 256, 257, 300])
     def test_permutation_dtype_boundaries_round_trip(self, samples):
-        store = ClientStateStore(4)
-        records = [_sized_record(samples, seed) for seed in range(3)]
-        store.put_many([9, 2, 5], records)
-        assert [store.get(cid) for cid in (9, 2, 5)] == records
-        assert store.record_bytes() == 3 * len(records[0])
+        # Shard sizes around the old narrowed-permutation dtype limits: the
+        # entry derived from the counters is the live sampler's token.
+        spec = PopulationSpec.parse(f"clients=12,edges=2,samples={samples},"
+                                    f"test=4,seed=1")
+        pop = VirtualPopulation(spec, store=ClientStateStore(4))
+        pop.build_edges(batch_size=3, rng_factory=_rng_factory(seed=1))
+        live = {}
+        for cid, draws in ((9, 1), (2, 90), (5, 400)):
+            client = pop.client(cid)
+            for _ in range(draws):
+                client.sampler.next_batch()
+            live[cid] = sampler_state_token(client.sampler)
+        pop.flush()
+        doc = pop.store.state_dict()
+        for cid, token in live.items():
+            entry = doc["shards"][str(cid % 4)][str(cid)]
+            assert entry["sampler"] == to_jsonable(token)
+        store = _bound_store(4, spec)
+        store.load_state_dict(doc)
+        assert [store.get(cid) for cid in (9, 2, 5)] == [
+            (1, 0), (90, 0), (400, 0)]
 
     @pytest.mark.parametrize("samples, clients", [(8, 300), (257, 3)])
-    def test_packed_rows_equal_narrowed_records(self, samples, clients):
-        # More clients than one packing chunk, and a uint16 permutation.
-        shard = Dataset(np.zeros((samples, 1)),
-                        np.zeros(samples, dtype=np.int64), 2)
-        samplers = [MinibatchSampler(shard, 3, np.random.default_rng(i))
-                    for i in range(clients)]
-        for i, sampler in enumerate(samplers):
+    def test_persisted_counters_equal_live_clients(self, samples, clients):
+        # One flush of many live clients stores each one's counters, and a
+        # client re-derived from them stands where the live one stood.
+        spec = PopulationSpec.parse(f"clients={clients},edges=1,"
+                                    f"samples={samples},test=4,seed=2")
+        pop = VirtualPopulation(spec, store=ClientStateStore(4))
+        pop.build_edges(batch_size=3, rng_factory=_rng_factory(seed=2))
+        samplers = {}
+        for client in pop.edge_clients(0):
+            i = client.client_id
             for _ in range(i % 7):
-                sampler.next_batch()
-        steps = [5 * i for i in range(clients)]
-        records = [pack_client_record(s, n) for s, n in zip(samplers, steps)]
-        rows = pack_client_rows(samplers, steps)
-        assert np.array_equal(rows, narrow_client_records(np.frombuffer(
-            b"".join(records), dtype=np.uint8).reshape(clients, -1)))
-        store = ClientStateStore(4)
-        store.put_rows(range(clients), rows)
-        assert [store.get(cid) for cid in range(clients)] == records
+                client.sampler.next_batch()
+            client.sgd_steps_taken = 5 * i
+            samplers[i] = client.sampler
+        pop.end_round(0)
+        single = ClientStateStore(4)
+        for i in samplers:
+            if (i % 7, 5 * i) != (0, 0):  # a never-advanced client is not stored
+                single.put(i, (i % 7, 5 * i))
+        assert list(pop.store.client_ids()) == list(single.client_ids())
+        for i, sampler in samplers.items():
+            assert pop.store.get(i) == single.get(i)
+            revived = pop.client(i)
+            assert revived.sgd_steps_taken == 5 * i
+            assert (revived.sampler._rng.bit_generator.state
+                    == sampler._rng.bit_generator.state)
+            assert np.array_equal(revived.sampler._order, sampler._order)
+            assert revived.sampler._cursor == sampler._cursor
 
-    def test_second_record_length_is_rejected(self):
+    def test_counter_past_uint32_is_rejected(self):
         store = ClientStateStore(4)
-        store.put(1, _record(1))
-        with pytest.raises(ValueError, match="byte client records"):
-            store.put(2, _sized_record(5, 0))
-        with pytest.raises(ValueError, match="one length"):
-            store.put_many([3, 4], [_record(3), _sized_record(5, 0)])
-        with pytest.raises(ValueError):
-            store.put(5, _record(5)[:-3])
+        store.put(1, (1, 1))
+        for bad in ((2**32, 0), (0, 2**32), (-1, 0), (2**70, 0)):
+            with pytest.raises(ValueError):
+                store.put(2, bad)
+            with pytest.raises(ValueError):
+                store.put_many([3, 4], [(1, 1), bad])
+        store.put(5, (2**32 - 1, 2**32 - 1))
+        assert store.get(5) == (2**32 - 1, 2**32 - 1)
+        store.discard(5)
         assert list(store.client_ids()) == [1]
+
+    def test_payload_is_sixteen_bytes_per_client(self):
+        # N advanced clients: 16·N bytes of payload, and the arrays, spare
+        # capacity included, at most 18·N once past the 256-row minimum.
+        spec = PopulationSpec.parse("clients=2000,edges=40,samples=4,test=4,"
+                                    "seed=0")
+        pop = VirtualPopulation(spec)
+        pop.build_edges(batch_size=3, rng_factory=_rng_factory(seed=0))
+        store = pop.store
+        for edge in range(spec.num_edges):
+            for client in pop.edge_clients(edge):
+                client.sampler.next_batch()
+            pop.release(spec.edge_client_ids(edge))
+            advanced = (edge + 1) * spec.clients_per_edge
+            assert len(store) == advanced
+            assert store.payload_bytes() == 16 * advanced
+            if advanced >= 256:
+                assert (store._counts.ids.nbytes + store._counts.rows.nbytes
+                        <= 18 * advanced)
+        assert len(store._counts.ids) > len(store)  # spare capacity was exercised
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_footprint_is_a_table_not_an_object_per_client(self, batched):
         def footprint(n):
+            # The counters as one array, built before tracing starts: the
+            # interpreter keeps up to 2,000 freed 2-tuples for reuse, which
+            # tracemalloc would charge to the store.
+            ids = range(10**6, 10**6 + 3 * n, 3)
+            pairs = np.array([(self.POOL[i % len(self.POOL)][0], i)
+                              for i in range(n)])
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 store = ClientStateStore()
-                # Ids and records are new objects, as a flush packs them.
-                ids = range(10**6, 10**6 + 3 * n, 3)
-                records = (bytes(bytearray(self.POOL[i % len(self.POOL)]))
-                           for i in range(n))
                 if batched:
-                    store.put_many(ids, list(records))
+                    store.put_many(ids, pairs)
                 else:
-                    for cid, record in zip(ids, records):
-                        store.put(cid, record)
+                    for cid, pair in zip(ids, pairs):
+                        store.put(cid, pair)
                 used = tracemalloc.get_traced_memory()[0] - base
                 blocks = len(tracemalloc.take_snapshot().traces)
             finally:
@@ -310,9 +360,9 @@ class TestColumnarStore:
         footprint(1_000)  # warm NumPy's and the interpreter's caches
         _, small_blocks = footprint(1_000)
         per_client, blocks = footprint(10_000)
-        # 73-byte narrowed row + 8-byte id, plus at most an eighth spare
-        # (the dict store held ~220 B per 8-sample client).
-        assert per_client <= 96
+        # An 8-byte id and two 4-byte counters, plus at most an eighth
+        # spare.
+        assert per_client <= 18.5
         # The allocation count does not follow the client count: an object
         # per client would add at least 9,000 blocks here.
         assert blocks < small_blocks + 1_000
@@ -323,9 +373,9 @@ class TestColumnarStore:
 # ---------------------------------------------------------------------------
 class TestShardFiles:
     def _store(self, n=10):
-        store = ClientStateStore(num_shards=4)
+        store = _bound_store(num_shards=4)
         for cid in range(n):
-            store.put(cid, _record(cid, draws=cid + 1))
+            store.put(cid, _counters(cid, draws=cid + 1))
         return store
 
     def test_save_load_round_trip(self, tmp_path):
@@ -342,7 +392,7 @@ class TestShardFiles:
         store = self._store()
         first_record = store.get(0)
         first = store.save_shards(tmp_path)
-        store.put(0, _record(0, draws=999))
+        store.put(0, _counters(0, draws=999))
         store.save_shards(tmp_path)
         assert list(tmp_path.glob("*.prev"))
         # The older manifest still resolves — its generation lives under
