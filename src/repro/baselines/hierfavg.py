@@ -78,10 +78,7 @@ class HierFAVG(FederatedAlgorithm):
                 for e in sampled:
                     edge = self.edges[int(e)]
                     with timing.branch():
-                        if faults.enabled and faults.edge_dark(round_index,
-                                                               edge.edge_id):
-                            continue
-                        roster = self._edge_roster(edge.edge_id)
+                        roster = self._edge_roster(round_index, edge.edge_id)
                         if roster is EDGE_UNAVAILABLE:
                             continue
                         if timing.enabled:

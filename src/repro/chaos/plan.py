@@ -5,9 +5,9 @@ occurrences of that site fire, exactly like the fault layer's
 :class:`~repro.faults.FaultPlan` names data-plane failures.  The plan never
 draws wall-clock randomness: every parameter of an injected failure (at which
 byte a write is torn, which bit of a shard is flipped) is a pure function of
-``(plan.seed, site, occurrence)`` via
-``np.random.SeedSequence(entropy=seed, spawn_key=(stable_key(site), occ))`` —
-the same derivation law the rest of the repo uses for reproducible decisions.
+``(plan.seed, site, occurrence)``: its generator is
+``keyed_rng(plan.seed, "chaos:" + site, occurrence)`` — the
+:func:`~repro.utils.rng.keyed_rng` law every seeded stream of the repo uses.
 Re-running a chaos campaign with the same plan therefore injects byte-identical
 failures, which is what lets the campaign assert the *recovery* is
 bit-identical too.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 from repro.utils.spec import dataclass_schema, parse_spec
 
 __all__ = ["ChaosPlan", "ChaosInjector", "CHAOS_SITES"]
@@ -105,10 +105,7 @@ class ChaosPlan:
     # Pure parameter derivation
     # ------------------------------------------------------------------
     def _rng(self, site: str, occurrence: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(stable_key(f"chaos:{site}"), int(occurrence)))
-        return np.random.default_rng(ss)
+        return keyed_rng(self.seed, f"chaos:{site}", occurrence)
 
     def params(self, site: str, occurrence: int) -> dict:
         """Failure parameters for ``(site, occurrence)``; pure in the seed.

@@ -604,7 +604,10 @@ def _cmd_timesim(args) -> int:
     seed, the bounded-staleness variant must reach the synchronous run's final
     worst-edge accuracy (within a small slack) in *strictly less* simulated
     time.  Exit code 1 signals it did not.  The clock is observational, so the
-    synchronous trajectory itself is unchanged by the cost model.
+    synchronous trajectory itself is unchanged by the cost model.  While the
+    synchronous worst-edge accuracy is within the slack of 0 (it is 0 after
+    40 tiny-scale rounds), the accuracy clause cannot fail, and the verdict
+    says so.
     """
     from repro.core.semiasync import SemiAsyncHierMinimax
 
@@ -617,12 +620,15 @@ def _cmd_timesim(args) -> int:
         timing=args.cost_model)
     sync, semi = results["sync"], results["semi-async"]
     faster = semi.sim_time_s < sync.sim_time_s
-    close = _worst(semi) >= _worst(sync) - 0.02
+    slack = 0.02
+    close = _worst(semi) >= _worst(sync) - slack
     speedup = (sync.sim_time_s / semi.sim_time_s if semi.sim_time_s > 0
                else float("inf"))
     print(f"\nsemi-async {'is' if faster else 'is NOT'} faster "
           f"({speedup:.2f}x) and its worst-edge accuracy "
-          f"{'matches' if close else 'LAGS'} the synchronous run")
+          f"{'matches' if close else 'LAGS'} the synchronous run"
+          + (f" (vacuous: the synchronous worst-edge accuracy is within "
+             f"the {slack} slack of 0)" if _worst(sync) <= slack else ""))
     if args.staleness == 0:
         exact = (semi.sim_time_s == sync.sim_time_s
                  and _worst(semi) == _worst(sync))

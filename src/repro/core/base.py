@@ -600,15 +600,19 @@ class FederatedAlgorithm(ABC):
         return self.population.build_flat_clients(batch_size=self.batch_size,
                                                   rng_factory=self.rng_factory)
 
-    def _edge_roster(self, edge_id: int):
+    def _edge_roster(self, round_index: int, edge_id: int):
         """The edge's membership-adjusted roster for this round.
 
         ``None`` means "use the construction-time roster" (membership
         disabled — the byte-identical static path);
         :data:`EDGE_UNAVAILABLE` means the edge must be skipped this round
-        (crashed, partitioned, or drained of active clients); any list is
-        the live roster to train/probe with.
+        (dark under the fault plan, crashed, partitioned, or drained of
+        active clients; the fault plan is asked first, so a dark edge's
+        roster is never built); any list is the live roster to train/probe
+        with.
         """
+        if self.faults.enabled and self.faults.edge_dark(round_index, edge_id):
+            return EDGE_UNAVAILABLE
         membership = self.membership
         if not membership.enabled:
             return None

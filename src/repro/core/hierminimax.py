@@ -164,9 +164,7 @@ class HierMinimax(FederatedAlgorithm):
         faults = self.faults
         timing = self.timing
         top = self._links[0]
-        if faults.enabled and faults.edge_dark(round_index, eid):
-            return None
-        roster = self._edge_roster(eid)
+        roster = self._edge_roster(round_index, eid)
         if roster is EDGE_UNAVAILABLE:
             return None
         if timing.enabled:
@@ -311,12 +309,10 @@ class HierMinimax(FederatedAlgorithm):
             # Probed edges answer concurrently; Phase 2 costs the slowest probe.
             with timing.parallel("phase2"):
                 for eid in probed:
-                    roster = self._edge_roster(eid)
+                    roster = self._edge_roster(round_index, eid)
                     with timing.branch(f"edge:{eid}" if timing.record
                                        else None):
-                        if roster is not EDGE_UNAVAILABLE and not (
-                                faults.enabled and faults.edge_dark(
-                                    round_index, eid)):
+                        if roster is not EDGE_UNAVAILABLE:
                             if timing.enabled:
                                 timing.transfer(top, eid, d)
                             est = self._area_loss(round_index, eid,

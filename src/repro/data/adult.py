@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.utils.rng import keyed_rng
 
 __all__ = ["AdultLikeSpec", "AdultLikeGenerator", "make_adult_groups"]
 
@@ -78,8 +79,7 @@ class AdultLikeGenerator:
 
     def __init__(self, spec: AdultLikeSpec | None = None) -> None:
         self.spec = spec if spec is not None else AdultLikeSpec()
-        truth_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.spec.seed, spawn_key=(0xAD01,)))
+        truth_rng = keyed_rng(self.spec.seed, 0xAD01)
         self._cards = [card for _, card in self.spec.fields]
         self._dim = sum(self._cards)
         # Shared ground-truth coefficients plus a per-group shift.

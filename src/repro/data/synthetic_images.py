@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.utils.rng import keyed_rng
 
 __all__ = [
     "ImageGeneratorSpec",
@@ -181,9 +182,7 @@ class SyntheticImageGenerator:
 
     def __init__(self, spec: ImageGeneratorSpec) -> None:
         self.spec = spec
-        proto_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.prototype_seed,
-                                   spawn_key=(0xB10B,)))
+        proto_rng = keyed_rng(spec.prototype_seed, 0xB10B)
         # One bank of mode prototypes per class (hard classes have several).
         self._prototypes: list[np.ndarray] = []
         for c in range(spec.num_classes):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
@@ -143,10 +143,7 @@ class AttackPlan:
 
     # ---------------------------------------------------------------- attacks
     def _rng(self, kind: str, *key: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(stable_key("byzantine"), stable_key(kind), *key))
-        return np.random.default_rng(ss)
+        return keyed_rng(self.seed, "byzantine", kind, *key)
 
     def _draw_key(self, round_index: int, client_id: int) -> tuple[int, ...]:
         # Colluders share one draw per round; independent attackers get one

@@ -3,7 +3,7 @@
 The :class:`FaultInjector` turns a :class:`~repro.faults.plan.FaultPlan` into
 concrete per-round decisions.  Every decision is a pure function of
 ``(plan.seed, round, kind, entity[, sequence])`` via dedicated
-:class:`numpy.random.SeedSequence` streams, so
+:func:`~repro.utils.rng.keyed_rng` streams, so
 
 * the same plan + seed reproduce the same failures regardless of which
   algorithm (or how much observability) is running,
@@ -26,7 +26,7 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_TRACER
 from repro.ops.numerics import median
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 
 __all__ = ["FaultInjector", "resolve_injector"]
 
@@ -85,10 +85,7 @@ class FaultInjector:
     def _rng(self, round_index: int, kind: str, entity: str,
              seq: int = 0) -> np.random.Generator:
         """A generator that is a pure function of its arguments and the seed."""
-        ss = np.random.SeedSequence(
-            entropy=self.plan.seed,
-            spawn_key=(stable_key(kind), round_index, stable_key(entity), seq))
-        return np.random.default_rng(ss)
+        return keyed_rng(self.plan.seed, kind, round_index, entity, seq)
 
     def _round_scope(self, round_index: int) -> None:
         if self._event_round != round_index:

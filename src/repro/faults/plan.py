@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.defense.attacks import AttackPlan
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 from repro.utils.spec import convert, dataclass_schema, tokenize
 from repro.utils.validation import check_probability
 
@@ -90,11 +88,8 @@ class RetryPolicy:
         if self.max_backoff_s is not None:
             wait = min(wait, self.max_backoff_s)
         if self.jitter > 0.0 and seed is not None:
-            ss = np.random.SeedSequence(
-                entropy=seed,
-                spawn_key=(stable_key("retry_jitter"), round_index,
-                           stable_key(entity), attempt))
-            u = np.random.default_rng(ss).random()
+            u = keyed_rng(seed, "retry_jitter", round_index, entity,
+                          attempt).random()
             wait *= 1.0 + self.jitter * (2.0 * u - 1.0)
         return wait
 

@@ -4,8 +4,8 @@ The :class:`MembershipManager` turns a
 :class:`~repro.membership.plan.ChurnPlan` into concrete per-round membership
 transitions.  Every draw is a pure function of
 ``(plan.seed, round, kind, entity)`` via dedicated
-:class:`numpy.random.SeedSequence` streams (the same idiom as the fault
-injector), so
+:func:`~repro.utils.rng.keyed_rng` streams (the same law as the fault
+injector's), so
 
 * the same plan + seed reproduce the same arrivals, departures, crashes and
   partitions regardless of which algorithm (or how much observability) is
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.membership.plan import ChurnPlan
 from repro.obs import NULL_TRACER
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 
 __all__ = ["MembershipManager"]
 
@@ -113,11 +113,8 @@ class MembershipManager:
     def _rng(self, round_index: int, kind: str,
              entity: str) -> np.random.Generator:
         """A generator that is a pure function of its arguments and the seed."""
-        ss = np.random.SeedSequence(
-            entropy=self.plan.seed,
-            spawn_key=(stable_key("membership:" + kind), round_index,
-                       stable_key(entity)))
-        return np.random.default_rng(ss)
+        return keyed_rng(self.plan.seed, "membership:" + kind, round_index,
+                         entity)
 
     def _emit(self, round_index: int, action: str, entity: str,
               **fields) -> None:

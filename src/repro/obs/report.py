@@ -515,19 +515,7 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
             analyze_critical_paths(report.sim_trees), timeline=timeline))
     if timeline > 0 and report.rounds:
         lines.append("")
-        lines.append("round timeline:")
-        shown = list(report.rounds)
-        if len(shown) > 2 * timeline:
-            head, tail = shown[:timeline], shown[-timeline:]
-            gap = len(shown) - 2 * timeline
-        else:
-            head, tail, gap = shown, [], 0
-        for r in head:
-            lines.append(_round_line(r))
-        if gap:
-            lines.append(f"  … {gap} rounds elided …")
-            for r in tail:
-                lines.append(_round_line(r))
+        lines += _timeline("round", report.rounds, _round_line, timeline)
     if report.fault_totals:
         lines.append("")
         lines.append(f"faults: {report.faults_injected} injected, "
@@ -539,19 +527,8 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
                 lines.append(f"  {kind:<22s} {report.fault_totals[kind]:6d}  "
                              f"({label})")
         by_round = sorted(report.faults_by_round.items())
-        if timeline > 0 and by_round:
-            lines.append("fault timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd, slot in head:
-                lines.append(_fault_round_line(rnd, slot))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd, slot in tail:
-                    lines.append(_fault_round_line(rnd, slot))
+        lines += _timeline("fault", by_round,
+                           lambda item: _fault_round_line(*item), timeline)
     if report.attack_totals or report.defense_totals:
         lines.append("")
         lines.append(f"byzantine: {report.attacks_injected} attacked uploads, "
@@ -564,19 +541,8 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
             lines.append(f"  {action:<22s} {report.defense_totals[action]:6d}  "
                          f"(defense)")
         by_round = sorted(report.byzantine_by_round.items())
-        if timeline > 0 and by_round:
-            lines.append("byzantine timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd, slot in head:
-                lines.append(_byz_round_line(rnd, slot))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd, slot in tail:
-                    lines.append(_byz_round_line(rnd, slot))
+        lines += _timeline("byzantine", by_round,
+                           lambda item: _byz_round_line(*item), timeline)
     if report.membership_totals:
         lines.append("")
         balance = report.members_joined - report.members_left
@@ -599,21 +565,9 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
             lines.append(f"  {action:<22s} "
                          f"{report.membership_totals[action]:6d}")
         by_round = sorted(r for r in report.membership_by_round if r >= 0)
-        if timeline > 0 and by_round:
-            lines.append("membership timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd in head:
-                lines.append(_membership_round_line(
-                    rnd, report.membership_by_round[rnd]))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd in tail:
-                    lines.append(_membership_round_line(
-                        rnd, report.membership_by_round[rnd]))
+        lines += _timeline("membership", by_round, lambda rnd: (
+            _membership_round_line(rnd, report.membership_by_round[rnd])),
+            timeline)
     if report.invariant_totals:
         lines.append("")
         lines.append(f"invariants: {report.invariant_violations} violation(s) "
@@ -644,6 +598,19 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
         for k in sorted(gauges):
             lines.append(f"  {k:<22s} {gauges[k]:g}  (gauge)")
     return "\n".join(lines)
+
+
+def _timeline(title: str, items, render, keep: int) -> list[str]:
+    """The ``title`` timeline: ``render(item)`` for the first and last
+    ``keep`` of ``items``, the rounds between them elided (nothing when
+    ``keep`` is 0 or ``items`` is empty)."""
+    if keep <= 0 or not items:
+        return []
+    gap = len(items) - 2 * keep
+    if gap <= 0:
+        return [f"{title} timeline:", *map(render, items)]
+    return [f"{title} timeline:", *map(render, items[:keep]),
+            f"  … {gap} rounds elided …", *map(render, items[-keep:])]
 
 
 def _byz_round_line(rnd: int, slot: Mapping[str, int]) -> str:

@@ -26,8 +26,31 @@ from typing import Sequence
 import numpy as np
 
 from repro.sim.builder import build_edge_servers, build_flat_clients
+from repro.utils.rng import keyed_rng
 
 __all__ = ["Population", "EagerPopulation", "resolve_population", "as_population"]
+
+#: Purpose key of the evaluation-cohort stream, disjoint from the spec's
+#: data keys (see :mod:`repro.population.spec`); frozen like them.
+_EVAL_KEY = 0x5F6A7D03
+
+
+def _eval_cohort(seed: int, num_edges: int, size: int | None,
+                 round_index: int) -> np.ndarray | None:
+    """Seeded evaluation cohort of ``size`` of ``num_edges`` edges for
+    ``round_index`` (None means *all* edges), shared by eager and virtual
+    populations so matching seeds sample matching cohorts.
+
+    The cohort is a pure function of ``(seed, round_index)`` — resuming a
+    run re-samples the same cohorts — and is sorted so evaluation visits
+    edges in a deterministic order.  ``round_index`` may be ``-1`` (the
+    pre-training evaluation point).
+    """
+    if size is None or size >= num_edges:
+        return None
+    ids = keyed_rng(seed, _EVAL_KEY, round_index + 1).choice(
+        num_edges, size=size, replace=False)
+    return np.sort(ids.astype(np.intp))
 
 
 class Population:
@@ -114,17 +137,8 @@ class EagerPopulation(Population):
 
     def eval_edge_ids(self, round_index: int) -> np.ndarray | None:
         """Seeded evaluation cohort (same law as the virtual spec), or None."""
-        if self.eval_edges is None or self.eval_edges >= self._dataset.num_edges:
-            return None
-        # Same derivation law as PopulationSpec.eval_edge_ids so eager and
-        # virtual runs with matching seeds sample matching cohorts.
-        from repro.population.spec import _EVAL_KEY
-
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.eval_seed, spawn_key=(_EVAL_KEY, int(round_index) + 1)))
-        ids = rng.choice(self._dataset.num_edges, size=self.eval_edges,
-                         replace=False)
-        return np.sort(ids.astype(np.intp))
+        return _eval_cohort(self.eval_seed, self._dataset.num_edges,
+                            self.eval_edges, round_index)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EagerPopulation({self._dataset!r})"

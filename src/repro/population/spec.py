@@ -12,12 +12,14 @@ lets a 1M-client run fit in O(cohort) memory.
 
 Derivation law
 --------------
-All randomness descends from ``numpy.random.SeedSequence(entropy=spec.seed,
-spawn_key=(KIND, index))`` with disjoint ``KIND`` constants per purpose:
+All randomness descends from ``keyed_rng(spec.seed, KIND, index)``
+(:func:`~repro.utils.rng.keyed_rng`) with disjoint ``KIND`` constants per
+purpose:
 
 * ``(_DATA_KEY, client_id)`` — the client's training shard;
 * ``(_TEST_KEY, edge_id)`` — the edge area's shared test set;
-* ``(_EVAL_KEY, round+1)`` — the per-round evaluation cohort (edge ids);
+* ``(_EVAL_KEY, round+1)`` — the per-round evaluation cohort (edge ids), a
+  law :mod:`repro.population.base` shares with eager populations;
 * class prototypes for the ``synthetic`` family use ``(_PROTO_KEY,)``.
 
 Image families (``mnist_like`` etc.) draw their prototypes from the family's own
@@ -40,16 +42,18 @@ from typing import Mapping
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.population.base import _eval_cohort
+from repro.utils.rng import keyed_rng
 from repro.utils.spec import dataclass_schema, parse_spec, to_int
 
 __all__ = ["PopulationSpec"]
 
-# Disjoint purpose keys for SeedSequence spawn_key namespacing.  These are part
-# of the checkpoint/derivation contract: changing them changes every virtual
+# Disjoint purpose keys for keyed_rng namespacing (the evaluation cohort's
+# 0x5F6A7D03 lives in repro.population.base).  These are part of the
+# checkpoint/derivation contract: changing them changes every virtual
 # dataset, so treat them as frozen.
 _DATA_KEY = 0x5F6A7D01
 _TEST_KEY = 0x5F6A7D02
-_EVAL_KEY = 0x5F6A7D03
 _PROTO_KEY = 0x5F6A7D04
 
 _PARTITIONS = ("one_class", "iid")
@@ -232,9 +236,8 @@ class PopulationSpec:
         """
         means = self.__dict__.get("_class_means")
         if means is None:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(_PROTO_KEY,)))
-            means = self.class_scale * rng.standard_normal(
+            means = self.class_scale * keyed_rng(
+                self.seed, _PROTO_KEY).standard_normal(
                 (self.num_classes, self.dim))
             means.flags.writeable = False
             # The spec is frozen; the cache is not a field, so equality,
@@ -254,8 +257,7 @@ class PopulationSpec:
 
     def client_rng(self, client_id: int) -> np.random.Generator:
         """Data-generation stream of one client (NOT its training-sampler stream)."""
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(_DATA_KEY, int(client_id))))
+        return keyed_rng(self.seed, _DATA_KEY, client_id)
 
     def client_shard(self, client_id: int, *, image_generator=None) -> Dataset:
         """Materialize client ``client_id``'s training shard.
@@ -283,25 +285,15 @@ class PopulationSpec:
         e = int(edge_id)
         if not 0 <= e < self.num_edges:
             raise ValueError(f"edge id {e} outside {self.num_edges} edges")
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(_TEST_KEY, e)))
-        return self._derive([e], [rng], self.test_per_edge,
-                            image_generator)[0]
+        return self._derive([e], [keyed_rng(self.seed, _TEST_KEY, e)],
+                            self.test_per_edge, image_generator)[0]
 
     def eval_edge_ids(self, round_index: int) -> np.ndarray | None:
-        """Seeded evaluation cohort for ``round_index`` (None means *all* edges).
-
-        The cohort is a pure function of ``(seed, round_index)`` — resuming a
-        run re-samples the same cohorts — and is sorted so evaluation visits
-        edges in a deterministic order.  ``round_index`` may be ``-1`` (the
-        pre-training evaluation point).
-        """
-        if self.eval_edges is None or self.eval_edges >= self.num_edges:
-            return None
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(_EVAL_KEY, int(round_index) + 1)))
-        ids = rng.choice(self.num_edges, size=self.eval_edges, replace=False)
-        return np.sort(ids.astype(np.intp))
+        """Seeded evaluation cohort for ``round_index`` (None means *all*
+        edges); pure in ``(seed, round_index)``, shared with eager
+        populations."""
+        return _eval_cohort(self.seed, self.num_edges, self.eval_edges,
+                            round_index)
 
     # ------------------------------------------------------------------
     # Parsing / serialization

@@ -15,8 +15,8 @@ algorithms perform:
 
 Every parameter of the heterogeneous model is a **pure function of
 ``(seed, entity)``** — device and link factors are drawn from dedicated
-:class:`numpy.random.SeedSequence` streams keyed by
-:func:`~repro.utils.rng.stable_key`, never from a shared mutable generator.
+:func:`~repro.utils.rng.keyed_rng` streams keyed by ``(kind, entity)``, never
+from a shared mutable generator.
 Querying a cost is therefore side-effect-free and order-independent, which is
 what guarantees identical simulated makespans across execution backends and
 across checkpoint/resume (the cost of step ``k`` cannot depend on who asked
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import stable_key
+from repro.utils.rng import keyed_rng
 from repro.utils.spec import convert, to_float, to_int, to_int_list, tokenize
 
 __all__ = ["CostModel", "NullCostModel", "NULL_COST_MODEL",
@@ -166,9 +166,7 @@ class HeterogeneousCostModel(CostModel):
     # ------------------------------------------------------------- pure draws
     def _stream(self, kind: str, name: str) -> np.random.Generator:
         """A dedicated generator for one (kind, entity) — pure in (seed, key)."""
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(stable_key(kind), stable_key(name))))
+        return keyed_rng(self.seed, kind, name)
 
     def device_factor(self, entity) -> float:
         """Per-device speed multiplier (1 = median device)."""

@@ -7,7 +7,7 @@ __all__ = [
     "RunLogger",
     "RngFactory",
     "as_generator",
-    "spawn_generators",
+    "keyed_rng",
     "stable_key",
     "from_jsonable",
     "load_json",
@@ -30,7 +30,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.utils.logging": ("NullLogger", "RunLogger"),
     "repro.utils.rng": (
-        "RngFactory", "as_generator", "spawn_generators", "stable_key",
+        "RngFactory", "as_generator", "keyed_rng", "stable_key",
     ),
     "repro.utils.serialization": (
         "from_jsonable", "load_json", "save_json", "to_jsonable",

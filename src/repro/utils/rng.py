@@ -1,28 +1,29 @@
 """Deterministic random-number-stream management.
 
 Every stochastic component in this library (clients' minibatch draws, the cloud's
-edge sampling, dataset generators, parameter initialization) consumes an explicit
-:class:`numpy.random.Generator`.  A single root seed is expanded into independent,
-collision-free child streams via :class:`numpy.random.SeedSequence` spawning, so
+edge sampling, dataset generators, parameter initialization, fault, churn and
+attack decisions) consumes an explicit :class:`numpy.random.Generator`, and
+every seeded one is built by :func:`keyed_rng`: a pure function of a root seed
+and a key tuple, derived through :class:`numpy.random.SeedSequence` spawn keys,
+so
 
 * repeated runs with the same seed are bit-identical,
 * adding a consumer never perturbs the streams of existing consumers, and
 * per-client streams are statistically independent (no shared state, no locking),
   which mirrors how per-rank RNGs are handled in MPI-style HPC codes.
 
-The central object is :class:`RngFactory`; algorithms hold one and hand out named
-streams.  Names are hashed into the spawn key, so the mapping ``name -> stream`` is
-stable across runs and across call order.
+:class:`RngFactory` binds a root seed and hands out named streams; names are
+hashed into the spawn key, so the mapping ``name -> stream`` is stable across
+runs and across call order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 import numpy as np
 
-__all__ = ["RngFactory", "spawn_generators", "as_generator", "stable_key",
+__all__ = ["RngFactory", "keyed_rng", "as_generator", "stable_key",
            "generator_token", "generator_from_token", "restore_generator"]
 
 
@@ -83,6 +84,20 @@ def stable_key(name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def keyed_rng(seed: int, *key: str | int) -> np.random.Generator:
+    """The generator of stream ``key`` under root ``seed``.
+
+    Built as ``default_rng(SeedSequence(entropy=seed, spawn_key=...))`` with
+    each ``str`` part of ``key`` mapped through :func:`stable_key` and each
+    ``int`` part used as is, so the stream is a pure function of
+    ``(seed, key)``.  Every seeded stream in the library derives here.
+    """
+    spawn_key = tuple(stable_key(k) if isinstance(k, str) else int(k)
+                      for k in key)
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+
+
 def as_generator(seed: int | np.random.Generator | np.random.SeedSequence | None,
                  ) -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.
@@ -92,21 +107,7 @@ def as_generator(seed: int | np.random.Generator | np.random.SeedSequence | None
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from one seed.
-
-    Streams are derived through ``SeedSequence.spawn`` and are guaranteed
-    non-overlapping by the underlying Philox/PCG spawning machinery.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 class RngFactory:
@@ -133,8 +134,7 @@ class RngFactory:
 
     def stream(self, name: str) -> np.random.Generator:
         """Return an independent generator for the consumer called ``name``."""
-        ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(stable_key(name),))
-        return np.random.default_rng(ss)
+        return keyed_rng(self._seed, name)
 
     def stream_at(self, name: str, i: int) -> np.random.Generator:
         """Return the ``i``-th stream of the ``name`` family without building the rest.
@@ -153,33 +153,14 @@ class RngFactory:
         for i in indices:
             if i < 0:
                 raise ValueError(f"stream index must be >= 0, got {i}")
-            out.append(np.random.default_rng(np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(key, int(i)))))
+            out.append(keyed_rng(self._seed, key, i))
         return out
 
     def streams(self, name: str, n: int) -> list[np.random.Generator]:
         """Return ``n`` independent generators, e.g. one per client."""
         if n < 0:
             raise ValueError(f"cannot create {n} streams")
-        key = stable_key(name)
-        return [
-            np.random.default_rng(np.random.SeedSequence(entropy=self._seed,
-                                                         spawn_key=(key, i)))
-            for i in range(n)
-        ]
-
-    def iter_streams(self, name: str) -> Iterator[np.random.Generator]:
-        """Yield an unbounded sequence of independent generators for ``name``."""
-        key = stable_key(name)
-        i = 0
-        while True:
-            yield np.random.default_rng(
-                np.random.SeedSequence(entropy=self._seed, spawn_key=(key, i)))
-            i += 1
-
-    def child(self, name: str) -> "RngFactory":
-        """Derive a sub-factory (e.g. one per training round) with its own namespace."""
-        return RngFactory(seed=(self._seed * 0x9E3779B97F4A7C15 + stable_key(name)) % (2**63))
+        return self.streams_at(name, range(n))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngFactory(seed={self._seed})"

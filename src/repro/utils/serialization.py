@@ -40,6 +40,12 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-encodable structures."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    # Plain containers before the rarer types: the checkpoint payloads this
+    # walks are mostly nested dicts and lists.
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -54,10 +60,6 @@ def to_jsonable(obj: Any) -> Any:
         return {_BITGEN_KEY: state["bit_generator"], "state": to_jsonable(state)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

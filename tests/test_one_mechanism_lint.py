@@ -2,7 +2,9 @@
 delivery and local training have a single home.
 
 ``key=value`` splitting lives only in :mod:`repro.utils.spec`; ``os.fsync``
-and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`; the round's
+and ``zlib.crc32`` live only in :mod:`repro.utils.serialization`; seeded
+streams are built only by :func:`repro.utils.rng.keyed_rng`, the one place
+a ``SeedSequence`` is constructed; the round's
 plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
 ``robust_combine`` is called only by its ``combine``, ``run_local_steps``
 only by its ``train_leg`` and ``FaultInjector.receive`` only by its
@@ -91,8 +93,9 @@ def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
     (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
                               "simtime/null.py", "simtime/cost.py",
                               "membership/plan.py")),
+    (_calls_of("SeedSequence"), ("utils/rng.py",)),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
-        "link-delivery", "run-resolution"])
+        "link-delivery", "run-resolution", "seed-sequence"])
 def test_mechanism_has_one_home(finder, homes):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes)
@@ -114,6 +117,9 @@ def test_mechanism_has_one_home(finder, homes):
     (_calls_of("receive"), "faults.receive(k, link, sender, w, floats=d)"),
     (_calls_of(*_RESOLVERS), "timing = resolve_timing(cost_model)"),
     (_calls_of(*_RESOLVERS), "inj = faults.resolve_injector(plan, obs=obs)"),
+    (_calls_of("SeedSequence"),
+     "np.random.SeedSequence(entropy=seed, spawn_key=(key, i))"),
+    (_calls_of("SeedSequence"), "SeedSequence(7)"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators, stable_key
+from repro.utils.rng import RngFactory, as_generator, keyed_rng, stable_key
 
 
 class TestStableKey:
@@ -38,26 +40,29 @@ class TestAsGenerator:
         np.testing.assert_array_equal(a, b)
 
 
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 5)
-        assert len(gens) == 5
-
-    def test_zero_is_allowed(self):
-        assert spawn_generators(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-    def test_streams_are_independent(self):
-        a, b = spawn_generators(0, 2)
-        assert not np.allclose(a.random(8), b.random(8))
+class TestKeyedRng:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           key=st.lists(st.one_of(st.text(max_size=12),
+                                  st.integers(0, 2**64 - 1)), max_size=4))
+    def test_matches_hand_built_seed_sequence(self, seed, key):
+        spawn_key = tuple(stable_key(k) if isinstance(k, str) else k
+                          for k in key)
+        expected = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+        np.testing.assert_array_equal(keyed_rng(seed, *key).random(4),
+                                      expected.random(4))
 
     def test_deterministic(self):
-        a1, _ = spawn_generators(42, 2)
-        a2, _ = spawn_generators(42, 2)
-        np.testing.assert_array_equal(a1.random(8), a2.random(8))
+        np.testing.assert_array_equal(keyed_rng(42, "a", 1).random(8),
+                                      keyed_rng(42, "a", 1).random(8))
+
+    def test_distinct_keys_distinct_streams(self):
+        draws = [keyed_rng(0, *key).random(8)
+                 for key in [("a", 0), ("a", 1), ("b", 0), (0, "a")]]
+        for i in range(len(draws)):
+            for j in range(i + 1, len(draws)):
+                assert not np.allclose(draws[i], draws[j])
 
 
 class TestRngFactory:
@@ -94,19 +99,11 @@ class TestRngFactory:
         with pytest.raises(ValueError):
             RngFactory(0).streams("x", -2)
 
-    def test_iter_streams_prefix_matches_streams(self):
+    def test_stream_at_matches_streams(self):
         f = RngFactory(seed=3)
-        it = f.iter_streams("worker")
-        fixed = f.streams("worker", 3)
-        for expected in fixed:
-            got = next(it)
-            np.testing.assert_array_equal(got.random(4), expected.random(4))
-
-    def test_child_factories_differ(self):
-        f = RngFactory(seed=4)
-        a = f.child("round0").stream("x").random(4)
-        b = f.child("round1").stream("x").random(4)
-        assert not np.allclose(a, b)
+        for i, expected in enumerate(f.streams("worker", 3)):
+            np.testing.assert_array_equal(f.stream_at("worker", i).random(4),
+                                          expected.random(4))
 
     def test_seed_property(self):
         assert RngFactory(seed=77).seed == 77
