@@ -1,142 +1,34 @@
 """Dynamic-membership bench — the 20% edge-crash campaign.
 
-Trains HierMinimax on the Fig. 3 layout while a seeded :class:`repro.membership.
-ChurnPlan` crashes edge servers (two-state Markov episodes tuned so roughly 20%
-of edges are dark in steady state) and churns the client population, then
-compares three arms:
+Runs the ``churn`` scenario of :mod:`repro.experiments.scenarios` at its bench
+size: HierMinimax on the Fig. 3 layout while a seeded
+:class:`repro.membership.ChurnPlan` crashes edge servers (two-state Markov
+episodes tuned so roughly 20% of edges are dark in steady state) and churns
+the client population, in three arms:
 
 * ``clean`` — no churn plan bound (the static-hierarchy reference),
-* ``rehome`` — the self-healing run: orphans of a crashed edge are re-homed to
-  surviving edges and the edge state is handed off, and
-* ``no_rehome`` — the same crash campaign with failover disabled: clients of a
-  dark edge simply vanish from the round.
+* ``re-homed`` — the self-healing run: orphans of a crashed edge are re-homed
+  to surviving edges and the edge state is handed off, and
+* ``no-failover`` — the same crash campaign with failover disabled: clients
+  of a dark edge simply vanish from the round.
 
-The headline numbers the bench must reproduce:
+The headline numbers the bench must reproduce (the scenario's checks):
 
 * with re-homing, worst-group accuracy survives the campaign — it is at least
-  the no-failover arm's and within a few points of the clean run, while the
-  no-failover arm demonstrably degrades; and
+  the no-failover arm's and within 15 points of the clean run; and
 * self-healing is not free — re-homing and state handoff are charged to the
-  PR-5 cost model and the comm tracker, so the re-homed arm's simulated
-  makespan and traffic exceed the no-failover arm's.
+  cost model and the comm tracker, so the re-homed arm's simulated makespan
+  and traffic exceed the no-failover arm's.
 
-The membership ledger must also balance on the re-homed arm: arrivals minus
+The campaign must actually happen (edge crashes, re-homes and handoffs), and
+the membership ledger must balance on the re-homed arm: arrivals minus
 departures equal the net change of the active population.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.hierminimax import HierMinimax
-from repro.data.registry import make_federated_dataset
-from repro.membership import ChurnPlan
-from repro.nn.models import make_model_factory
-from repro.obs import Tracer
-from repro.simtime import SimTimer, make_cost_model
-
-#: Edge crashes with ~20% steady-state downtime (mttr / (mttf + mttr) = 0.2)
-#: plus mild client churn; every decision is a pure function of seed=1.
-CHURN_SPEC = "arrive=0.05,depart=0.02,edge_mttf=8,edge_mttr=2,seed=1"
-
-COST_SPEC = "hetero,seed=1"
+from repro.experiments.scenarios import CHURN
 
 
-def test_churn_campaign(benchmark, repro_scale, save_report, make_tracer,
-                        bench_trajectory):
-    scale = "tiny" if repro_scale == "tiny" else "small"
-    rounds = 300 if scale == "tiny" else 800
-    dataset = make_federated_dataset("emnist_digits", seed=0, scale=scale)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
-    plan = ChurnPlan.parse(CHURN_SPEC)
-
-    def train(churn=None, obs=None):
-        algo = HierMinimax(dataset, factory, batch_size=8, eta_w=0.05,
-                           eta_p=2e-3, tau1=2, tau2=2, m_edges=5, seed=0,
-                           churn=churn, obs=obs,
-                           timing=SimTimer(make_cost_model(COST_SPEC)))
-        initial = len(algo.membership.active) if algo.membership.enabled \
-            else dataset.num_clients
-        res = algo.run(rounds=rounds, eval_every=rounds)
-        rec = res.history.final().record
-        return {"worst_accuracy": float(rec.worst_accuracy),
-                "average_accuracy": float(rec.average_accuracy),
-                "traffic_bytes": int(res.comm.total_bytes),
-                "sim_time_s": float(res.sim_time_s),
-                "initial_active": int(initial),
-                "final_active": int(len(algo.membership.active))
-                if algo.membership.enabled else int(dataset.num_clients)}
-
-    def run():
-        tracer = make_tracer(f"churn_{repro_scale}")
-        out = {"spec": CHURN_SPEC, "rounds": rounds,
-               "clean": train(),
-               "rehome": train(churn=plan, obs=tracer),
-               "no_rehome": train(churn=replace(plan, rehome=False))}
-        counters = tracer.snapshot()["counters"]
-        out["counters"] = {k: int(v) for k, v in counters.items()
-                           if k.startswith("membership_")}
-        return out
-
-    data = benchmark.pedantic(run, iterations=1, rounds=1)
-    counters = data["counters"]
-
-    lines = [f"churn campaign ({CHURN_SPEC}, {rounds} rounds)",
-             f"{'arm':>12s} {'worst':>7s} {'avg':>7s} {'MB':>8s} "
-             f"{'sim s':>9s} {'pop':>9s}"]
-    for arm in ("clean", "rehome", "no_rehome"):
-        cell = data[arm]
-        lines.append(f"{arm:>12s} {cell['worst_accuracy']:7.3f} "
-                     f"{cell['average_accuracy']:7.3f} "
-                     f"{cell['traffic_bytes'] / 1e6:8.2f} "
-                     f"{cell['sim_time_s']:9.2f} "
-                     f"{cell['initial_active']:>4d}->{cell['final_active']:<4d}")
-    lines.append("membership: " + "  ".join(
-        f"{k.removeprefix('membership_').removesuffix('_total')}={v}"
-        for k, v in sorted(counters.items())))
-    save_report(f"churn_campaign_{repro_scale}", data, "\n".join(lines))
-
-    if scale == "tiny":
-        # Perf trajectory (tiny scale only): crash/re-home totals gate
-        # exactly, accuracies are deterministic floats of the fixed-seed run.
-        bench_trajectory("churn", {
-            "edge_crashes": {
-                "value": counters.get("membership_edge_crashes_total", 0),
-                "kind": "counter"},
-            "clients_rehomed": {
-                "value": counters.get("membership_rehomed_total", 0),
-                "kind": "counter"},
-            "clean_worst_accuracy": {
-                "value": data["clean"]["worst_accuracy"], "kind": "exact"},
-            "rehome_worst_accuracy": {
-                "value": data["rehome"]["worst_accuracy"], "kind": "exact"},
-        }, context={"scale": scale, "rounds": rounds, "spec": CHURN_SPEC})
-
-    # The campaign actually happened: edges crashed and orphans moved.
-    assert counters.get("membership_edge_crashes_total", 0) > 0
-    assert counters.get("membership_rehomed_total", 0) > 0
-    assert counters.get("membership_handoffs_total", 0) > 0
-
-    # Self-healing holds the worst group: the re-homed arm at least matches
-    # the no-failover arm and stays within 15 points of the clean run ...
-    clean = data["clean"]["worst_accuracy"]
-    assert data["rehome"]["worst_accuracy"] >= \
-        data["no_rehome"]["worst_accuracy"], \
-        "re-homing lost to no-failover on worst-group accuracy"
-    assert data["rehome"]["worst_accuracy"] > clean - 0.15, \
-        f"re-homed worst {data['rehome']['worst_accuracy']:.3f} " \
-        f"collapsed vs clean {clean:.3f}"
-
-    # ... and its cost is visible: re-homing + handoff traffic and detection
-    # timeouts make the self-healing arm strictly more expensive than the
-    # no-failover arm on both the comm tracker and the simulated clock.
-    assert data["rehome"]["traffic_bytes"] > data["no_rehome"]["traffic_bytes"]
-    assert data["rehome"]["sim_time_s"] > data["no_rehome"]["sim_time_s"]
-
-    # Ledger balance on the re-homed arm: joined − left == net Δ population.
-    joined = counters.get("membership_joined_total", 0)
-    left = counters.get("membership_left_total", 0)
-    net = data["rehome"]["final_active"] - data["rehome"]["initial_active"]
-    assert joined - left == net, \
-        f"membership ledger imbalanced: {joined} - {left} != {net}"
+def test_churn_campaign(scenario_bench):
+    scenario_bench(CHURN, "churn_campaign")

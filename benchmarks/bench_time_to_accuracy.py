@@ -1,143 +1,29 @@
 """Time-to-accuracy bench — sync vs semi-async HierMinimax on a virtual clock.
 
-Trains both variants on the Fig. 3 layout under a heterogeneous device/link
-cost model with one persistent 10× straggler client, and compares worst-group
-accuracy as a function of *simulated* seconds (the cost-model makespan; the
-wall-clock of this bench is irrelevant).  The staleness sweep covers
+Runs the ``timesim`` scenario of :mod:`repro.experiments.scenarios` at its
+bench size: both variants on the Fig. 3 layout under a heterogeneous
+device/link cost model with one persistent 10× straggler client, compared on
+worst-group accuracy as a function of *simulated* seconds (the cost-model
+makespan; the wall-clock of this bench is irrelevant).  The staleness sweep
+covers
 
 * ``S=0`` — must reproduce the synchronous trajectory AND makespan exactly
   (the bounded-staleness collect degenerates to the synchronous barrier), and
 * ``S>=1`` — overlapping rounds hide the straggler behind the fast cohort.
 
-The headline numbers the bench must reproduce:
+The headline numbers the bench must reproduce (the scenario's checks):
 
 * with ``staleness=1`` the semi-async variant reaches the synchronous run's
-  final worst-group accuracy in **strictly less** simulated time, and
+  final worst-group accuracy in **strictly less** simulated time than the
+  synchronous run takes, and finishes its whole run sooner, and
 * the synchronous trajectory itself is bit-unchanged by the cost model (the
   clock is observational) — asserted against a clock-free control run.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.hierminimax import HierMinimax
-from repro.core.semiasync import SemiAsyncHierMinimax
-from repro.data.registry import make_federated_dataset
-from repro.experiments.runner import monotone_envelope
-from repro.nn.models import make_model_factory
-from repro.plotting import ascii_plot
-from repro.simtime import SimTimer, make_cost_model
-
-#: One persistent 10x straggler (client 0) over mildly lognormal devices.
-COST_SPEC = ("hetero,seed=1,device_sigma=0.3,slow_clients=0,slow_factor=10")
-
-STALENESS_SWEEP = (0, 1, 2)
+from repro.experiments.scenarios import TIMESIM
 
 
-def time_to_accuracy(times, accs, target: float) -> float:
-    """First simulated second at which the running-best accuracy >= target."""
-    env = monotone_envelope(np.asarray(accs, dtype=np.float64))
-    for t, a in zip(times, env):
-        if a >= target:
-            return float(t)
-    return float("inf")
-
-
-def test_time_to_accuracy(benchmark, repro_scale, save_report,
-                          bench_trajectory):
-    scale = "tiny" if repro_scale == "tiny" else "small"
-    rounds = 400 if scale == "tiny" else 1000
-    evals = 20
-    dataset = make_federated_dataset("emnist_digits", seed=0, scale=scale)
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
-
-    def train(cls, *, timing=None, **kwargs):
-        algo = cls(dataset, factory, batch_size=8, eta_w=0.05, eta_p=2e-3,
-                   tau1=2, tau2=2, m_edges=5, seed=0, timing=timing, **kwargs)
-        res = algo.run(rounds=rounds, eval_every=max(1, rounds // evals))
-        pts = res.history.points
-        return {"sim_time_s": [float(p.sim_time_s) for p in pts],
-                "worst_accuracy": [float(p.record.worst_accuracy)
-                                   for p in pts],
-                "final_worst": float(pts[-1].record.worst_accuracy),
-                "final_sim_s": float(res.sim_time_s),
-                "final_w": res.final_params}
-
-    def run():
-        control = train(HierMinimax)  # no clock: the numerics control
-        sync = train(HierMinimax, timing=SimTimer(make_cost_model(COST_SPEC)))
-        out = {"cost_model": COST_SPEC, "rounds": rounds,
-               "sync": {k: v for k, v in sync.items() if k != "final_w"},
-               "semi": {}}
-        out["numerics_unchanged"] = bool(
-            np.array_equal(control["final_w"], sync["final_w"]))
-        target = sync["final_worst"]
-        for s in STALENESS_SWEEP:
-            semi = train(SemiAsyncHierMinimax, staleness=s,
-                         timing=SimTimer(make_cost_model(COST_SPEC)))
-            out["semi"][str(s)] = {
-                **{k: v for k, v in semi.items() if k != "final_w"},
-                "exact_sync_reproduction": bool(
-                    semi["final_sim_s"] == sync["final_sim_s"]
-                    and np.array_equal(semi["final_w"], sync["final_w"])),
-                "time_to_sync_final": time_to_accuracy(
-                    semi["sim_time_s"], semi["worst_accuracy"], target),
-            }
-        return out
-
-    data = benchmark.pedantic(run, iterations=1, rounds=1)
-
-    sync = data["sync"]
-    series = {"sync": (sync["sim_time_s"], sync["worst_accuracy"])}
-    lines = [f"time-to-accuracy ({rounds} rounds, cost model "
-             f"{data['cost_model']}):",
-             f"  sync: final worst acc {sync['final_worst']:.3f} "
-             f"at {sync['final_sim_s']:.2f} sim-s "
-             f"(numerics unchanged by the clock: "
-             f"{data['numerics_unchanged']})"]
-    for s, cell in sorted(data["semi"].items(), key=lambda kv: int(kv[0])):
-        series[f"S={s}"] = (cell["sim_time_s"], cell["worst_accuracy"])
-        t_cross = cell["time_to_sync_final"]
-        lines.append(
-            f"  semi-async S={s}: final worst acc {cell['final_worst']:.3f} "
-            f"at {cell['final_sim_s']:.2f} sim-s; reaches sync's final worst "
-            f"acc at {t_cross:.2f} sim-s"
-            + ("  [exact sync reproduction]"
-               if cell["exact_sync_reproduction"] else ""))
-    lines.append("")
-    lines.append(ascii_plot(series, title="worst-group accuracy vs simulated "
-                                          "seconds",
-                            xlabel="simulated s", ylabel="worst acc"))
-    save_report(f"time_to_accuracy_{repro_scale}", data, "\n".join(lines))
-
-    if scale == "tiny":
-        # Perf trajectory (tiny scale only): simulated seconds are pure
-        # cost-model arithmetic on a fixed seed — machine-independent, so
-        # they gate at exact-float tolerance.
-        s1 = data["semi"]["1"]
-        bench_trajectory("time_to_accuracy", {
-            "sync_final_sim_s": {
-                "value": sync["final_sim_s"], "kind": "exact"},
-            "semiasync_s1_final_sim_s": {
-                "value": s1["final_sim_s"], "kind": "exact"},
-            "semiasync_s1_time_to_sync_final_s": {
-                "value": s1["time_to_sync_final"], "kind": "exact"},
-            "sync_final_worst_accuracy": {
-                "value": sync["final_worst"], "kind": "exact"},
-        }, context={"scale": scale, "rounds": rounds,
-                    "cost_model": data["cost_model"]})
-
-    # The virtual clock never changes the synchronous numerics.
-    assert data["numerics_unchanged"]
-    # S=0 degenerates to the synchronous barrier: exact trajectory + makespan.
-    assert data["semi"]["0"]["exact_sync_reproduction"]
-    # The acceptance headline: with S=1 the semi-async variant reaches the
-    # synchronous run's final worst-group accuracy in strictly less simulated
-    # time (and its whole run finishes sooner).
-    s1 = data["semi"]["1"]
-    assert s1["time_to_sync_final"] < sync["final_sim_s"], \
-        f"semi-async never caught up: {s1['time_to_sync_final']} vs " \
-        f"{sync['final_sim_s']}"
-    assert s1["final_sim_s"] < sync["final_sim_s"]
+def test_time_to_accuracy(scenario_bench):
+    scenario_bench(TIMESIM, "time_to_accuracy")

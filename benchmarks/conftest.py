@@ -1,8 +1,13 @@
 """Shared configuration of the reproduction benchmarks.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md §4)
-and prints the reproduced rows/series; raw results are also archived as JSON under
-``benchmarks/results/``.
+The ``fig``/``table`` benches regenerate one table or figure of the paper (see
+DESIGN.md §4) and print the reproduced rows/series; the ``ablation`` and
+``theory_bounds`` benches probe the paper's design knobs and Theorem 1.
+``bench_byzantine.py``, ``bench_churn.py`` and ``bench_time_to_accuracy.py``
+run a robustness comparison of :mod:`repro.experiments.scenarios` at its bench
+size (the ``scenario_bench`` fixture), and ``bench_substrate.py`` /
+``bench_population.py`` measure the execution and population layers.  Raw
+results are archived as JSON under ``benchmarks/results/``.
 
 Options
 -------
@@ -94,6 +99,30 @@ def bench_trajectory(results_dir):
     for bench, metrics in acc.items():
         write_bench(results_dir / f"BENCH_{bench}.json", bench, metrics,
                     context=contexts.get(bench, {}))
+
+
+@pytest.fixture
+def scenario_bench(benchmark, repro_scale, save_report, bench_trajectory):
+    """Callable fixture: ``scenario_bench(scenario, report)`` runs a
+    :mod:`repro.experiments.scenarios` scenario at the bench's size, archives
+    its report as ``results/<report>_<scale>.json``, emits its gated metrics
+    (tiny scale only — the baseline is pinned there) and asserts its
+    checks."""
+    from repro.experiments.scenarios import run_scenario
+
+    def _run(scenario, report: str):
+        size = "tiny" if repro_scale == "tiny" else "small"
+        run = benchmark.pedantic(run_scenario, args=(scenario, size),
+                                 iterations=1, rounds=1)
+        save_report(f"{report}_{repro_scale}", run.payload(), run.report)
+        if size == "tiny":
+            bench_trajectory(scenario.bench, {
+                name: {"value": run.metrics[name], "kind": kind}
+                for name, kind in scenario.gated.items()},
+                context=vars(run.params))
+        assert run.ok, run.report
+
+    return _run
 
 
 @pytest.fixture(scope="session")

@@ -132,67 +132,63 @@ def build_parser() -> argparse.ArgumentParser:
                         help="promote the current results to baselines "
                              "instead of checking")
 
-    def add_demo(name, func, help, *, rounds, tolerance=None):
-        """A comparison demo's subparser with the flags all four share."""
-        p = add(name, func, help=help)
-        p.add_argument("--scale", default="tiny", choices=("tiny", "small"))
-        p.add_argument("--rounds", type=int, default=rounds)
-        p.add_argument("--seed", type=int, default=0)
-        if tolerance is not None:
-            p.add_argument("--tolerance", type=float, default=tolerance,
+    def add_demo(name, help, *, tolerance=False):
+        """A comparison demo's subparser with the flags all four share; an
+        unset flag keeps the scenario's demo size (repro.experiments
+        .scenarios)."""
+        p = add(name, _cmd_scenario, help=help)
+        p.add_argument("--scale", choices=("tiny", "small"))
+        p.add_argument("--rounds", type=int)
+        p.add_argument("--seed", type=int)
+        if tolerance:
+            p.add_argument("--tolerance", type=float,
                            help="max tolerated worst-edge accuracy drop vs "
                                 "the clean run")
         return p
 
     p_deg = add_demo(
-        "degradation", _cmd_degradation, rounds=80, tolerance=0.10,
+        "degradation", tolerance=True,
         help="graceful-degradation demo: fault-free vs faulted HierMinimax")
-    p_deg.add_argument("--faults", default="client_dropout=0.2,seed=1",
+    p_deg.add_argument("--faults",
                        help="FaultPlan spec, e.g. "
                             "'client_dropout=0.2,edge_outage=0.05,seed=1'")
 
     p_byz = add_demo(
-        "byzantine", _cmd_byzantine, rounds=400, tolerance=0.05,
+        "byzantine", tolerance=True,
         help="byzantine demo: clean vs attacked (mean) vs attacked+defense")
-    p_byz.add_argument("--attack", default="sign_flip,scale=5",
+    p_byz.add_argument("--attack",
                        help="AttackPlan spec, e.g. "
                             "'sign_flip,fraction=0.2,seed=1' or "
                             "'loss_inflation,scale=20'; without an explicit "
                             "roster, --fraction of the clients is compromised "
                             "deterministically (one per edge area)")
-    p_byz.add_argument("--fraction", type=float, default=0.2,
+    p_byz.add_argument("--fraction", type=float,
                        help="byzantine client fraction when the --attack spec "
                             "does not set one")
     p_byz.add_argument("--defense",
-                       default="edge=trimmed_mean,cloud=norm_clip,"
-                               "trim=0.34,loss_clip=2.0",
                        help="DefensePolicy spec, e.g. 'trimmed_mean' or "
                             "'edge=median,cloud=krum,loss_clip=3'")
 
     p_ts = add_demo(
-        "timesim", _cmd_timesim, rounds=40,
+        "timesim",
         help="simulated-time demo: sync vs semi-async HierMinimax makespans")
     p_ts.add_argument("--cost-model",
-                      default="hetero,seed=1,slow_fraction=0.1,slow_factor=10",
                       help="CostModel spec for repro.simtime.make_cost_model, "
                            "e.g. 'hetero,seed=1,slow_clients=0|7,"
                            "slow_factor=10'")
-    p_ts.add_argument("--staleness", type=int, default=1,
+    p_ts.add_argument("--staleness", type=int,
                       help="semi-async staleness bound S (0 reproduces the "
                            "synchronous trajectory and makespan exactly)")
 
     p_ch = add_demo(
-        "churn", _cmd_churn, rounds=150, tolerance=0.15,
+        "churn", tolerance=True,
         help="dynamic-membership demo: clean vs churn+re-homing vs churn "
              "without failover")
     p_ch.add_argument("--churn",
-                      default="arrive=0.05,depart=0.02,edge_mttf=5,"
-                              "edge_mttr=4,seed=1",
                       help="ChurnPlan spec for repro.membership.ChurnPlan"
                            ".parse; edge_mttf=5 is a 20%% per-round "
                            "edge-crash campaign")
     p_ch.add_argument("--cost-model",
-                      default="hetero,seed=1",
                       help="CostModel spec pricing failover traffic "
                            "(simulated makespan; numerical results "
                            "unchanged)")
@@ -459,234 +455,23 @@ def _cmd_perf_check(args) -> int:
     return 1 if failed else 0
 
 
-def _worst(result) -> float:
-    return result.history.final().record.worst_accuracy
+def _cmd_scenario(args) -> int:
+    """Run a comparison demo: the scenario of the subcommand at its demo
+    size, with every given flag overriding its parameter; print the report
+    and exit 1 unless the scenario's check holds."""
+    from repro.experiments.scenarios import SCENARIOS, run_scenario
 
-
-def _compare(args, info, arms, *, traced=None, counters=(), rows=(),
-             width=12, delta=False, on_build=None, **common):
-    """One comparison for the degradation, byzantine, timesim and churn demos.
-
-    Each arm of ``arms`` (label -> run-wide arguments on top of ``common``,
-    and ``cls=`` for another algorithm class) trains the demos' logistic
-    HierMinimax on ``info["dataset"]`` for ``--rounds`` rounds, ``traced``
-    under a metrics-only tracer and shown to ``on_build`` before it trains.
-    Prints the header (``info``), the accuracy table (plus ``rows`` of
-    ``(label, value of a RunResult, format)``) and ``counters`` (block
-    title, keys); returns the RunResults and the traced counters.
-    """
-    from repro.core.hierminimax import HierMinimax
-    from repro.nn.models import make_model_factory
-    from repro.obs import Tracer
-
-    pad = max(map(len, info))
-    for key, value in info.items():
-        print(f"{key:<{pad}s} : {value}")
-    dataset = info["dataset"]
-    factory = make_model_factory("logistic", dataset.input_dim,
-                                 dataset.num_classes)
-    tracer = Tracer(None)
-    results = {}
-    for label, run in arms.items():
-        run = {"cls": HierMinimax, **common, **run}
-        algo = run.pop("cls")(
-            dataset, factory, batch_size=8, eta_w=0.05, eta_p=2e-3, tau1=2,
-            tau2=2, m_edges=5, seed=args.seed,
-            obs=tracer if label == traced else None, **run)
-        if label == traced and on_build is not None:
-            on_build(algo)
-        results[label] = algo.run(rounds=args.rounds,
-                                  eval_every=max(1, args.rounds // 10))
-
-    print("\n" + " ".join([" " * 24] + [f"{a:>{width}s}" for a in arms]
-                          + (["    delta"] if delta else [])))
-    for label, value, fmt in (
-            ("worst edge accuracy", _worst, ".4f"),
-            ("average accuracy",
-             lambda r: r.history.final().record.average_accuracy, ".4f"),
-            *rows):
-        vals = [value(res) for res in results.values()]
-        cells = [f"{v:{width}{fmt}}" for v in vals]
-        if delta:
-            cells.append(f"{vals[-1] - vals[0]:+9.4f}")
-        print(" ".join([f"{label:<24s}"] + cells))
-    snapshot = tracer.snapshot()["counters"]
-    if traced is not None:
-        title, keys = counters
-        key_width = max(28, 1 + max(map(len, keys)))
-        print(f"\n{title} counters ({traced} run):")
-        for key in keys:
-            if key in snapshot:
-                print(f"  {key:<{key_width}s} {snapshot[key]:g}")
-    return results, snapshot
-
-
-def _demo_dataset(args):
-    """The demos' emnist-digits dataset at ``--scale``/``--seed``."""
-    from repro.data.registry import make_federated_dataset
-
-    return make_federated_dataset("emnist_digits", seed=args.seed,
-                                  scale=args.scale)
-
-
-def _cmd_degradation(args) -> int:
-    """Run HierMinimax with and without a fault plan on the same data.
-
-    This is the acceptance demo of the fault-injection layer: the faulted run
-    must still converge, with a worst-edge accuracy within ``--tolerance`` of
-    the fault-free run.  Exit code 1 signals the tolerance was exceeded.
-    """
-    from repro.faults import FaultPlan
-
-    plan = FaultPlan.parse(args.faults)
-    results, _ = _compare(
-        args, {"dataset": _demo_dataset(args), "plan": args.faults},
-        {"fault-free": {}, "faulted": dict(faults=plan)}, delta=True,
-        traced="faulted", counters=("fault", (
-            "clients_dropped_total", "stragglers_total", "edge_outages_total",
-            "messages_lost_total", "messages_corrupted_total",
-            "retries_total", "stale_loss_fallbacks_total", "rounds_degraded",
-            "quarantined_senders")))
-    clean, faulted = map(_worst, results.values())
-    drop = clean - faulted
-    ok = drop <= args.tolerance
-    print(f"\nworst-edge accuracy drop {drop:+.4f} "
-          f"{'within' if ok else 'EXCEEDS'} tolerance {args.tolerance:.2f}")
-    return 0 if ok else 1
-
-
-def _cmd_byzantine(args) -> int:
-    """Clean vs attacked-mean vs attacked-defended HierMinimax on shared data.
-
-    The acceptance demo of the defense subsystem: under the attack, the
-    defended run must keep its worst-edge accuracy within ``--tolerance`` of
-    the clean run.  Exit code 1 signals the tolerance was exceeded.  The
-    attacked runs share one fault plan, so the attacker roster and tampering
-    draws are identical with and without the defense.
-    """
-    from dataclasses import replace
-
-    from repro.defense import (AttackPlan, one_per_edge_roster,
-                               resolve_defense)
-    from repro.faults import FaultPlan
-
-    attack = AttackPlan.parse(args.attack)
-    dataset = _demo_dataset(args)
-    if attack.fraction == 0.0 and not attack.clients:
-        attack = replace(attack, clients=one_per_edge_roster(
-            dataset, args.fraction))
-    plan = FaultPlan(byzantine=attack)
-    policy = resolve_defense(args.defense)
-    n_byz = len(attack.roster(dataset.num_clients))
-    results, _ = _compare(
-        args, {"dataset": dataset,
-               "attack": f"{args.attack} ({n_byz}/{dataset.num_clients} "
-                         f"clients byzantine)",
-               "defense": policy.describe() if policy else "mean"},
-        {"clean": {}, "attacked": dict(faults=plan),
-         "defended": dict(faults=plan, defense=policy)}, width=10,
-        traced="defended", counters=("byzantine", (
-            "byzantine_attacks_total", "byzantine_filtered_total",
-            "norm_guard_rejections_total")))
-    clean, attacked, defended = map(_worst, results.values())
-    drop = clean - defended
-    ok = drop <= args.tolerance
-    print(f"\ndefended worst-edge accuracy drop {drop:+.4f} "
-          f"{'within' if ok else 'EXCEEDS'} tolerance {args.tolerance:.2f} "
-          f"(undefended drop {clean - attacked:+.4f})")
-    return 0 if ok else 1
-
-
-def _cmd_timesim(args) -> int:
-    """Sync vs semi-async HierMinimax under a heterogeneous cost model.
-
-    The acceptance demo of the simulated-time subsystem: on the same data and
-    seed, the bounded-staleness variant must reach the synchronous run's final
-    worst-edge accuracy (within a small slack) in *strictly less* simulated
-    time.  Exit code 1 signals it did not.  The clock is observational, so the
-    synchronous trajectory itself is unchanged by the cost model.  While the
-    synchronous worst-edge accuracy is within the slack of 0 (it is 0 after
-    40 tiny-scale rounds), the accuracy clause cannot fail, and the verdict
-    says so.
-    """
-    from repro.core.semiasync import SemiAsyncHierMinimax
-
-    results, _ = _compare(
-        args, {"dataset": _demo_dataset(args), "cost model": args.cost_model,
-               "staleness": args.staleness},
-        {"sync": {}, "semi-async": dict(cls=SemiAsyncHierMinimax,
-                                        staleness=args.staleness)},
-        rows=[("simulated time (s)", lambda r: r.sim_time_s, ".4f")],
-        timing=args.cost_model)
-    sync, semi = results["sync"], results["semi-async"]
-    faster = semi.sim_time_s < sync.sim_time_s
-    slack = 0.02
-    close = _worst(semi) >= _worst(sync) - slack
-    speedup = (sync.sim_time_s / semi.sim_time_s if semi.sim_time_s > 0
-               else float("inf"))
-    print(f"\nsemi-async {'is' if faster else 'is NOT'} faster "
-          f"({speedup:.2f}x) and its worst-edge accuracy "
-          f"{'matches' if close else 'LAGS'} the synchronous run"
-          + (f" (vacuous: the synchronous worst-edge accuracy is within "
-             f"the {slack} slack of 0)" if _worst(sync) <= slack else ""))
-    if args.staleness == 0:
-        exact = (semi.sim_time_s == sync.sim_time_s
-                 and _worst(semi) == _worst(sync))
-        print(f"staleness=0 reproduction: {'exact' if exact else 'BROKEN'}")
-        return 0 if exact else 1
-    return 0 if faster and close else 1
-
-
-def _cmd_churn(args) -> int:
-    """Clean vs churned-with-re-homing vs churned-without-failover HierMinimax.
-
-    The acceptance demo of the dynamic-membership layer: under a 20%%
-    per-round edge-crash campaign with client churn, the self-healing run
-    (orphans re-homed to surviving edges) must hold its worst-edge accuracy
-    within ``--tolerance`` of the clean run and at least match the run where
-    failover is disabled.  The membership ledger must balance: arrivals minus
-    departures equal the net change of the active population.  Exit code 1
-    signals any of those checks failed.
-    """
-    from dataclasses import replace
-
-    from repro.membership import ChurnPlan
-
-    plan = ChurnPlan.parse(args.churn)
-    rows = [("total traffic (MB)", lambda r: r.comm.total_bytes / 1e6, ".2f")]
-    if args.cost_model:
-        rows.append(("simulated time (s)", lambda r: r.sim_time_s, ".3f"))
-    opening = []  # the re-homed arm's ledger opens before round 0
-    results, counters = _compare(
-        args, {"dataset": _demo_dataset(args), "churn": args.churn},
-        {"clean": {}, "re-homed": dict(churn=plan),
-         "no-failover": dict(churn=replace(plan, rehome=False))},
-        rows=rows, timing=args.cost_model, on_build=lambda algo: (
-            opening.extend((algo.membership, len(algo.membership.active)))),
-        traced="re-homed", counters=("membership", (
-            "membership_joined_total", "membership_left_total",
-            "membership_rehomed_total", "membership_edge_crashes_total",
-            "membership_recovered_total", "membership_partitions_total",
-            "membership_heals_total", "membership_handoffs_total")))
-
-    joined = int(counters.get("membership_joined_total", 0))
-    left = int(counters.get("membership_left_total", 0))
-    membership, initial = opening
-    final = len(membership.active)
-    balanced = joined - left == final - initial
-    print(f"\nledger: {joined} joined - {left} left == "
-          f"{final} - {initial} active "
-          f"({'balanced' if balanced else 'IMBALANCED'})")
-    clean, rehomed, norehome = map(_worst, results.values())
-    drop = clean - rehomed
-    survives = rehomed >= norehome
-    ok = balanced and survives and drop <= args.tolerance
-    print(f"re-homed worst-edge accuracy drop {drop:+.4f} "
-          f"{'within' if drop <= args.tolerance else 'EXCEEDS'} tolerance "
-          f"{args.tolerance:.2f}; re-homing "
-          f"{'recovers' if survives else 'DOES NOT recover'} the "
-          f"no-failover accuracy ({rehomed:.4f} vs {norehome:.4f})")
-    return 0 if ok else 1
+    scenario = SCENARIOS[args.command]
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None}
+    for flag, expand in scenario.flags.items():
+        if flag in flags:
+            flags.update(expand(flags.pop(flag)))
+    run = run_scenario(scenario, "demo", **{
+        key: value for key, value in flags.items()
+        if key in scenario.sizes["demo"]})
+    print(run.report)
+    return 0 if run.ok else 1
 
 
 def _cmd_population(args) -> int:

@@ -28,7 +28,9 @@ its round, the synchronous makespan — *exactly* (asserted by the test
 suite).  With the default :data:`~repro.simtime.NULL_TIMING` every arrival
 is instantaneous, so the variant is bit-identical to :class:`HierMinimax`
 for any ``S``; it only behaves differently under a real cost model, which is
-the regime ``benchmarks/bench_time_to_accuracy.py`` measures.
+the regime the ``timesim`` scenario of :mod:`repro.experiments.scenarios`
+measures (its demo ``python -m repro timesim``, its bench
+``benchmarks/bench_time_to_accuracy.py``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ The two load-bearing guarantees:
   arithmetic exactly, on every execution backend, and
 * under a ≥20% model-poisoning attack the robust aggregators keep training
   near the clean trajectory while the plain mean demonstrably does not
-  (the bench grid in ``benchmarks/bench_byzantine.py`` measures this at
-  scale; here small paired runs assert the ordering).
+  (the ``byzantine`` scenario of :mod:`repro.experiments.scenarios`
+  measures this at scale — its bench size is the attack × defense grid of
+  ``benchmarks/bench_byzantine.py``; here small paired runs assert the
+  ordering).
 """
 
 from __future__ import annotations

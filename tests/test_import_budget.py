@@ -24,7 +24,8 @@ NOT_FOR_TRAINING = (
     "repro.obs.report", "repro.obs.critical_path", "repro.obs.profile",
     "repro.obs.perfcheck", "repro.multilayer", "repro.theory",
     "repro.plotting", "repro.compression", "repro.experiments.figures",
-    "repro.experiments.tables", "repro.invariants", "repro.chaos.campaign",
+    "repro.experiments.tables", "repro.experiments.scenarios",
+    "repro.invariants", "repro.chaos.campaign",
 )
 
 #: Implementation modules of opt-in features: a plain HierMinimax run on the
