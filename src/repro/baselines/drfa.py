@@ -87,6 +87,7 @@ class DRFA(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One DRFA round: τ1 local steps with a random checkpoint, then q ascent."""
+        ctx = self._round(round_index)
         d = self.w.size
         obs = self.obs
         sampled = sample_by_weight(self.q, self.m_clients, self.rng)
@@ -100,18 +101,18 @@ class DRFA(FederatedAlgorithm):
             # The broadcast carries t' with the model; the checkpoint snapshot
             # rides along with the round-final upload.
             entries, ckpt_entries = self._client_leg(
-                round_index, sampled, tau1=self.tau1, checkpoint_step=t_prime,
+                ctx, sampled, tau1=self.tau1, checkpoint_step=t_prime,
                 down_floats=d + 1)
             # Eq. (5)-style mean (or the robust rule) for both the round
             # model and the random-checkpoint model.
             self.w, w_checkpoint = combine(
-                self.w, entries, ckpt_entries, stage="phase1_model_update",
-                aggregator=self._cloud_agg, faults=self.faults,
-                round_index=round_index, link="client_cloud")
+                ctx, self.w, entries, ckpt_entries,
+                stage="phase1_model_update", aggregator=ctx.cloud_agg,
+                link="client_cloud")
 
         # Weight ascent phase at the checkpoint model, scaled by tau1.
         with obs.span("phase2_weight_update", round=round_index):
-            probed, replies = self._client_probes(round_index, w_checkpoint)
-            self.q = self._ascend(round_index, self.q, probed, replies,
+            probed, replies = self._client_probes(ctx, w_checkpoint)
+            self.q = self._ascend(ctx, self.q, probed, replies,
                                   prefix="client", eta=self.eta_q,
                                   tau1=self.tau1)

@@ -59,15 +59,15 @@ class FedAvg(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One FedAvg round: uniform sample, τ1 local steps, weighted average."""
+        ctx = self._round(round_index)
         sampled = sample_uniform_subset(len(self.clients), self.m_clients, self.rng)
         with self.obs.span("phase1_model_update", round=round_index,
                            sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down", count=len(sampled),
                                 floats=self.w.size)
-            entries, _ = self._client_leg(round_index, sampled, tau1=self.tau1,
+            entries, _ = self._client_leg(ctx, sampled, tau1=self.tau1,
                                           weight_by_data=self.weight_by_data)
             # Survivor-weighted average (or the robust rule): dropped clients
             # simply leave the denominator.
-            self.w, _ = combine(self.w, entries, stage="model_update",
-                                aggregator=self._cloud_agg, faults=self.faults,
-                                round_index=round_index, link="client_cloud")
+            self.w, _ = combine(ctx, self.w, entries, stage="model_update",
+                                aggregator=ctx.cloud_agg, link="client_cloud")

@@ -63,8 +63,8 @@ class HierFAVG(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One HierFAVG round: uniform edge sample, hierarchical update, average."""
+        ctx = self._round(round_index)
         d = self.w.size
-        faults = self.faults
         timing = self.timing
         sampled = sample_uniform_subset(self.dataset.num_edges, self.m_edges, self.rng)
         with self.obs.span("phase1_model_update", round=round_index,
@@ -78,27 +78,17 @@ class HierFAVG(FederatedAlgorithm):
                 for e in sampled:
                     edge = self.edges[int(e)]
                     with timing.branch():
-                        roster = self._edge_roster(round_index, edge.edge_id)
+                        roster = self._edge_roster(ctx, edge.edge_id)
                         if roster is EDGE_UNAVAILABLE:
                             continue
-                        if timing.enabled:
-                            timing.transfer("edge_cloud", edge.edge_id, d)
+                        timing.transfer("edge_cloud", edge.edge_id, d)
                         w_e, _ = edge.model_update(
-                            self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
-                            lr=self.eta_w, projection=self.projection_w,
-                            checkpoint=None,
-                            tracker=self.tracker,
-                            weight_by_data=self.weight_by_data,
-                            obs=self.obs, faults=faults,
-                            round_index=round_index, backend=self.backend,
-                            defense=self._edge_agg, timing=timing,
-                            roster=roster)
-                        if timing.enabled:
-                            timing.transfer("edge_cloud", edge.edge_id, d)
+                            ctx, self.w, tau1=self.tau1, tau2=self.tau2,
+                            weight_by_data=self.weight_by_data, roster=roster)
+                        timing.transfer("edge_cloud", edge.edge_id, d)
                         sender = f"edge:{edge.edge_id}"
-                        delivered = deliver(faults, round_index, "edge_cloud",
-                                            sender, w_e, floats=d,
-                                            tracker=self.tracker, ref=self.w)
+                        delivered = deliver(ctx, "edge_cloud", sender, w_e,
+                                            floats=d, ref=self.w)
                         if delivered is not None:
                             weight = (float(edge.num_samples)
                                       if self.weight_by_data else 1.0)
@@ -106,6 +96,5 @@ class HierFAVG(FederatedAlgorithm):
             self.tracker.sync_cycle("edge_cloud")
             # Survivor-weighted average (or the robust rule): dark edges
             # leave the denominator.
-            self.w, _ = combine(self.w, entries, stage="model_update",
-                                aggregator=self._cloud_agg, faults=faults,
-                                round_index=round_index, link="edge_cloud")
+            self.w, _ = combine(ctx, self.w, entries, stage="model_update",
+                                aggregator=ctx.cloud_agg, link="edge_cloud")

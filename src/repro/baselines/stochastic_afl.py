@@ -83,6 +83,7 @@ class StochasticAFL(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One AFL round: q-sampled single-step model update, then q ascent."""
+        ctx = self._round(round_index)
         obs = self.obs
         # Model update phase.
         sampled = sample_by_weight(self.q, self.m_clients, self.rng)
@@ -93,13 +94,13 @@ class StochasticAFL(FederatedAlgorithm):
                                 floats=self.w.size)
             # Single-step rounds: a straggler that cannot finish its one
             # step within the round is a dropout.
-            entries, _ = self._client_leg(round_index, sampled, tau1=1)
-            self.w, _ = combine(self.w, entries, stage="phase1_model_update",
-                                aggregator=self._cloud_agg, faults=self.faults,
-                                round_index=round_index, link="client_cloud")
+            entries, _ = self._client_leg(ctx, sampled, tau1=1)
+            self.w, _ = combine(ctx, self.w, entries,
+                                stage="phase1_model_update",
+                                aggregator=ctx.cloud_agg, link="client_cloud")
 
         # Weight update phase: loss estimation at the fresh global model.
         with obs.span("phase2_weight_update", round=round_index):
-            probed, replies = self._client_probes(round_index, self.w)
-            self.q = self._ascend(round_index, self.q, probed, replies,
+            probed, replies = self._client_probes(ctx, self.w)
+            self.q = self._ascend(ctx, self.q, probed, replies,
                                   prefix="client", eta=self.eta_q)

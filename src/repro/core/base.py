@@ -34,7 +34,7 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import EagerPopulation, resolve_population
 from repro.simtime import resolve_timing
-from repro.sim.edge import clip_losses, probe_leg, train_leg
+from repro.sim.edge import RoundContext, clip_losses, probe_leg, train_leg
 from repro.topology.comm import CommSnapshot, CommunicationTracker
 from repro.topology.sampling import sample_uniform_subset
 from repro.exec import ExecutionBackend, resolve_backend
@@ -184,6 +184,9 @@ class FederatedAlgorithm(ABC):
     is_minimax: bool = False
     #: Whether the algorithm uses the client-edge-cloud hierarchy.
     uses_hierarchy: bool = False
+    #: Upload compressor and its stream (``None``: full precision).
+    compressor = None
+    _comp_rng: np.random.Generator | None = None
 
     def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
                  batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
@@ -228,6 +231,7 @@ class FederatedAlgorithm(ABC):
         self.rounds_completed = 0
         self._history: TrainingHistory | None = None
         self._resume_history: TrainingHistory | None = None
+        self._ctx: RoundContext | None = None
 
     # ------------------------------------------------------------------ hooks
     @property
@@ -312,9 +316,7 @@ class FederatedAlgorithm(ABC):
                         # before the round body: detection waits and
                         # handoff/warm-sync transfers land on this round's
                         # clock and in its communication delta.
-                        self.membership.begin_round(k, tracker=self.tracker,
-                                                    timing=self.timing,
-                                                    dim=self.w.size)
+                        self.membership.begin_round(self._round(k))
                         self.run_round(k)
                     if obs.enabled:
                         delta = self.tracker.snapshot().diff(comm_before)
@@ -600,7 +602,19 @@ class FederatedAlgorithm(ABC):
         return self.population.build_flat_clients(batch_size=self.batch_size,
                                                   rng_factory=self.rng_factory)
 
-    def _edge_roster(self, round_index: int, edge_id: int):
+    def _round(self, round_index: int) -> RoundContext:
+        """Round ``round_index``'s :class:`~repro.sim.edge.RoundContext`:
+        this run's sinks, built once per round and handed to every leg."""
+        ctx = self._ctx
+        if ctx is None or ctx.round_index != round_index:
+            ctx = self._ctx = RoundContext(
+                round_index, self.engine, self.eta_w, self.projection_w,
+                self.backend, self.tracker, self.faults, self.obs,
+                self.timing, self._edge_agg, self._cloud_agg,
+                self._loss_clip, self.compressor, self._comp_rng)
+        return ctx
+
+    def _edge_roster(self, ctx: RoundContext, edge_id: int):
         """The edge's membership-adjusted roster for this round.
 
         ``None`` means "use the construction-time roster" (membership
@@ -611,7 +625,7 @@ class FederatedAlgorithm(ABC):
         roster is never built); any list is the live roster to train/probe
         with.
         """
-        if self.faults.enabled and self.faults.edge_dark(round_index, edge_id):
+        if ctx.faults.edge_dark(ctx.round_index, edge_id):
             return EDGE_UNAVAILABLE
         membership = self.membership
         if not membership.enabled:
@@ -633,7 +647,7 @@ class FederatedAlgorithm(ABC):
             population.release(self.edges[eid].client_ids() if ids is None
                                else ids)
 
-    def _client_leg(self, round_index: int, sampled, *, tau1: int,
+    def _client_leg(self, ctx: RoundContext, sampled, *, tau1: int,
                     checkpoint_step: int | None = None,
                     down_floats: float | None = None,
                     weight_by_data: bool = False) -> tuple[list, list]:
@@ -650,15 +664,12 @@ class FederatedAlgorithm(ABC):
         weights = [float(c.num_samples) if weight_by_data else 1.0
                    for c in cohort]
         entries, ckpt_entries = train_leg(
-            self.engine, self.w, cohort, weights, tau1=tau1, lr=self.eta_w,
-            link="client_cloud", round_index=round_index,
-            checkpoint_step=checkpoint_step, projection=self.projection_w,
-            tracker=self.tracker, faults=self.faults, backend=self.backend,
-            obs=self.obs, timing=self.timing, down_floats=down_floats)
+            ctx, self.w, cohort, weights, tau1=tau1, link="client_cloud",
+            checkpoint_step=checkpoint_step, down_floats=down_floats)
         self.tracker.sync_cycle("client_cloud")
         return entries, ckpt_entries
 
-    def _client_probes(self, round_index: int, w: np.ndarray) -> tuple:
+    def _client_probes(self, ctx: RoundContext, w: np.ndarray) -> tuple:
         """Phase 2 of a two-layer minimax baseline: probe a fresh uniform
         client subset at ``w``; returns the probed ids and the delivered
         losses by client id."""
@@ -667,15 +678,13 @@ class FederatedAlgorithm(ABC):
         self.tracker.record("client_cloud", "down", count=len(probed),
                             floats=w.size)
         active = self.membership.client_active
-        replies = probe_leg(self.engine, w,
+        replies = probe_leg(ctx, w,
                             [self.clients[i] for i in probed if active(i)],
-                            link="client_cloud", round_index=round_index,
-                            tracker=self.tracker, faults=self.faults,
-                            timing=self.timing)
+                            link="client_cloud")
         self.tracker.sync_cycle("client_cloud")
         return probed, replies
 
-    def _ascend(self, round_index: int, weights: np.ndarray, probed,
+    def _ascend(self, ctx: RoundContext, weights: np.ndarray, probed,
                 replies: dict, *, prefix: str, eta: float, tau1: int = 1,
                 tau2: int = 1) -> np.ndarray:
         """Eq. (7) from Phase 2's replies: the projected ascent step on the
@@ -686,7 +695,7 @@ class FederatedAlgorithm(ABC):
         :func:`~repro.sim.edge.clip_losses`) and scaled into the unbiased
         gradient estimate of §4.2.
         """
-        faults = self.faults
+        faults = ctx.faults
         losses: dict[int, float] = {}
         for key in probed:
             loss = replies.get(key)
@@ -695,13 +704,12 @@ class FederatedAlgorithm(ABC):
                 loss = self._last_losses.get(key)
                 if loss is None:
                     continue
-                faults.stale_loss(round_index, f"{prefix}:{key}", loss)
+                faults.stale_loss(ctx.round_index, f"{prefix}:{key}", loss)
             losses[key] = loss
-        losses = clip_losses(losses, self._loss_clip, faults, round_index,
-                             prefix)
+        losses = clip_losses(ctx, losses, prefix)
         if not losses:
             # No loss information at all this round: keep the weights.
-            faults.degraded_round(round_index, "phase2_weight_update")
+            faults.degraded_round(ctx.round_index, "phase2_weight_update")
             return weights
         self._last_losses.update(losses)
         self.obs.gauge(f"worst_{prefix}_loss", max(losses.values()))

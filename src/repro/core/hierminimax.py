@@ -38,7 +38,7 @@ from repro.defense.policy import robust_combine  # noqa: F401
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
-from repro.sim.edge import combine, deliver
+from repro.sim.edge import RoundContext, combine, deliver
 from repro.topology.sampling import (
     sample_by_weight,
     sample_checkpoint_slot,
@@ -146,31 +146,26 @@ class HierMinimax(FederatedAlgorithm):
                              for k, v in extra.get("last_losses", {}).items()}
 
     # ---------------------------------------------------------- phase-1 pieces
-    def _edge_upload(self, round_index: int, eid: int,
+    def _edge_upload(self, ctx: RoundContext, eid: int,
                      checkpoint: tuple[int, int] | None,
                      upload_floats: float,
                      ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """One sampled edge's Phase-1 leg: broadcast, ModelUpdate, upload.
 
         Returns the delivered ``(w_e, w_e_ckpt)`` pair, or ``None`` when the
-        edge is dark or its upload was lost in transit.  Consumes the
-        compression stream, tracker records, and fault draws in exactly the
-        order the inline loop did, so extracting it changes no bit.  When a
-        virtual clock is active the broadcast/compute/upload durations are
-        charged to the innermost open timing scope — the synchronous round
-        wraps each call in a ``branch()``; the semi-async variant wraps it in
-        ``measure()`` to price the leg without blocking the round.
+        edge is dark or its upload was lost in transit.  The
+        broadcast/compute/upload durations are charged to the innermost open
+        timing scope — the synchronous round wraps each call in a
+        ``branch()``; the semi-async variant wraps it in ``measure()`` to
+        price the leg without blocking the round.
         """
-        faults = self.faults
-        timing = self.timing
         top = self._links[0]
-        roster = self._edge_roster(round_index, eid)
+        roster = self._edge_roster(ctx, eid)
         if roster is EDGE_UNAVAILABLE:
             return None
-        if timing.enabled:
-            # Cloud -> edge: w^(k) plus the checkpoint index.
-            timing.transfer(top, eid, self._dim + len(self._links))
-        update = self._area_update(round_index, eid, checkpoint, roster)
+        # Cloud -> edge: w^(k) plus the checkpoint index.
+        ctx.timing.transfer(top, eid, self._dim + len(self._links))
+        update = self._area_update(ctx, eid, checkpoint, roster)
         if update is None:
             return None
         w_e, w_e_ckpt = update
@@ -184,32 +179,19 @@ class HierMinimax(FederatedAlgorithm):
                 w_e_ckpt = self.w + self.compressor.compress(
                     w_e_ckpt - self.w, self._comp_rng)
         # Edge uploads its round-final model (and its checkpoint model).
-        if timing.enabled:
-            timing.transfer(top, eid, upload_floats)
-        return deliver(faults, round_index, top, f"edge:{eid}", w_e, w_e_ckpt,
-                       floats=upload_floats, tracker=self.tracker, ref=self.w)
+        ctx.timing.transfer(top, eid, upload_floats)
+        return deliver(ctx, top, f"edge:{eid}", w_e, w_e_ckpt,
+                       floats=upload_floats, ref=self.w)
 
-    def _area_update(self, round_index: int, eid: int,
+    def _area_update(self, ctx: RoundContext, eid: int,
                      checkpoint: tuple[int, int] | None, roster,
                      ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """ModelUpdate of area ``eid`` from ``w^(k)``: its edge server's
         ``τ2`` blocks.  An override may return ``None`` when the area has
         nothing to upload."""
-        return self._edge_update(round_index, self.edges[eid], self.w,
-                                 checkpoint, blocks=self.tau2, roster=roster)
-
-    def _edge_update(self, round_index: int, edge, w: np.ndarray,
-                     checkpoint: tuple[int, int] | None, *, blocks: int,
-                     roster=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """Run ``edge``'s ModelUpdate with this run's hooks wired in."""
-        return edge.model_update(
-            self.engine, w, tau1=self.tau1, tau2=blocks,
-            lr=self.eta_w, projection=self.projection_w,
-            checkpoint=checkpoint, tracker=self.tracker,
-            compressor=self.compressor, comp_rng=self._comp_rng,
-            obs=self.obs, faults=self.faults, round_index=round_index,
-            backend=self.backend, defense=self._edge_agg,
-            timing=self.timing, roster=roster, link=self._links[-1])
+        return self.edges[eid].model_update(
+            ctx, self.w, tau1=self.tau1, tau2=self.tau2,
+            checkpoint=checkpoint, roster=roster, link=self._links[-1])
 
     def _upload_floats(self) -> float:
         """Edge→cloud payload per Phase-1 upload (model + optional checkpoint)."""
@@ -217,7 +199,7 @@ class HierMinimax(FederatedAlgorithm):
                        else self.compressor.payload_floats(self._dim))
         return (2 if self.use_checkpoint else 1) * unit_floats
 
-    def _apply_phase1(self, round_index: int, entries: list,
+    def _apply_phase1(self, ctx: RoundContext, entries: list,
                       ckpt_entries: list) -> np.ndarray:
         """Eqs. (5)/(6): fold the delivered uploads into ``w`` and return the
         checkpoint model Phase 2 probes at.
@@ -227,23 +209,24 @@ class HierMinimax(FederatedAlgorithm):
         (or the ablation without one) Phase 2 probes the current ``w``.
         """
         self.w, w_checkpoint = combine(
-            self.w, entries, ckpt_entries if self.use_checkpoint else None,
-            stage="phase1_model_update", aggregator=self._cloud_agg,
-            faults=self.faults, round_index=round_index, link=self._links[0])
+            ctx, self.w, entries,
+            ckpt_entries if self.use_checkpoint else None,
+            stage="phase1_model_update", aggregator=ctx.cloud_agg,
+            link=self._links[0])
         return self.w if w_checkpoint is None else w_checkpoint
 
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """One training round: Phase 1 (model + checkpoint) then Phase 2 (weights)."""
+        ctx = self._round(round_index)
         d = self._dim
-        obs = self.obs
         timing = self.timing
         # ---- Phase 1: sample edges by p, sample the checkpoint slot.
         sampled = sample_by_weight(self.p, self.m_edges, self.rng)
         c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
         checkpoint = (c1, c2) if self.use_checkpoint else None
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled), c1=c1, c2=c2):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_edges=len(sampled), c1=c1, c2=c2):
             # Cloud broadcasts w^(k) and the checkpoint index to the sampled
             # edges.
             self.tracker.record(self._links[0], "down",
@@ -263,8 +246,7 @@ class HierMinimax(FederatedAlgorithm):
                     eid = int(e)
                     with timing.branch(f"edge:{eid}" if timing.record
                                        else None):
-                        delivered = self._edge_upload(round_index, eid,
-                                                      checkpoint,
+                        delivered = self._edge_upload(ctx, eid, checkpoint,
                                                       upload_floats)
                     if last_draw[eid] == i:
                         self._release_area(eid)
@@ -275,33 +257,24 @@ class HierMinimax(FederatedAlgorithm):
                     if w_e_ckpt is not None:
                         ckpt_entries.append((f"edge:{eid}", 1.0, w_e_ckpt))
             self.tracker.sync_cycle(self._links[0])
-            w_checkpoint = self._apply_phase1(round_index, entries,
-                                              ckpt_entries)
+            w_checkpoint = self._apply_phase1(ctx, entries, ckpt_entries)
 
         # ---- Phase 2: uniform re-sample, loss estimation at the checkpoint model.
-        self._phase2_weight_update(round_index, w_checkpoint)
+        self._phase2_weight_update(ctx, w_checkpoint)
 
-    def _area_loss(self, round_index: int, eid: int, w: np.ndarray,
+    def _area_loss(self, ctx: RoundContext, eid: int, w: np.ndarray,
                    roster) -> float | None:
         """LossEstimation of area ``eid`` at ``w`` (``None``: no reply)."""
-        return self._edge_loss(round_index, self.edges[eid], w, roster=roster)
+        return self.edges[eid].estimate_loss(ctx, w, roster=roster,
+                                             link=self._links[-1])
 
-    def _edge_loss(self, round_index: int, edge, w: np.ndarray, *,
-                   roster=None) -> float | None:
-        """Run ``edge``'s LossEstimation with this run's hooks wired in."""
-        return edge.estimate_loss(
-            self.engine, w, tracker=self.tracker, faults=self.faults,
-            round_index=round_index, loss_clip=self._loss_clip,
-            timing=self.timing, roster=roster, link=self._links[-1])
-
-    def _phase2_weight_update(self, round_index: int,
+    def _phase2_weight_update(self, ctx: RoundContext,
                               w_checkpoint: np.ndarray) -> None:
         """Phase 2 (Eq. (7)): probe a uniform edge subset, ascend the weights."""
         d = self._dim
-        faults = self.faults
-        timing = self.timing
+        timing = ctx.timing
         top = self._links[0]
-        with self.obs.span("phase2_weight_update", round=round_index):
+        with self.obs.span("phase2_weight_update", round=ctx.round_index):
             probed = [int(e) for e in sample_uniform_subset(
                 self.cloud.num_edges, self.m_edges, self.rng)]
             self.tracker.record(top, "down", count=len(probed), floats=d)
@@ -309,24 +282,21 @@ class HierMinimax(FederatedAlgorithm):
             # Probed edges answer concurrently; Phase 2 costs the slowest probe.
             with timing.parallel("phase2"):
                 for eid in probed:
-                    roster = self._edge_roster(round_index, eid)
+                    roster = self._edge_roster(ctx, eid)
                     with timing.branch(f"edge:{eid}" if timing.record
                                        else None):
                         if roster is not EDGE_UNAVAILABLE:
-                            if timing.enabled:
-                                timing.transfer(top, eid, d)
-                            est = self._area_loss(round_index, eid,
-                                                  w_checkpoint, roster)
+                            timing.transfer(top, eid, d)
+                            est = self._area_loss(ctx, eid, w_checkpoint,
+                                                  roster)
                             if est is not None:
-                                if timing.enabled:
-                                    timing.transfer(top, eid, 1)
-                                delivered = deliver(
-                                    faults, round_index, top, f"edge:{eid}",
-                                    est, floats=1.0, tracker=self.tracker)
+                                timing.transfer(top, eid, 1)
+                                delivered = deliver(ctx, top, f"edge:{eid}",
+                                                    est, floats=1.0)
                                 if delivered is not None:
                                     replies[eid] = delivered[0]
                     self._release_area(eid)
             self.tracker.sync_cycle(top)
-            self.p = self._ascend(round_index, self.p, probed, replies,
+            self.p = self._ascend(ctx, self.p, probed, replies,
                                   prefix="edge", eta=self.eta_p,
                                   tau1=self.tau1, tau2=self.tau2)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hierminimax import HierMinimax
+from repro.sim.edge import RoundContext
 from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
@@ -95,6 +96,7 @@ class SemiAsyncHierMinimax(HierMinimax):
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """Dispatch to free edges, merge the due-or-arrived flights, Phase 2."""
+        ctx = self._round(round_index)
         d = self._dim
         obs = self.obs
         timing = self.timing
@@ -120,7 +122,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                 dispatched.append(eid)
                 with timing.measure(f"edge:{eid}" if timing.record
                                     else None) as leg:
-                    delivered = self._edge_upload(round_index, eid, checkpoint,
+                    delivered = self._edge_upload(ctx, eid, checkpoint,
                                                   upload_floats)
                 if last_draw[eid] == i:
                     self._release_area(eid)
@@ -179,11 +181,11 @@ class SemiAsyncHierMinimax(HierMinimax):
                           max(round_index - f["round"] for f in collected))
             self.tracker.sync_cycle(self._links[0])
             # ---- Merge with the synchronous Eq. (5)/(6) arithmetic.
-            w_checkpoint = self._merge(round_index, collected)
+            w_checkpoint = self._merge(ctx, collected)
         # ---- Phase 2 is verbatim the synchronous weight update.
-        self._phase2_weight_update(round_index, w_checkpoint)
+        self._phase2_weight_update(ctx, w_checkpoint)
 
-    def _merge(self, round_index: int, collected: list[dict]) -> np.ndarray:
+    def _merge(self, ctx: RoundContext, collected: list[dict]) -> np.ndarray:
         """Fold the collected flights into ``w`` / the checkpoint model."""
         membership = self.membership
         if membership.enabled:
@@ -195,7 +197,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                         f["eid"]):
                     f["w_e"] = None
                     f["w_ckpt"] = None
-                    self.obs.event("membership", round=round_index,
+                    self.obs.event("membership", round=ctx.round_index,
                                    action="flight_dropped",
                                    entity=f"edge:{f['eid']}",
                                    dispatched=f["round"])
@@ -204,4 +206,4 @@ class SemiAsyncHierMinimax(HierMinimax):
                    for f in collected if f["w_e"] is not None]
         ckpt_entries = [(f"edge:{f['eid']}", 1.0, f["w_ckpt"])
                         for f in collected if f["w_ckpt"] is not None]
-        return self._apply_phase1(round_index, entries, ckpt_entries)
+        return self._apply_phase1(ctx, entries, ckpt_entries)

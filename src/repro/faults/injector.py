@@ -14,7 +14,7 @@ concrete per-round decisions.  Every decision is a pure function of
 
 The injector also owns the run-scoped degradation state: the quarantine set of
 senders caught shipping non-finite payloads, and the fault metrics/events that
-flow through the PR-1 observability layer (``clients_dropped_total``,
+flow through the run's tracer (``clients_dropped_total``,
 ``retries_total``, ``rounds_degraded``, ``quarantined_senders``, plus a
 ``fault`` event per injected failure and per recovery).
 """
@@ -188,14 +188,14 @@ class FaultInjector:
 
     # -------------------------------------------------------------- messaging
     def receive(self, round_index: int, link: str, sender: str, *payloads,
-                floats: float = 0.0, tracker=None, direction: str = "up",
-                ref=None):
+                floats: float = 0.0, tracker=None, ref=None):
         """Deliver ``payloads`` (one logical upload) through the faulty link.
 
         Order of operations: Byzantine tampering (the sender *chooses* its
         payload — see :class:`~repro.defense.attacks.AttackPlan`), then
         message loss with the plan's :class:`RetryPolicy` (retransmissions are
-        re-charged to ``tracker`` and counted in ``retries_total``), then
+        re-charged to ``tracker`` as uploads and counted in
+        ``retries_total``), then
         corruption, then the receiver-side payload guard: a sender shipping
         NaN/Inf — or, with ``guard_zscore`` set, a finite array whose norm is
         anomalous against the round's same-link cohort — is quarantined for
@@ -230,7 +230,7 @@ class FaultInjector:
                     # Retransmission: charged to the link so comm plots
                     # reflect it, plus deterministic (simulated) backoff.
                     if tracker is not None:
-                        tracker.record(link, direction, count=1, floats=floats)
+                        tracker.record(link, "up", count=1, floats=floats)
                     self.obs.count("retries_total")
                     wait = policy.backoff_s(attempt, seed=self.plan.seed,
                                             round_index=round_index,

@@ -32,11 +32,16 @@ net population delta.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.membership.plan import ChurnPlan
 from repro.obs import NULL_TRACER
 from repro.utils.rng import keyed_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.edge import RoundContext
 
 __all__ = ["MembershipManager"]
 
@@ -89,9 +94,9 @@ class MembershipManager:
 
     enabled: bool
 
-    def __init__(self, plan: ChurnPlan, *, obs=None) -> None:
+    def __init__(self, plan: ChurnPlan, *, obs=NULL_TRACER) -> None:
         self.plan = plan
-        self.obs = obs if obs is not None else NULL_TRACER
+        self.obs = obs
         self.enabled = not plan.is_null
         self._bound = False
         self._rehoming = False        # rosters exist (hierarchical binding)
@@ -228,16 +233,16 @@ class MembershipManager:
         return None if ids is None else [self._actors[cid] for cid in ids]
 
     # ------------------------------------------------------------- transitions
-    def begin_round(self, round_index: int, *, tracker=None, timing=None,
-                    dim: int = 0) -> None:
-        """Advance all membership processes to ``round_index``.
+    def begin_round(self, ctx: RoundContext) -> None:
+        """Advance all membership processes to the context's round.
 
         Called once per cloud round, before the algorithm's round body, inside
         the round's virtual-clock scope: detection waits and handoff/sync
         transfers land on the round's simulated timeline and in the round's
         communication delta.  Transition order is fixed (edge episodes, then
         link episodes, then client churn; entities in id order) so the event
-        stream and every downstream draw are deterministic.
+        stream and every downstream draw are deterministic.  Model transfers
+        are charged at the engine's parameter count.
         """
         if not self.enabled:
             return
@@ -245,27 +250,27 @@ class MembershipManager:
             raise RuntimeError("MembershipManager.begin_round before bind(); "
                                "the algorithm must bind its topology first")
         plan = self.plan
+        dim = ctx.engine.num_parameters
         if plan.edge_mttf > 0.0 and self._num_edges:
-            self._edge_episodes(round_index, tracker, timing, dim)
+            self._edge_episodes(ctx, dim)
         if plan.link_mttf > 0.0 and self._num_edges:
-            self._link_episodes(round_index, tracker, timing, dim)
+            self._link_episodes(ctx, dim)
         if plan.arrive > 0.0 or plan.depart > 0.0:
-            self._client_churn(round_index, tracker, timing, dim)
+            self._client_churn(ctx, dim)
 
-    def _detect(self, round_index: int, entity: str, tracker, timing) -> None:
+    def _detect(self, ctx: RoundContext, entity: str) -> None:
         """Heartbeat failure detection: the cloud notices a dead edge/link
         only after the plan's timeout budget of missed heartbeats."""
-        if timing is not None and timing.enabled and \
-                self.plan.heartbeat_timeout_s > 0.0:
-            timing.advance(self.plan.heartbeat_timeout_s, f"detect:{entity}")
-        if tracker is not None:
-            # The heartbeat probe that went unanswered.
-            tracker.record("edge_cloud", "up", count=1,
+        if self.plan.heartbeat_timeout_s > 0.0:
+            ctx.timing.advance(self.plan.heartbeat_timeout_s,
+                               f"detect:{entity}")
+        # The heartbeat probe that went unanswered.
+        ctx.tracker.record("edge_cloud", "up", count=1,
                            floats=HEARTBEAT_FLOATS)
         self.obs.count("membership_detections_total")
 
-    def _edge_episodes(self, round_index: int, tracker, timing,
-                       dim: int) -> None:
+    def _edge_episodes(self, ctx: RoundContext, dim: int) -> None:
+        round_index = ctx.round_index
         p_fail = 1.0 / self.plan.edge_mttf
         p_heal = 1.0 / self.plan.edge_mttr
         for eid in range(self._num_edges):
@@ -275,24 +280,21 @@ class MembershipManager:
             if self.edge_up[eid]:
                 if u < p_fail:
                     self.edge_up[eid] = False
-                    self._detect(round_index, entity, tracker, timing)
+                    self._detect(ctx, entity)
                     self._emit(round_index, "edge_crash", entity)
                     self.obs.count("membership_edge_crashes_total")
                     if self.plan.rehome and self._rehoming:
-                        self._rehome_orphans(round_index, eid, tracker,
-                                             timing, dim)
+                        self._rehome_orphans(ctx, eid, dim)
             elif u < p_heal:
                 self.edge_up[eid] = True
                 self._emit(round_index, "edge_recover", entity)
                 self.obs.count("membership_recovered_total")
                 # The cloud re-syncs the anchor model to the reborn edge.
-                if tracker is not None:
-                    tracker.record("edge_cloud", "down", count=1, floats=dim)
-                if timing is not None and timing.enabled:
-                    timing.transfer("edge_cloud", eid, dim)
+                ctx.tracker.record("edge_cloud", "down", count=1, floats=dim)
+                ctx.timing.transfer("edge_cloud", eid, dim)
 
-    def _rehome_orphans(self, round_index: int, dead_eid: int, tracker,
-                        timing, dim: int) -> None:
+    def _rehome_orphans(self, ctx: RoundContext, dead_eid: int,
+                        dim: int) -> None:
         """Move every client homed at the crashed edge to a surviving one.
 
         Target selection is deterministic: least current load (clients homed
@@ -321,27 +323,23 @@ class MembershipManager:
             self._rehome(cid, target)
             handoff_targets.add(target)
             if cid in self.active:
-                self._emit(round_index, "re-homed", f"client:{cid}",
+                self._emit(ctx.round_index, "re-homed", f"client:{cid}",
                            src=dead_eid, dst=target)
                 self.obs.count("membership_rehomed_total")
                 # Warm sync: the new edge ships the current model down.
-                if tracker is not None:
-                    tracker.record("client_edge", "down", count=1, floats=dim)
-                if timing is not None and timing.enabled:
-                    timing.transfer("client_edge", cid, dim)
+                ctx.tracker.record("client_edge", "down", count=1, floats=dim)
+                ctx.timing.transfer("client_edge", cid, dim)
         for target in sorted(handoff_targets):
             # Edge-state handoff: anchor model + loss estimate + quarantine
             # summary, shipped to each adopting edge.
-            if tracker is not None:
-                tracker.record("edge_cloud", "down", count=1,
+            ctx.tracker.record("edge_cloud", "down", count=1,
                                floats=dim + HANDOFF_EXTRA_FLOATS)
-            if timing is not None and timing.enabled:
-                timing.transfer("edge_cloud", target,
+            ctx.timing.transfer("edge_cloud", target,
                                 dim + HANDOFF_EXTRA_FLOATS)
             self.obs.count("membership_handoffs_total")
 
-    def _link_episodes(self, round_index: int, tracker, timing,
-                       dim: int) -> None:
+    def _link_episodes(self, ctx: RoundContext, dim: int) -> None:
+        round_index = ctx.round_index
         p_cut = 1.0 / self.plan.link_mttf
         p_heal = 1.0 / self.plan.link_mttr
         for eid in range(self._num_edges):
@@ -351,7 +349,7 @@ class MembershipManager:
             if eid not in self.partitioned:
                 if u < p_cut:
                     self.partitioned.add(eid)
-                    self._detect(round_index, entity, tracker, timing)
+                    self._detect(ctx, entity)
                     self._emit(round_index, "partition", entity, edge=eid)
                     self.obs.count("membership_partitions_total")
             elif u < p_heal:
@@ -360,16 +358,14 @@ class MembershipManager:
                 self.obs.count("membership_heals_total")
                 # Reconcile the diverged edge: anchor re-sync down, the
                 # edge's cached loss estimate back up.
-                if tracker is not None:
-                    tracker.record("edge_cloud", "down", count=1, floats=dim)
-                    tracker.record("edge_cloud", "up", count=1, floats=1.0)
-                if timing is not None and timing.enabled:
-                    timing.transfer("edge_cloud", eid, dim + 1)
+                ctx.tracker.record("edge_cloud", "down", count=1, floats=dim)
+                ctx.tracker.record("edge_cloud", "up", count=1, floats=1.0)
+                ctx.timing.transfer("edge_cloud", eid, dim + 1)
                 self._emit(round_index, "reconcile", f"edge:{eid}",
                            floats=dim + 1)
 
-    def _client_churn(self, round_index: int, tracker, timing,
-                      dim: int) -> None:
+    def _client_churn(self, ctx: RoundContext, dim: int) -> None:
+        round_index = ctx.round_index
         plan = self.plan
         for cid in self._client_ids:
             entity = f"client:{cid}"
@@ -403,10 +399,8 @@ class MembershipManager:
                 self.obs.count("membership_joined_total")
                 # Warm join: the current model is shipped down before the
                 # client can participate.
-                if tracker is not None:
-                    tracker.record("client_edge", "down", count=1, floats=dim)
-                if timing is not None and timing.enabled:
-                    timing.transfer("client_edge", cid, dim)
+                ctx.tracker.record("client_edge", "down", count=1, floats=dim)
+                ctx.timing.transfer("client_edge", cid, dim)
 
     # ------------------------------------------------------------ persistence
     def state_dict(self) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs import NULL_TRACER
 from repro.utils.spec import dataclass_schema, parse_spec
 from repro.utils.validation import check_probability
 
@@ -148,8 +149,7 @@ class NullMembership:
     def bind_flat(self, clients, num_edges: int = 0) -> None:
         """No-op: a static topology has nothing to bind."""
 
-    def begin_round(self, round_index: int, *, tracker=None, timing=None,
-                    dim: int = 0) -> None:
+    def begin_round(self, ctx) -> None:
         """No-op: no churn transitions ever happen."""
 
     def edge_available(self, edge_id: int) -> bool:
@@ -180,7 +180,7 @@ class NullMembership:
 NULL_MEMBERSHIP = NullMembership()
 
 
-def resolve_membership(churn, *, obs=None):
+def resolve_membership(churn, *, obs=NULL_TRACER):
     """Coerce ``churn`` (``None`` | spec string | :class:`ChurnPlan` |
     manager) into a membership manager bound to ``obs``.
 

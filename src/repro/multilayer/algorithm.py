@@ -41,7 +41,8 @@ from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection
 from repro.population import resolve_population
-from repro.sim.edge import EdgeServer, combine, deliver, mean_loss
+from repro.sim.edge import EdgeServer, RoundContext, combine, deliver, \
+    mean_loss
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_int
 
@@ -132,15 +133,15 @@ class MultiLevelHierMinimax(HierMinimax):
             slot //= self.taus[level]
         return tuple(digits)
 
-    def _area_update(self, round_index: int, eid: int,
+    def _area_update(self, ctx: RoundContext, eid: int,
                      checkpoint: tuple[int, int] | None, roster,
                      ) -> tuple[np.ndarray, np.ndarray | None] | None:
         # HierMinimax's (c1, c2) indexes the round's slots leaf fastest, so
         # ``c2·τ_L + c1 - 1`` is the flat slot behind the tree's digits.
         c1, c2 = checkpoint
         digits = self._decode_checkpoint(c2 * self.tau1 + c1 - 1)
-        return self._subtree_update(round_index, 1, self._top_nodes[eid],
-                                    self.w, digits)
+        return self._subtree_update(ctx, 1, self._top_nodes[eid], self.w,
+                                    digits)
 
     def _release_area(self, eid: int) -> None:
         # An area is a top subtree; its clients are the subtree's leaves.
@@ -157,7 +158,7 @@ class MultiLevelHierMinimax(HierMinimax):
                   if active(k)]
         return EdgeServer(node, roster) if roster else None
 
-    def _subtree_update(self, round_index: int, level: int, node: int,
+    def _subtree_update(self, ctx: RoundContext, level: int, node: int,
                         w_start: np.ndarray,
                         digits: tuple[int, ...] | None,
                         ) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -173,19 +174,19 @@ class MultiLevelHierMinimax(HierMinimax):
                 return None
             checkpoint = (None if digits is None
                           else (digits[-1] + 1, digits[-2]))
-            return self._edge_update(round_index, edge, w_start, checkpoint,
-                                     blocks=self.taus[-2])
+            return edge.model_update(ctx, w_start, tau1=self.tau1,
+                                     tau2=self.taus[-2], checkpoint=checkpoint,
+                                     link=self._links[-1])
         kids = self.tree.children_of(level, node)
         link = self._links[level]
         d = w_start.size
-        faults = self.faults
-        timing = self.timing
-        tracker = self.tracker
+        timing = ctx.timing
+        tracker = ctx.tracker
         w = w_start
         w_ckpt: np.ndarray | None = None
         for t in range(self.taus[level - 1]):
             on_path = digits is not None and digits[level - 1] == t
-            with self.obs.span("edge_block", level=level, node=node, block=t):
+            with ctx.obs.span("edge_block", level=level, node=node, block=t):
                 tracker.record(link, "down", count=len(kids), floats=d)
                 # Sibling subtrees work concurrently: the block costs the
                 # slowest child's (down + subtree + up) chain.
@@ -193,12 +194,11 @@ class MultiLevelHierMinimax(HierMinimax):
                 with timing.parallel():
                     for k in kids:
                         with timing.branch():
-                            if timing.enabled:
-                                timing.transfer(link, k, d)
+                            timing.transfer(link, k, d)
                             out = self._subtree_update(
-                                round_index, level + 1, k, w,
+                                ctx, level + 1, k, w,
                                 digits if on_path else None)
-                            if out is not None and timing.enabled:
+                            if out is not None:
                                 timing.transfer(link, k, d * (
                                     1 if out[1] is None else 2))
                             uploads.append((k, out))
@@ -209,9 +209,8 @@ class MultiLevelHierMinimax(HierMinimax):
                         continue
                     sender = f"node:{level + 1}:{k}"
                     delivered = deliver(
-                        faults, round_index, link, sender, *out,
-                        floats=d * (1 if out[1] is None else 2),
-                        tracker=tracker, ref=w)
+                        ctx, link, sender, *out,
+                        floats=d * (1 if out[1] is None else 2), ref=w)
                     if delivered is None:
                         continue
                     w_k, w_kc = delivered
@@ -223,19 +222,18 @@ class MultiLevelHierMinimax(HierMinimax):
                 # policy's edge-slot rule applies at every level below the
                 # cloud.  Both combines reference the block's broadcast model.
                 w, block_ckpt = combine(
-                    w, entries, ckpt_entries if on_path else None,
+                    ctx, w, entries, ckpt_entries if on_path else None,
                     stage=f"node:{level}:{node}:block:{t}",
-                    aggregator=self._edge_agg, faults=faults,
-                    round_index=round_index, link=link)
+                    aggregator=ctx.edge_agg, link=link)
                 if on_path:
                     w_ckpt = block_ckpt
         return w, w_ckpt
 
-    def _area_loss(self, round_index: int, eid: int, w: np.ndarray,
+    def _area_loss(self, ctx: RoundContext, eid: int, w: np.ndarray,
                    roster) -> float | None:
-        return self._subtree_loss(round_index, 1, self._top_nodes[eid], w)
+        return self._subtree_loss(ctx, 1, self._top_nodes[eid], w)
 
-    def _subtree_loss(self, round_index: int, level: int, node: int,
+    def _subtree_loss(self, ctx: RoundContext, level: int, node: int,
                       w: np.ndarray) -> float | None:
         """Recursive LossEstimation: mean of the children's loss reports.
 
@@ -244,29 +242,25 @@ class MultiLevelHierMinimax(HierMinimax):
         """
         if level == self.tree.depth - 1:
             edge = self._bottom_server(node)
-            return None if edge is None else self._edge_loss(round_index,
-                                                             edge, w)
+            return None if edge is None else edge.estimate_loss(
+                ctx, w, link=self._links[-1])
         kids = self.tree.children_of(level, node)
         link = self._links[level]
-        timing = self.timing
-        self.tracker.record(link, "down", count=len(kids), floats=w.size)
+        timing = ctx.timing
+        ctx.tracker.record(link, "down", count=len(kids), floats=w.size)
         reports: dict[int, float] = {}
         with timing.parallel():
             for k in kids:
                 with timing.branch():
-                    if timing.enabled:
-                        timing.transfer(link, k, w.size)
-                    loss = self._subtree_loss(round_index, level + 1, k, w)
+                    timing.transfer(link, k, w.size)
+                    loss = self._subtree_loss(ctx, level + 1, k, w)
                     if loss is None:
                         continue
-                    if timing.enabled:
-                        timing.transfer(link, k, 1)
-                    delivered = deliver(self.faults, round_index, link,
-                                        f"node:{level + 1}:{k}", loss,
-                                        floats=1.0, tracker=self.tracker)
+                    timing.transfer(link, k, 1)
+                    delivered = deliver(ctx, link, f"node:{level + 1}:{k}",
+                                        loss, floats=1.0)
                     if delivered is not None:
                         reports[k] = delivered[0]
-        self.tracker.sync_cycle(link)
+        ctx.tracker.sync_cycle(link)
         # Every interior node damps its children's cohort before averaging.
-        return mean_loss(reports, self._loss_clip, self.faults, round_index,
-                         f"node:{level + 1}")
+        return mean_loss(ctx, reports, f"node:{level + 1}")

@@ -17,6 +17,9 @@ the cloud.  This module writes it once:
 * :func:`probe_leg`, :func:`clip_losses` and :func:`mean_loss` — Phase 2's
   client probes, the score-damped loss clip and the average of the reports.
 
+Each takes the round's :class:`RoundContext`: the round index, the model step
+and the run's sinks as one object.
+
 An :class:`EdgeServer` owns the clients of its edge area and runs
 :meth:`~EdgeServer.model_update` (Part (a): τ2 client-edge aggregation blocks
 of τ1 local SGD steps; Part (b): the checkpoint aggregate at block ``c2``) and
@@ -27,21 +30,98 @@ multi-layer tree call the same functions.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.defense.policy import clip_loss_reports, robust_combine
 from repro.exec.dispatch import ClientWork, run_local_steps
 from repro.nn.network import NeuralNetwork
-from repro.obs import NULL_TRACER
-from repro.ops.projections import Projection, identity_projection
+from repro.ops.projections import Projection
 from repro.sim.client import Client
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_float, check_positive_int
 
-__all__ = ["EdgeServer", "train_leg", "deliver", "combine", "probe_leg",
-           "clip_losses", "mean_loss"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compression import Compressor
+    from repro.defense.aggregators import RobustAggregator
+    from repro.exec.base import ExecutionBackend
+    from repro.faults.injector import FaultInjector
+    from repro.obs.tracer import NullTracer, Tracer
+    from repro.simtime.null import NullTiming
+    from repro.simtime.timeline import SimTimer
+
+__all__ = ["RoundContext", "EdgeServer", "train_leg", "deliver", "combine",
+           "probe_leg", "clip_losses", "mean_loss"]
+
+
+@dataclass(frozen=True, slots=True)
+class RoundContext:
+    """What every leg of one cloud round shares: the round, the model step
+    and the run's sinks.
+
+    :meth:`~repro.core.base.FederatedAlgorithm._round` builds one per round
+    from the sinks the algorithm's constructor resolved; every tier's legs
+    take it whole.  Only the aggregators, ``loss_clip`` and the compressor
+    (with ``comp_rng``) may be ``None``; every sink is always present, a
+    disabled one being its no-op.
+
+    Attributes
+    ----------
+    round_index:
+        The cloud round: the key of every fault decision and trace event.
+    engine, lr, projection:
+        The shared compute engine, the model learning rate ``η_w`` and the
+        projection onto ``W`` applied after each local SGD step.
+    backend:
+        The :class:`~repro.exec.ExecutionBackend` running each cohort's
+        client SGD loops: one dispatch per leg, bit-identical on every
+        backend (see :mod:`repro.exec.base`).
+    tracker:
+        The :class:`~repro.topology.comm.CommunicationTracker` charged for
+        every broadcast, upload and sync cycle.
+    faults:
+        The run's :class:`~repro.faults.FaultInjector`: client step budgets
+        (a dropout trains nothing, a straggler fewer than ``τ1`` steps and
+        misses a later checkpoint), probe availability, and each upload's
+        passage through the faulty link.  A disabled injector answers every
+        query as a healthy run does.
+    obs:
+        The :class:`~repro.obs.Tracer`: each aggregation block is an
+        ``edge_block`` span, each client invocation a ``client_local_steps``
+        span, and local steps feed ``sgd_steps_total``.
+    timing:
+        The virtual clock, a :class:`~repro.simtime.SimTimer` or the no-op
+        :data:`~repro.simtime.NULL_TIMING`: each leg charges its broadcast,
+        compute and upload.  Pure arithmetic on the clock; no result
+        depends on it.
+    edge_agg, cloud_agg:
+        The defense policy's active robust rule below the cloud and at the
+        cloud (``None``: the in-order weighted mean).  Rejected or clipped
+        senders are reported to ``faults``.
+    loss_clip:
+        The score-damped loss clip factor (``None``: reports pass unclipped).
+    compressor, comp_rng:
+        The :class:`~repro.compression.Compressor` applied to uploads as
+        deltas against the receiver's broadcast model (``None``: full
+        precision), and the stream its random quantization draws from.
+    """
+
+    round_index: int
+    engine: NeuralNetwork
+    lr: float
+    projection: Projection
+    backend: ExecutionBackend
+    tracker: CommunicationTracker
+    faults: FaultInjector
+    obs: Tracer | NullTracer
+    timing: SimTimer | NullTiming
+    edge_agg: RobustAggregator | None
+    cloud_agg: RobustAggregator | None
+    loss_clip: float | None
+    compressor: Compressor | None
+    comp_rng: np.random.Generator | None
 
 
 def _compress(compressor, sender: int, delta: np.ndarray,
@@ -57,10 +137,9 @@ def _compress(compressor, sender: int, delta: np.ndarray,
     return compressor.compress(delta, rng)
 
 
-def deliver(faults, round_index: int, link: str, sender: str, *payloads,
-            floats: float, tracker: CommunicationTracker | None = None,
-            ref: np.ndarray | None = None):
-    """Charge one upload of ``floats`` to ``tracker`` and pass it through the
+def deliver(ctx: RoundContext, link: str, sender: str, *payloads,
+            floats: float, ref: np.ndarray | None = None):
+    """Charge one upload of ``floats`` to the tracker and pass it through the
     faulty link.
 
     Returns the delivered payloads, or ``None`` when the upload was lost
@@ -68,21 +147,17 @@ def deliver(faults, round_index: int, link: str, sender: str, *payloads,
     :meth:`~repro.faults.FaultInjector.receive`).  Without an enabled
     injector the payloads pass through untouched.
     """
-    if tracker is not None:
-        tracker.record(link, "up", count=1, floats=floats)
-    if faults is None or not faults.enabled:
+    ctx.tracker.record(link, "up", count=1, floats=floats)
+    if not ctx.faults.enabled:
+        # Fault-free runs never enter the faulty link.
         return payloads
-    return faults.receive(round_index, link, sender, *payloads, floats=floats,
-                          tracker=tracker, ref=ref)
+    return ctx.faults.receive(ctx.round_index, link, sender, *payloads,
+                              floats=floats, tracker=ctx.tracker, ref=ref)
 
 
-def train_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
-              weights, *, tau1: int, lr: float, link: str,
-              round_index: int = 0, checkpoint_step: int | None = None,
-              projection: Projection = identity_projection,
-              tracker: CommunicationTracker | None = None, faults=None,
-              backend=None, obs=None, timing=None, compressor=None,
-              comp_rng: np.random.Generator | None = None,
+def train_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client],
+              weights, *, tau1: int, link: str,
+              checkpoint_step: int | None = None,
               down_floats: float | None = None, scope: str | None = None,
               ) -> tuple[list, list]:
     """One cohort's local training from ``w`` and its uploads over ``link``.
@@ -93,39 +168,42 @@ def train_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
     steps and snapshots the checkpoint only if it reaches
     ``checkpoint_step``.  With a virtual clock the leg costs its slowest
     member's (down + compute + up) chain, a straggler computing at the plan's
-    ``straggler_slowdown`` pace; the ``scope`` label (and, with it,
-    ``client:<id>`` branch labels) names the leg in a recorded timing tree.
-    The results are then compressed (deltas against ``w``), charged and
-    delivered in member order, which is the order ``comp_rng``, the
-    per-sender message counters and the norm guard's cohort consume.
+    ``straggler_slowdown`` pace; ``down_floats`` overrides the model-sized
+    broadcast, and the ``scope`` label (and, with it, ``client:<id>`` branch
+    labels) names the leg in a recorded timing tree.  The results are then
+    compressed (deltas against ``w``), charged and delivered in member
+    order, which is the order ``comp_rng``, the per-sender message counters
+    and the norm guard's cohort consume.
 
     Returns the delivered ``(sender, weight, w_end)`` entries and the
     ``(sender, weight, w_checkpoint)`` entries of the members that delivered
     a checkpoint snapshot, for :func:`combine`.
     """
-    injecting = faults is not None and faults.enabled
+    faults = ctx.faults
+    timing = ctx.timing
+    compressor = ctx.compressor
     d = w.size
     work: list[ClientWork] = []
     kept = []
     for weight, client in zip(weights, cohort):
-        steps = tau1 if not injecting else faults.client_steps(
-            round_index, client.client_id, tau1)
+        steps = faults.client_steps(ctx.round_index, client.client_id, tau1)
         if steps < 1:
             continue
         snap = (checkpoint_step if checkpoint_step is not None
                 and checkpoint_step <= steps else None)
         work.append(ClientWork(client, steps, snap))
         kept.append(weight)
-    results = run_local_steps(backend, engine, w, work, lr=lr,
-                              projection=projection, obs=obs) if work else []
+    results = run_local_steps(ctx.backend, ctx.engine, w, work, lr=ctx.lr,
+                              projection=ctx.projection,
+                              obs=ctx.obs) if work else []
     upload = float(d) if compressor is None else compressor.payload_floats(d)
-    if timing is not None and timing.enabled:
+    if timing.enabled:
         labelled = scope is not None and timing.record
         with timing.parallel(scope):
             for item in work:
                 cid = item.client.client_id
                 scale = (faults.plan.straggler_slowdown
-                         if injecting and item.steps < tau1 else 1.0)
+                         if item.steps < tau1 else 1.0)
                 with timing.branch(f"client:{cid}" if labelled else None):
                     timing.transfer(link, cid,
                                     d if down_floats is None else down_floats)
@@ -139,13 +217,12 @@ def train_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
         w_end, w_c = result.w_end, result.w_checkpoint
         if compressor is not None:
             # Transmit compressed deltas against the broadcast model.
-            w_end = w + _compress(compressor, cid, w_end - w, comp_rng)
+            w_end = w + _compress(compressor, cid, w_end - w, ctx.comp_rng)
             if w_c is not None:
-                w_c = w + _compress(compressor, cid, w_c - w, comp_rng)
+                w_c = w + _compress(compressor, cid, w_c - w, ctx.comp_rng)
         sender = f"client:{cid}"
-        delivered = deliver(faults, round_index, link, sender, w_end, w_c,
-                            floats=upload * (1 if w_c is None else 2),
-                            tracker=tracker, ref=w)
+        delivered = deliver(ctx, link, sender, w_end, w_c,
+                            floats=upload * (1 if w_c is None else 2), ref=w)
         if delivered is None:
             continue
         w_end, w_c = delivered
@@ -155,12 +232,12 @@ def train_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
     return entries, ckpt_entries
 
 
-def _mix(w: np.ndarray, entries, aggregator, expected: int | None, faults,
-         round_index: int, link: str) -> np.ndarray | None:
+def _mix(ctx: RoundContext, w: np.ndarray, entries, aggregator,
+         expected: int | None, link: str) -> np.ndarray | None:
     """One aggregation rule over delivered entries (``None``: nothing came)."""
     if aggregator is not None:
-        return robust_combine(aggregator, entries, ref=w, faults=faults,
-                              round_index=round_index, link=link)
+        return robust_combine(aggregator, entries, ref=w, faults=ctx.faults,
+                              round_index=ctx.round_index, link=link)
     if not entries:
         return None
     combined = np.zeros(w.size)
@@ -173,16 +250,15 @@ def _mix(w: np.ndarray, entries, aggregator, expected: int | None, faults,
     return combined
 
 
-def combine(w: np.ndarray, entries, ckpt_entries=None, *, stage: str,
-            aggregator=None, expected: int | None = None, faults=None,
-            round_index: int = 0, link: str = "",
-            ) -> tuple[np.ndarray, np.ndarray | None]:
+def combine(ctx: RoundContext, w: np.ndarray, entries, ckpt_entries=None, *,
+            stage: str, aggregator=None, expected: int | None = None,
+            link: str = "") -> tuple[np.ndarray, np.ndarray | None]:
     """Eqs. (5)/(6) at one aggregation point: fold the delivered uploads
     into the next model and checkpoint model.
 
     ``entries`` are the delivered ``(sender, weight, vector)`` uploads in
-    delivery order.  An active robust ``aggregator`` combines them (rejected
-    or clipped senders are reported to ``faults``); otherwise they are summed
+    delivery order.  An active robust ``aggregator`` (the context's
+    ``edge_agg`` or ``cloud_agg``) combines them; otherwise they are summed
     in order and divided by their summed weight.  ``expected`` marks weights
     that already sum to one over a full cohort of that many senders (an edge
     block's ``1/N0`` or data shares): the sum is then divided only when fewer
@@ -193,26 +269,21 @@ def combine(w: np.ndarray, entries, ckpt_entries=None, *, stage: str,
     combined ``ckpt_entries`` — ``w_next`` when none arrived (a checkpoint
     fallback under ``stage``), ``None`` when ``ckpt_entries`` is ``None``.
     """
-    w_next = _mix(w, entries, aggregator, expected, faults, round_index, link)
+    w_next = _mix(ctx, w, entries, aggregator, expected, link)
     if w_next is None:
-        if faults is not None:
-            faults.degraded_round(round_index, stage)
+        ctx.faults.degraded_round(ctx.round_index, stage)
         w_next = w
     if ckpt_entries is None:
         return w_next, None
-    w_ckpt = _mix(w, ckpt_entries, aggregator, expected, faults, round_index,
-                  link)
+    w_ckpt = _mix(ctx, w, ckpt_entries, aggregator, expected, link)
     if w_ckpt is None:
-        if faults is not None:
-            faults.checkpoint_fallback(round_index, stage)
+        ctx.faults.checkpoint_fallback(ctx.round_index, stage)
         w_ckpt = w_next
     return w_next, w_ckpt
 
 
-def probe_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
-              *, link: str, round_index: int = 0,
-              tracker: CommunicationTracker | None = None, faults=None,
-              timing=None, scope: str | None = None) -> dict[int, float]:
+def probe_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client], *,
+              link: str, scope: str | None = None) -> dict[int, float]:
     """Phase-2 probes: each available member of ``cohort`` reports its
     minibatch loss at ``w`` over ``link``.
 
@@ -222,20 +293,20 @@ def probe_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
     members whose reply was lost still did the work and count.  Returns the
     delivered losses by client id, in member order.
     """
-    injecting = faults is not None and faults.enabled
+    faults = ctx.faults
+    timing = ctx.timing
     probed: list[int] = []
     replies: dict[int, float] = {}
     for client in cohort:
         cid = client.client_id
-        if injecting and not faults.client_available(round_index, cid):
+        if not faults.client_available(ctx.round_index, cid):
             continue
-        loss = client.estimate_loss(engine, w)
+        loss = client.estimate_loss(ctx.engine, w)
         probed.append(cid)
-        delivered = deliver(faults, round_index, link, f"client:{cid}", loss,
-                            floats=1.0, tracker=tracker)
+        delivered = deliver(ctx, link, f"client:{cid}", loss, floats=1.0)
         if delivered is not None:
             replies[cid] = delivered[0]
-    if timing is not None and timing.enabled:
+    if timing.enabled:
         labelled = scope is not None and timing.record
         with timing.parallel(scope):
             for cid in probed:
@@ -246,27 +317,24 @@ def probe_leg(engine: NeuralNetwork, w: np.ndarray, cohort: Sequence[Client],
     return replies
 
 
-def clip_losses(losses: dict, loss_clip: float | None, faults,
-                round_index: int, prefix: str) -> dict:
+def clip_losses(ctx: RoundContext, losses: dict, prefix: str) -> dict:
     """Score-damped minimax update: cap reports at ``loss_clip ×`` their
     median, flagging each capped sender ``<prefix>:<key>`` to ``faults``.
 
     Returns ``losses`` itself (the same dict) without an active clip, so the
     healthy path stays bit-identical.
     """
-    if loss_clip is None or not losses:
+    if ctx.loss_clip is None or not losses:
         return losses
-    clipped, ids, cap = clip_loss_reports(losses, loss_clip)
-    if faults is not None:
-        for key in ids:
-            faults.suspect(round_index, f"{prefix}:{key}",
+    clipped, ids, cap = clip_loss_reports(losses, ctx.loss_clip)
+    for key in ids:
+        ctx.faults.suspect(ctx.round_index, f"{prefix}:{key}",
                            action="loss_clipped", aggregator="loss_clip",
                            cap=round(cap, 6))
     return clipped
 
 
-def mean_loss(losses: dict, loss_clip: float | None, faults,
-              round_index: int, prefix: str) -> float | None:
+def mean_loss(ctx: RoundContext, losses: dict, prefix: str) -> float | None:
     """LossEstimation's average of the delivered reports after the clip;
     ``None`` when nothing arrived (the caller falls back to a stale loss).
 
@@ -277,8 +345,7 @@ def mean_loss(losses: dict, loss_clip: float | None, faults,
     if not losses:
         return None
     total = 0.0
-    for loss in clip_losses(losses, loss_clip, faults, round_index,
-                            prefix).values():
+    for loss in clip_losses(ctx, losses, prefix).values():
         total += loss
     return total / len(losses)
 
@@ -302,19 +369,10 @@ class EdgeServer:
         """Total training samples of the area's clients."""
         return sum(c.num_samples for c in self.clients)
 
-    def model_update(self, engine: NeuralNetwork, w_start: np.ndarray, *,
-                     tau1: int, tau2: int, lr: float,
-                     projection: Projection = identity_projection,
+    def model_update(self, ctx: RoundContext, w_start: np.ndarray, *,
+                     tau1: int, tau2: int,
                      checkpoint: tuple[int, int] | None = None,
-                     tracker: CommunicationTracker | None = None,
                      weight_by_data: bool = False,
-                     compressor=None,
-                     comp_rng: np.random.Generator | None = None,
-                     obs=None,
-                     faults=None, round_index: int = 0,
-                     backend=None,
-                     defense=None,
-                     timing=None,
                      roster: Sequence[Client] | None = None,
                      link: str = "client_edge",
                      ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -322,7 +380,13 @@ class EdgeServer:
 
         Each of the ``tau2`` blocks broadcasts the edge model, runs one
         :func:`train_leg` over the roster and folds the delivered uploads
-        back with :func:`combine`.
+        back with :func:`combine` under the context's ``edge_agg``.  Each
+        block is one ``edge_block`` span and one sync cycle on ``link``;
+        checkpoint uploads ride along with the block-``c2`` upload.  Dropped
+        clients (and uploads lost or quarantined in transit) leave the
+        block's aggregate, whose weights are renormalized over the
+        survivors; a block with zero survivors leaves the edge model
+        unchanged.
 
         Parameters
         ----------
@@ -331,56 +395,16 @@ class EdgeServer:
         checkpoint:
             The cloud-sampled ``(c1, c2)`` with ``c1 ∈ [1, τ1]``,
             ``c2 ∈ [0, τ2-1]``; ``None`` disables Part (b) (used by HierFAVG).
-        tracker:
-            Communication accounting; each aggregation block is one ``client_edge``
-            sync cycle; checkpoint uploads ride along with the block-``c2`` upload.
         weight_by_data:
             ``False`` (HierMinimax, Eq. (5)'s uniform ``1/N0`` average — clients of
             an area share one distribution) or ``True`` (HierFAVG's FedAvg-style
             aggregation proportional to client dataset sizes, the ``q_n`` of
             Eq. (1)).
-        compressor / comp_rng:
-            Optional :class:`~repro.compression.Compressor` applied to client
-            uploads — each client transmits a compressed *delta* against the
-            block's broadcast model (the Hier-Local-QSGD extension).  Tracker
-            float counts use the compressor's payload size.
-        obs:
-            Optional :class:`~repro.obs.Tracer`: each aggregation block is an
-            ``edge_block`` span and each client invocation a
-            ``client_local_steps`` span; local steps feed the
-            ``sgd_steps_total`` counter.
-        faults / round_index:
-            Optional :class:`~repro.faults.FaultInjector` plus the cloud round
-            it should be queried at.  Dropped clients (and uploads lost or
-            quarantined in transit) are excluded from each block's aggregate,
-            whose weights are renormalized over the survivors; stragglers
-            contribute truncated updates (and miss the checkpoint snapshot
-            when they time out before step ``c1``).  A block with zero
-            survivors leaves the edge model unchanged.  With a disabled (or
-            absent) injector every code path and floating-point operation is
-            identical to the pre-fault implementation.
-        backend:
-            Optional :class:`~repro.exec.ExecutionBackend` running the block's
-            client SGD loops (``None`` = serial); each block is one dispatch,
-            bit-identical on every backend (see :mod:`repro.exec.base`).
-        defense:
-            Optional active :class:`~repro.defense.RobustAggregator` (the
-            ``edge`` tier of a :class:`~repro.defense.DefensePolicy`): each
-            block's delivered client uploads are combined by the robust rule
-            instead of the weighted mean, and rejected/clipped senders are
-            reported through ``faults.suspect``.  ``None`` (empty slot or the
-            reference mean) keeps the weighted sum.
-        timing:
-            Optional :class:`~repro.simtime.SimTimer`.  Each block charges a
-            parallel client region (broadcast down, ``steps`` of compute, the
-            upload back) on the virtual clock; see :func:`train_leg`.  The
-            charge is purely additive arithmetic: numerical results are
-            unaffected.
         roster:
             Optional client list overriding the construction-time roster —
             the :mod:`repro.membership` layer passes the edge's *current*
             clients (survivors of churn plus adoptees of a failover).
-            ``None`` (default) uses ``self.clients``, byte-identically.
+            ``None`` (default) uses ``self.clients``.
         link:
             Name of the client uplink on the tracker, the virtual clock and
             the fault injector's message keys.
@@ -393,7 +417,7 @@ class EdgeServer:
         """
         tau1 = check_positive_int(tau1, "tau1")
         tau2 = check_positive_int(tau2, "tau2")
-        lr = check_positive_float(lr, "lr")
+        check_positive_float(ctx.lr, "lr")
         c1: int | None = None
         c2: int | None = None
         if checkpoint is not None:
@@ -414,61 +438,44 @@ class EdgeServer:
             weights /= weights.sum()
         else:
             weights = np.full(n0, 1.0 / n0)
-        obs = obs if obs is not None else NULL_TRACER
+        tracker = ctx.tracker
         w_edge = np.array(w_start, dtype=np.float64, copy=True)
         w_ckpt: np.ndarray | None = None
         for t2 in range(tau2):
             on_ckpt = t2 == c2
-            with obs.span("edge_block", edge=self.edge_id, block=t2):
-                if tracker is not None:
-                    # Edge broadcasts w_edge to its clients (model-sized, down).
-                    tracker.record(link, "down", count=n0, floats=d)
+            with ctx.obs.span("edge_block", edge=self.edge_id, block=t2):
+                # Edge broadcasts w_edge to its clients (model-sized, down).
+                tracker.record(link, "down", count=n0, floats=d)
                 entries, ckpt_entries = train_leg(
-                    engine, w_edge, clients, weights, tau1=tau1, lr=lr,
-                    link=link, round_index=round_index,
+                    ctx, w_edge, clients, weights, tau1=tau1, link=link,
                     checkpoint_step=c1 if on_ckpt else None,
-                    projection=projection, tracker=tracker, faults=faults,
-                    backend=backend, obs=obs, timing=timing,
-                    compressor=compressor, comp_rng=comp_rng,
                     scope=f"block:{t2}")
-                if tracker is not None:
-                    tracker.sync_cycle(link)
+                tracker.sync_cycle(link)
                 w_edge, block_ckpt = combine(
-                    w_edge, entries, ckpt_entries if on_ckpt else None,
+                    ctx, w_edge, entries, ckpt_entries if on_ckpt else None,
                     stage=f"edge:{self.edge_id}:block:{t2}",
-                    aggregator=defense, expected=n0, faults=faults,
-                    round_index=round_index, link=link)
+                    aggregator=ctx.edge_agg, expected=n0, link=link)
                 if on_ckpt:
                     w_ckpt = block_ckpt
         return w_edge, w_ckpt
 
-    def estimate_loss(self, engine: NeuralNetwork, w: np.ndarray, *,
-                      tracker: CommunicationTracker | None = None,
-                      faults=None, round_index: int = 0,
-                      loss_clip: float | None = None,
-                      timing=None,
+    def estimate_loss(self, ctx: RoundContext, w: np.ndarray, *,
                       roster: Sequence[Client] | None = None,
                       link: str = "client_edge") -> float | None:
         """LossEstimation: average the clients' minibatch losses at ``w``.
 
-        With an active fault injector the average runs over the clients that
-        actually replied (see :func:`probe_leg`).  Returns ``None`` when *no*
-        client replied — the caller falls back to a stale loss for this edge.
-
-        ``loss_clip`` applies the score-damped update at this tier too:
-        client reports are capped at ``loss_clip ×`` the cohort median
-        *before* they enter the edge average (see :func:`mean_loss`).
-        ``link`` names the client link as in :meth:`model_update`.
+        The average runs over the clients that actually replied (see
+        :func:`probe_leg`), each report capped by the context's
+        ``loss_clip`` before it enters the edge average (see
+        :func:`mean_loss`).  Returns ``None`` when *no* client replied — the
+        caller falls back to a stale loss for this edge.  ``roster`` and
+        ``link`` are as in :meth:`model_update`.
         """
         clients = self.clients if roster is None else list(roster)
-        if tracker is not None:
-            tracker.record(link, "down", count=len(clients), floats=w.size)
-        replies = probe_leg(engine, w, clients, link=link,
-                            round_index=round_index, tracker=tracker,
-                            faults=faults, timing=timing, scope="probe_fanout")
-        if tracker is not None:
-            tracker.sync_cycle(link)
-        return mean_loss(replies, loss_clip, faults, round_index, "client")
+        ctx.tracker.record(link, "down", count=len(clients), floats=w.size)
+        replies = probe_leg(ctx, w, clients, link=link, scope="probe_fanout")
+        ctx.tracker.sync_cycle(link)
+        return mean_loss(ctx, replies, "client")
 
     def full_loss(self, engine: NeuralNetwork, w: np.ndarray) -> float:
         """Exact edge loss ``f_e(w)`` over all the area's data (theory/diagnostics)."""

@@ -11,7 +11,14 @@ import pytest
 
 from repro.data.dataset import Dataset, EdgeAreaData, FederatedDataset
 from repro.data.registry import make_federated_dataset
-from repro.nn.models import make_model_factory
+from repro.exec.serial import SERIAL_BACKEND
+from repro.faults import FaultInjector, FaultPlan
+from repro.nn.models import logistic_regression, make_model_factory
+from repro.obs import NULL_TRACER
+from repro.ops.projections import identity_projection
+from repro.sim.edge import RoundContext
+from repro.simtime import NULL_TIMING
+from repro.topology.comm import CommunicationTracker
 
 
 @pytest.fixture()
@@ -79,3 +86,23 @@ def blob_fed() -> FederatedDataset:
 @pytest.fixture()
 def blob_factory(blob_fed):
     return make_model_factory("logistic", blob_fed.input_dim, blob_fed.num_classes)
+
+
+def round_context(engine=None, **fields) -> RoundContext:
+    """A :class:`~repro.sim.edge.RoundContext` for calling a leg directly.
+
+    Round 0, ``lr=0.1``, the identity projection, the serial backend, a
+    fresh tracker, a disabled injector, the no-op tracer and clock, no
+    defense and no compression, unless ``fields`` names its own; ``engine``
+    defaults to a 4-feature, 3-class logistic model.
+    """
+    defaults = dict(
+        round_index=0,
+        engine=engine if engine is not None else logistic_regression(
+            4, 3, rng=0),
+        lr=0.1, projection=identity_projection, backend=SERIAL_BACKEND,
+        tracker=CommunicationTracker(),
+        faults=FaultInjector(FaultPlan.none()), obs=NULL_TRACER,
+        timing=NULL_TIMING, edge_agg=None, cloud_agg=None, loss_clip=None,
+        compressor=None, comp_rng=None)
+    return RoundContext(**{**defaults, **fields})

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from tests.conftest import make_blob_fed
+from tests.conftest import make_blob_fed, round_context
 from repro.baselines.fedavg import FedAvg
 from repro.core.hierminimax import HierMinimax
 from repro.experiments.presets import fig3_preset
@@ -273,6 +273,33 @@ class TestFaultedRuns:
             rounds=4, eval_every=4)
         assert obs.snapshot()["counters"].get("stragglers_total", 0) > 0
 
+    def test_each_decision_is_counted_once_per_round_and_entity(
+            self, blob_fed, blob_factory):
+        """Phase 1 asks ``edge_dark`` per draw and ``client_steps`` once per
+        block (``tau2 = 2``); Phase 2, probing every edge, asks ``edge_dark``
+        and ``client_available`` again.  The counters still equal the plan's
+        decisions, one per (round, entity)."""
+        plan = FaultPlan(client_dropout=0.3, client_straggle=0.0,
+                         edge_outage=0.25, seed=5)
+        obs = Tracer(None)
+        algo = HierMinimax(blob_fed, blob_factory, batch_size=4, eta_w=0.1,
+                           eta_p=0.05, tau1=2, tau2=2, seed=0, faults=plan,
+                           obs=obs)
+        rounds = 10
+        algo.run(rounds=rounds, eval_every=rounds)
+        oracle = FaultInjector(plan)
+        dark = {(r, e) for r in range(rounds)
+                for e in range(len(algo.edges)) if oracle.edge_dark(r, e)}
+        dropped = sum(1 for r in range(rounds)
+                      for e, edge in enumerate(algo.edges)
+                      if (r, e) not in dark
+                      for client in edge.clients
+                      if not oracle.client_available(r, client.client_id))
+        counters = obs.snapshot()["counters"]
+        assert dark and dropped
+        assert counters["edge_outages_total"] == len(dark)
+        assert counters["clients_dropped_total"] == dropped
+
 
 # ------------------------------------------------------- checkpoint / resume
 class Boom(RuntimeError):
@@ -457,9 +484,11 @@ class TestInputValidation:
         algo = make_hmm(blob_fed, blob_factory)
         edge = algo.edges[0]
         with pytest.raises(ValueError):
-            edge.model_update(algo.engine, algo.w, tau1=0, tau2=2, lr=0.1)
+            edge.model_update(round_context(algo.engine), algo.w, tau1=0,
+                              tau2=2)
         with pytest.raises(ValueError):
-            edge.model_update(algo.engine, algo.w, tau1=2, tau2=2, lr=0.0)
+            edge.model_update(round_context(algo.engine, lr=0.0), algo.w,
+                              tau1=2, tau2=2)
 
     def test_compress_requires_explicit_rng(self):
         from repro.compression import QSGDQuantizer

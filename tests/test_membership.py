@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tests.conftest import make_blob_fed
+from tests.conftest import make_blob_fed, round_context
 from repro.baselines.registry import ALGORITHMS, make_algorithm
 from repro.core.hierminimax import HierMinimax
 from repro.exec import resolve_backend
@@ -180,7 +180,7 @@ class TestResolveMembership:
     def test_begin_round_before_bind_raises(self):
         m = MembershipManager(ChurnPlan(arrive=0.1))
         with pytest.raises(RuntimeError, match="bind"):
-            m.begin_round(0)
+            m.begin_round(round_context())
 
 
 # ---------------------------------------------------------------- manager
@@ -199,7 +199,7 @@ class TestManagerTransitions:
             mgr = self._bound_manager(arrive=0.2, depart=0.2, edge_mttf=3,
                                       edge_mttr=2, link_mttf=4, seed=5)
             for k in range(20):
-                mgr.begin_round(k)
+                mgr.begin_round(round_context(round_index=k))
             runs.append(mgr.state_dict())
         assert runs[0] == runs[1]
 
@@ -211,7 +211,7 @@ class TestManagerTransitions:
         mgr = self._bound_manager(edge_mttf=10, seed=0)
         # Manually crash edge 0 and re-home.
         mgr.edge_up[0] = False
-        mgr._rehome_orphans(0, 0, None, None, 0)
+        mgr._rehome_orphans(round_context(), 0, 0)
         orphans = [cid for cid, eid in mgr._initial_home.items() if eid == 0]
         for cid in orphans:
             assert mgr.home[cid] != 0
@@ -230,7 +230,7 @@ class TestManagerTransitions:
         for e in mgr.edge_up:
             mgr.edge_up[e] = False
         before = dict(mgr.home)
-        mgr._rehome_orphans(0, 0, None, None, 0)
+        mgr._rehome_orphans(round_context(), 0, 0)
         assert mgr.home == before
 
     def test_partitioned_edge_keeps_clients(self):
@@ -245,15 +245,15 @@ class TestManagerTransitions:
         mgr = self._bound_manager(arrive=0.2, depart=0.2, edge_mttf=3,
                                   link_mttf=4, seed=9)
         for k in range(15):
-            mgr.begin_round(k)
+            mgr.begin_round(round_context(round_index=k))
         state = mgr.state_dict()
         other = self._bound_manager(arrive=0.2, depart=0.2, edge_mttf=3,
                                     link_mttf=4, seed=9)
         other.load_state_dict(state)
         assert other.state_dict() == state
         # Resumed manager continues identically.
-        mgr.begin_round(15)
-        other.begin_round(15)
+        mgr.begin_round(round_context(round_index=15))
+        other.begin_round(round_context(round_index=15))
         assert mgr.state_dict() == other.state_dict()
 
     def test_rosters_follow_every_transition(self):
@@ -268,7 +268,7 @@ class TestManagerTransitions:
         changed = 0
         for k in range(20):
             before = [mgr.roster_ids(e) for e in range(3)]
-            mgr.begin_round(k)
+            mgr.begin_round(round_context(round_index=k))
             after = [mgr.roster_ids(e) for e in range(3)]
             assert after == [scan(mgr, e) for e in range(3)]
             assert [[c.client_id for c in mgr.roster(e)]
@@ -370,7 +370,7 @@ class TestQuarantineSurvivesRehoming:
         assert "client:0" in inj.quarantined
         # Edge 0 crashes; client 0 is re-homed to a surviving edge.
         mgr.edge_up[0] = False
-        mgr._rehome_orphans(1, 0, None, None, 0)
+        mgr._rehome_orphans(round_context(round_index=1), 0, 0)
         new_home = mgr.home[0]
         assert new_home != 0
         # Quarantine keys are global (entity ids, not per-edge), so the

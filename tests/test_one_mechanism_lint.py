@@ -10,7 +10,9 @@ plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
 only by its ``train_leg`` and ``FaultInjector.receive`` only by its
 ``deliver``; the run-wide ``faults=``/``timing=``/``churn=`` arguments are
 resolved only in ``FederatedAlgorithm.__init__`` (and inside the resolvers'
-own modules).
+own modules), so below it no tier takes a sink that may be ``None``: every
+leg reads the tracker, injector, clock, tracer and backend from its
+``RoundContext``.
 AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
 docstrings does not trip it — only real calls, attribute references and
 imports count.
@@ -72,36 +74,87 @@ def _calls_of(*names: str):
 _RESOLVERS = ("resolve_injector", "resolve_timing", "resolve_membership",
               "make_cost_model")
 
+_SINKS = {"tracker", "faults", "timing", "obs", "backend"}
+#: The round's tiers, where sinks come whole from the ``RoundContext``.
+_SINK_SCOPE = ("sim/", "core/", "baselines/", "multilayer/",
+               "membership/manager.py")
 
-def _offenders(finder, homes: tuple[str, ...]) -> list[str]:
+
+def _sink_name(node: ast.AST) -> str | None:
+    """``tracker`` for ``tracker`` or ``ctx.tracker``; ``None`` for others."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in _SINKS else None
+
+
+def _sink_guards(tree: ast.AST) -> list[tuple[int, str]]:
+    """Sink parameters defaulting to ``None`` and sinks tested against
+    ``None``, outside ``FederatedAlgorithm.__init__`` (where the resolvers
+    turn the public ``None`` defaults into null sinks)."""
+    exempt = {id(node)
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and cls.name == "FederatedAlgorithm"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = (list(zip(positional[len(positional)
+                                         - len(args.defaults):],
+                              args.defaults))
+                     + list(zip(args.kwonlyargs, args.kw_defaults)))
+            found.extend((arg.lineno, f"{arg.arg}=None")
+                         for arg, default in pairs
+                         if arg.arg in _SINKS
+                         and isinstance(default, ast.Constant)
+                         and default.value is None)
+        elif (isinstance(node, ast.Compare) and _sink_name(node.left)
+              and len(node.ops) == 1
+              and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+              and isinstance(node.comparators[0], ast.Constant)
+              and node.comparators[0].value is None):
+            op = "is not" if isinstance(node.ops[0], ast.IsNot) else "is"
+            found.append((node.lineno, f"{_sink_name(node.left)} {op} None"))
+    return found
+
+
+def _offenders(finder, homes: tuple[str, ...], scope) -> list[str]:
+    """Finds outside ``homes`` in the files under the ``scope`` prefixes."""
     out = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel in homes:
+        if rel in homes or not rel.startswith(scope):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         out.extend(f"{rel}:{line}: {what}" for line, what in finder(tree))
     return out
 
 
-@pytest.mark.parametrize("finder, homes", [
-    (_spec_splits, ("utils/spec.py",)),
-    (_durable_calls, ("utils/serialization.py",)),
-    (_calls_of("robust_combine"), ("sim/edge.py",)),
-    (_calls_of("run_local_steps"), ("sim/edge.py",)),
-    (_calls_of("receive"), ("sim/edge.py",)),
+@pytest.mark.parametrize("finder, homes, scope", [
+    (_spec_splits, ("utils/spec.py",), ""),
+    (_durable_calls, ("utils/serialization.py",), ""),
+    (_calls_of("robust_combine"), ("sim/edge.py",), ""),
+    (_calls_of("run_local_steps"), ("sim/edge.py",), ""),
+    (_calls_of("receive"), ("sim/edge.py",), ""),
     (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
                               "simtime/null.py", "simtime/cost.py",
-                              "membership/plan.py")),
-    (_calls_of("SeedSequence"), ("utils/rng.py",)),
+                              "membership/plan.py"), ""),
+    (_calls_of("SeedSequence"), ("utils/rng.py",), ""),
+    (_sink_guards, (), _SINK_SCOPE),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
-        "link-delivery", "run-resolution", "seed-sequence"])
-def test_mechanism_has_one_home(finder, homes):
+        "link-delivery", "run-resolution", "seed-sequence", "sink-guards"])
+def test_mechanism_has_one_home(finder, homes, scope):
     assert all((SRC / home).is_file() for home in homes)
-    offenders = _offenders(finder, homes)
+    offenders = _offenders(finder, homes, scope)
+    where = (" or ".join(f"repro/{home}" for home in homes)
+             or "the leg's RoundContext")
     assert not offenders, (
-        f"use the shared mechanism in repro/{' or repro/'.join(homes)}:\n"
-        + "\n".join(offenders))
+        f"use the shared mechanism in {where}:\n" + "\n".join(offenders))
 
 
 @pytest.mark.parametrize("finder, source", [
@@ -120,6 +173,21 @@ def test_mechanism_has_one_home(finder, homes):
     (_calls_of("SeedSequence"),
      "np.random.SeedSequence(entropy=seed, spawn_key=(key, i))"),
     (_calls_of("SeedSequence"), "SeedSequence(7)"),
+    (_sink_guards, "def leg(w, tracker=None): pass"),
+    (_sink_guards, "def leg(w, *, faults=None, timing=None): pass"),
+    (_sink_guards, "def leg(w, obs: Tracer | None = None): pass"),
+    (_sink_guards, "def leg(w, backend=None, /): pass"),
+    (_sink_guards, "if timing is not None: timing.transfer(link, cid, d)"),
+    (_sink_guards, "if faults is None: return payloads"),
+    (_sink_guards, "serial = ctx.backend is None"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))
+
+
+def test_sink_guard_finder_exempts_only_the_resolving_constructor():
+    source = ("class FederatedAlgorithm:\n"
+              "    def __init__(self, obs=None):\n"
+              "        self.obs = obs if obs is not None else NULL\n"
+              "    def _round(self, obs=None): pass\n")
+    assert [line for line, _ in _sink_guards(ast.parse(source))] == [4]

@@ -12,7 +12,7 @@ from repro.membership import ChurnPlan, MembershipManager
 from repro.sim.builder import build_edge_servers
 from repro.utils.rng import RngFactory
 
-from .conftest import make_blob_fed
+from .conftest import make_blob_fed, round_context
 
 
 def make_edges(fed):
@@ -39,7 +39,7 @@ def test_roster_index_matches_the_scan(seed):
     moved = 0
     for k in range(30):
         homes = dict(mgr.home)
-        mgr.begin_round(k)
+        mgr.begin_round(round_context(round_index=k))
         moved += homes != mgr.home
         assert [mgr.roster_ids(e) for e in range(4)] == \
             [scan(mgr, e) for e in range(4)]

@@ -16,7 +16,7 @@ from repro.sim.edge import EdgeServer, combine
 from repro.topology.comm import CommunicationTracker
 from repro.utils.rng import RngFactory
 
-from tests.conftest import make_blob_dataset
+from tests.conftest import make_blob_dataset, round_context
 
 
 def _client(seed=0, n=20, d=4, classes=3, batch=4, cid=0):
@@ -124,7 +124,8 @@ class TestEdgeServer:
         engine = _engine()
         w0 = engine.get_params()
         edge = EdgeServer(0, [_client(seed=9)])
-        w_edge, _ = edge.model_update(engine, w0, tau1=3, tau2=1, lr=0.1)
+        w_edge, _ = edge.model_update(round_context(engine), w0, tau1=3,
+                                      tau2=1)
         w_cli, _ = _client(seed=9).local_sgd(engine, w0, steps=3, lr=0.1)
         np.testing.assert_allclose(w_edge, w_cli)
 
@@ -133,7 +134,8 @@ class TestEdgeServer:
         w0 = engine.get_params()
         clients = [_client(seed=20 + i, cid=i) for i in range(3)]
         edge = EdgeServer(0, clients)
-        w_edge, _ = edge.model_update(engine, w0, tau1=2, tau2=1, lr=0.1)
+        w_edge, _ = edge.model_update(round_context(engine), w0, tau1=2,
+                                      tau2=1)
         finals = []
         for i in range(3):
             c = _client(seed=20 + i, cid=i)
@@ -145,10 +147,11 @@ class TestEdgeServer:
         engine = _engine()
         edge = self._edge()
         w0 = engine.get_params()
-        _, ckpt_none = edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1)
+        _, ckpt_none = edge.model_update(round_context(engine), w0, tau1=2,
+                                         tau2=2)
         assert ckpt_none is None
-        _, ckpt = edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1,
-                                    checkpoint=(1, 0))
+        _, ckpt = edge.model_update(round_context(engine), w0, tau1=2,
+                                    tau2=2, checkpoint=(1, 0))
         assert ckpt is not None and ckpt.shape == w0.shape
 
     def test_checkpoint_validations(self):
@@ -156,23 +159,27 @@ class TestEdgeServer:
         edge = self._edge()
         w0 = engine.get_params()
         with pytest.raises(ValueError):
-            edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1, checkpoint=(0, 0))
+            edge.model_update(round_context(engine), w0, tau1=2, tau2=2,
+                              checkpoint=(0, 0))
         with pytest.raises(ValueError):
-            edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1, checkpoint=(1, 2))
+            edge.model_update(round_context(engine), w0, tau1=2, tau2=2,
+                              checkpoint=(1, 2))
 
     def test_tau_validations(self):
         engine = _engine()
         edge = self._edge()
         with pytest.raises(ValueError):
-            edge.model_update(engine, engine.get_params(), tau1=0, tau2=1, lr=0.1)
+            edge.model_update(round_context(engine), engine.get_params(),
+                              tau1=0, tau2=1)
 
     def test_tracker_accounting_model_update(self):
         engine = _engine()
         edge = self._edge(n_clients=3)
         tracker = CommunicationTracker()
         d = engine.num_parameters
-        edge.model_update(engine, engine.get_params(), tau1=2, tau2=2, lr=0.1,
-                          checkpoint=(1, 0), tracker=tracker)
+        edge.model_update(round_context(engine, tracker=tracker),
+                          engine.get_params(), tau1=2, tau2=2,
+                          checkpoint=(1, 0))
         snap = tracker.snapshot()
         assert snap.cycles["client_edge"] == 2  # one per aggregation block
         # downlink: tau2 blocks x 3 clients model broadcasts
@@ -191,13 +198,15 @@ class TestEdgeServer:
             _client(seed=30, cid=0).estimate_loss(engine, w),
             _client(seed=31, cid=1).estimate_loss(engine, w),
         ])
-        assert edge.estimate_loss(engine, w) == pytest.approx(expected)
+        assert edge.estimate_loss(round_context(engine), w) == \
+            pytest.approx(expected)
 
     def test_estimate_loss_tracker(self):
         engine = _engine()
         edge = self._edge(n_clients=3)
         tracker = CommunicationTracker()
-        edge.estimate_loss(engine, engine.get_params(), tracker=tracker)
+        edge.estimate_loss(round_context(engine, tracker=tracker),
+                           engine.get_params())
         snap = tracker.snapshot()
         assert snap.cycles["client_edge"] == 1
         assert snap.messages["client_edge:up"] == 3
@@ -214,8 +223,9 @@ class TestEdgeServer:
 class TestCombine:
     def test_combine_mean(self):
         w = np.zeros(2)
-        out, ckpt = combine(w, [("a", 1.0, np.array([0.0, 2.0])),
-                                ("b", 1.0, np.array([2.0, 0.0]))],
+        out, ckpt = combine(round_context(), w,
+                            [("a", 1.0, np.array([0.0, 2.0])),
+                             ("b", 1.0, np.array([2.0, 0.0]))],
                             stage="test")
         np.testing.assert_allclose(out, [1.0, 1.0])
         assert ckpt is None
@@ -223,15 +233,17 @@ class TestCombine:
     def test_combine_expected_cohort_divides_only_when_short(self):
         w = np.zeros(2)
         full = [("a", 0.5, np.array([2.0, 2.0])), ("b", 0.5, np.array([4.0, 0.0]))]
-        out, _ = combine(w, full, stage="test", expected=2)
+        out, _ = combine(round_context(), w, full, stage="test", expected=2)
         np.testing.assert_allclose(out, [3.0, 1.0])
-        out, _ = combine(w, full[:1], stage="test", expected=2)
+        out, _ = combine(round_context(), w, full[:1], stage="test",
+                         expected=2)
         np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_combine_does_not_mutate_inputs(self):
         a = np.array([1.0, 1.0])
         w = np.zeros(2)
-        combine(w, [("a", 1.0, a), ("b", 1.0, np.array([3.0, 3.0]))],
+        combine(round_context(), w,
+                [("a", 1.0, a), ("b", 1.0, np.array([3.0, 3.0]))],
                 stage="test")
         np.testing.assert_array_equal(a, [1.0, 1.0])
         np.testing.assert_array_equal(w, [0.0, 0.0])
@@ -239,7 +251,8 @@ class TestCombine:
     def test_combine_empty_keeps_the_model(self):
         inj = FaultInjector(FaultPlan(client_dropout=0.5, seed=0))
         w = np.array([1.0, 2.0])
-        out, ckpt = combine(w, [], [], stage="test", faults=inj)
+        out, ckpt = combine(round_context(faults=inj), w, [], [],
+                            stage="test")
         assert out is w and ckpt is w
 
 

@@ -303,7 +303,7 @@ class TestAlgorithmIntegration:
         from repro.nn.models import logistic_regression
         from repro.sim.client import Client
         from repro.sim.edge import EdgeServer
-        from tests.conftest import make_blob_dataset
+        from tests.conftest import make_blob_dataset, round_context
 
         shard = make_blob_dataset(6, 3, 4, seed=0)
         edge = EdgeServer(0, [Client(0, shard, 4,
@@ -315,9 +315,9 @@ class TestAlgorithmIntegration:
         # tau1=4 at 3x slowdown -> the straggler finishes int(4/3)=1 step,
         # charged at 1 x 3 = 3 s of device time (vs 4 s healthy, 1 s unscaled).
         with timing.round(0):
-            edge.model_update(engine, engine.get_params(), tau1=4, tau2=1,
-                              lr=0.1, faults=injector, round_index=0,
-                              timing=timing)
+            edge.model_update(round_context(engine, faults=injector,
+                                            timing=timing),
+                              engine.get_params(), tau1=4, tau2=1)
         # down transfer (2 s) + 3 s compute + up transfer (2 s) = 7 s.
         assert timing.elapsed_s == 7.0
 
