@@ -95,9 +95,6 @@ class DRFA(FederatedAlgorithm):
         t_prime = int(self.rng.integers(1, self.tau1 + 1))
         with obs.span("phase1_model_update", round=round_index,
                       sampled_clients=len(sampled), t_prime=t_prime):
-            self.tracker.record("client_cloud", "down",
-                                count=len(set(sampled.tolist())),
-                                floats=d + 1)
             # The broadcast carries t' with the model; the checkpoint snapshot
             # rides along with the round-final upload.
             entries, ckpt_entries = self._client_leg(

@@ -63,8 +63,6 @@ class FedAvg(FederatedAlgorithm):
         sampled = sample_uniform_subset(len(self.clients), self.m_clients, self.rng)
         with self.obs.span("phase1_model_update", round=round_index,
                            sampled_clients=len(sampled)):
-            self.tracker.record("client_cloud", "down", count=len(sampled),
-                                floats=self.w.size)
             entries, _ = self._client_leg(ctx, sampled, tau1=self.tau1,
                                           weight_by_data=self.weight_by_data)
             # Survivor-weighted average (or the robust rule): dropped clients

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.nn.models import ModelFactory
-from repro.sim.edge import combine, deliver
+from repro.sim.edge import combine, deliver, fan_out
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -69,8 +69,8 @@ class HierFAVG(FederatedAlgorithm):
         sampled = sample_uniform_subset(self.dataset.num_edges, self.m_edges, self.rng)
         with self.obs.span("phase1_model_update", round=round_index,
                            sampled_edges=len(sampled)):
-            self.tracker.record("edge_cloud", "down", count=len(sampled),
-                                floats=d)
+            fan_out(ctx, "edge_cloud", sampled.tolist(), floats=d,
+                    unreachable=self._unreachable("edge"))
             entries: list[tuple[str, float, np.ndarray]] = []
             # Sampled edges work concurrently: the round's simulated duration
             # is the slowest edge's (broadcast + blocks + upload) chain.

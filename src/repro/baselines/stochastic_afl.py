@@ -89,9 +89,6 @@ class StochasticAFL(FederatedAlgorithm):
         sampled = sample_by_weight(self.q, self.m_clients, self.rng)
         with obs.span("phase1_model_update", round=round_index,
                       sampled_clients=len(sampled)):
-            self.tracker.record("client_cloud", "down",
-                                count=len(set(sampled.tolist())),
-                                floats=self.w.size)
             # Single-step rounds: a straggler that cannot finish its one
             # step within the round is a dropout.
             entries, _ = self._client_leg(ctx, sampled, tau1=1)

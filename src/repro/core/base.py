@@ -34,7 +34,8 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import EagerPopulation, resolve_population
 from repro.simtime import resolve_timing
-from repro.sim.edge import RoundContext, clip_losses, probe_leg, train_leg
+from repro.sim.edge import RoundContext, clip_losses, fan_out, probe_leg, \
+    quarantined, train_leg
 from repro.topology.comm import CommSnapshot, CommunicationTracker
 from repro.topology.sampling import sample_uniform_subset
 from repro.exec import ExecutionBackend, resolve_backend
@@ -637,6 +638,34 @@ class FederatedAlgorithm(ABC):
             return EDGE_UNAVAILABLE
         return roster
 
+    def _unreachable(self, kind: str):
+        """The recipients of ``kind`` (``"edge"`` or ``"client"``) the cloud
+        knows cannot take part this round, as the predicate over ids that
+        :func:`~repro.sim.edge.fan_out` skips.
+
+        Known unreachable: an edge that membership reports crashed or
+        partitioned, or whose roster has no active client; a client that
+        membership reports departed; any quarantined sender.  These are the
+        recipients every tier's leg skips before the virtual clock prices a
+        broadcast, so the tracker and the clock bill the same recipients.  A
+        fault-plan outage or dropout is decided on the recipient's side and
+        stays unknown to the sender.
+        """
+        in_quarantine = quarantined(self.faults, kind)
+        membership = self.membership
+        if not membership.enabled:
+            return in_quarantine
+        if kind == "client":
+            return lambda cid: (in_quarantine(cid)
+                                or not membership.client_active(cid))
+
+        def edge_gone(eid: int) -> bool:
+            if in_quarantine(eid) or not membership.edge_available(eid):
+                return True
+            ids = membership.roster_ids(eid)
+            return ids is not None and not ids
+        return edge_gone
+
     def _release_area(self, eid: int) -> None:
         """Area ``eid`` ran its last leg of the phase: a virtual population
         flushes and drops its roster's clients (eager populations keep
@@ -651,14 +680,20 @@ class FederatedAlgorithm(ABC):
                     checkpoint_step: int | None = None,
                     down_floats: float | None = None,
                     weight_by_data: bool = False) -> tuple[list, list]:
-        """Phase 1 of a two-layer baseline: the sampled clients still in the
-        federation train from ``w`` and upload straight to the cloud.
+        """Phase 1 of a two-layer baseline: the cloud broadcasts ``w``
+        (``down_floats`` overrides the model size) and the sampled clients
+        still in the federation train from it and upload straight to the
+        cloud.
 
-        Sampled duplicates train once per draw, chaining their minibatch
-        streams in the dispatcher.  Returns the delivered entries and
-        checkpoint entries of :func:`~repro.sim.edge.train_leg`, weighted by
-        data size or uniformly.
+        Sampled duplicates receive one broadcast and train once per draw,
+        chaining their minibatch streams in the dispatcher.  Returns the
+        delivered entries and checkpoint entries of
+        :func:`~repro.sim.edge.train_leg`, weighted by data size or
+        uniformly.
         """
+        fan_out(ctx, "client_cloud", map(int, sampled),
+                floats=self.w.size if down_floats is None else down_floats,
+                unreachable=self._unreachable("client"))
         active = self.membership.client_active
         cohort = [self.clients[i] for i in map(int, sampled) if active(i)]
         weights = [float(c.num_samples) if weight_by_data else 1.0
@@ -675,8 +710,8 @@ class FederatedAlgorithm(ABC):
         losses by client id."""
         probed = [int(i) for i in sample_uniform_subset(
             len(self.clients), self.m_clients, self.rng)]
-        self.tracker.record("client_cloud", "down", count=len(probed),
-                            floats=w.size)
+        fan_out(ctx, "client_cloud", probed, floats=w.size,
+                unreachable=self._unreachable("client"))
         active = self.membership.client_active
         replies = probe_leg(ctx, w,
                             [self.clients[i] for i in probed if active(i)],

@@ -38,7 +38,7 @@ from repro.defense.policy import robust_combine  # noqa: F401
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
-from repro.sim.edge import RoundContext, combine, deliver
+from repro.sim.edge import RoundContext, combine, deliver, fan_out
 from repro.topology.sampling import (
     sample_by_weight,
     sample_checkpoint_slot,
@@ -228,10 +228,10 @@ class HierMinimax(FederatedAlgorithm):
         with self.obs.span("phase1_model_update", round=round_index,
                            sampled_edges=len(sampled), c1=c1, c2=c2):
             # Cloud broadcasts w^(k) and the checkpoint index to the sampled
-            # edges.
-            self.tracker.record(self._links[0], "down",
-                                count=len(set(sampled.tolist())),
-                                floats=d + len(self._links))
+            # edges it can reach.
+            fan_out(ctx, self._links[0], sampled.tolist(),
+                    floats=d + len(self._links),
+                    unreachable=self._unreachable("edge"))
             upload_floats = self._upload_floats()
             entries: list[tuple[str, float, np.ndarray]] = []
             ckpt_entries: list[tuple[str, float, np.ndarray]] = []
@@ -277,7 +277,8 @@ class HierMinimax(FederatedAlgorithm):
         with self.obs.span("phase2_weight_update", round=ctx.round_index):
             probed = [int(e) for e in sample_uniform_subset(
                 self.cloud.num_edges, self.m_edges, self.rng)]
-            self.tracker.record(top, "down", count=len(probed), floats=d)
+            fan_out(ctx, top, probed, floats=d,
+                    unreachable=self._unreachable("edge"))
             replies: dict[int, float] = {}
             # Probed edges answer concurrently; Phase 2 costs the slowest probe.
             with timing.parallel("phase2"):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hierminimax import HierMinimax
-from repro.sim.edge import RoundContext
+from repro.sim.edge import RoundContext, fan_out
 from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
@@ -111,15 +111,19 @@ class SemiAsyncHierMinimax(HierMinimax):
                       busy_edges=len(busy)):
             # ---- Dispatch to every sampled edge that is not mid-flight.
             # Same-round duplicate samples dispatch again, exactly as the
-            # synchronous loop calls ModelUpdate once per sample.
-            dispatched: list[int] = []
+            # synchronous loop calls ModelUpdate once per sample.  The cloud
+            # broadcasts w^(k) and (c1, c2) to the dispatched edges it can
+            # reach.
+            fan_out(ctx, self._links[0],
+                    [eid for eid in sampled.tolist() if eid not in busy],
+                    floats=d + len(self._links),
+                    unreachable=self._unreachable("edge"))
             legs: list[dict] = []
             last_draw = {int(e): i for i, e in enumerate(sampled)}
             for i, e in enumerate(sampled):
                 eid = int(e)
                 if eid in busy:
                     continue
-                dispatched.append(eid)
                 with timing.measure(f"edge:{eid}" if timing.record
                                     else None) as leg:
                     delivered = self._edge_upload(ctx, eid, checkpoint,
@@ -129,11 +133,6 @@ class SemiAsyncHierMinimax(HierMinimax):
                 w_e, w_ckpt = (None, None) if delivered is None else delivered
                 legs.append({"eid": eid, "round": round_index, "w_e": w_e,
                              "w_ckpt": w_ckpt, "duration": leg.duration})
-            if dispatched:
-                # Cloud broadcasts w^(k) and (c1, c2) to the dispatched edges.
-                self.tracker.record(self._links[0], "down",
-                                    count=len(set(dispatched)),
-                                    floats=d + len(self._links))
             # All dispatches leave the cloud at the same instant; each leg's
             # arrival is its own (measured, non-blocking) duration later.
             t0 = timing.now

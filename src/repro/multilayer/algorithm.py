@@ -42,7 +42,7 @@ from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection
 from repro.population import resolve_population
 from repro.sim.edge import EdgeServer, RoundContext, combine, deliver, \
-    mean_loss
+    fan_out, mean_loss
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_int
 
@@ -181,13 +181,15 @@ class MultiLevelHierMinimax(HierMinimax):
         link = self._links[level]
         d = w_start.size
         timing = ctx.timing
-        tracker = ctx.tracker
         w = w_start
         w_ckpt: np.ndarray | None = None
         for t in range(self.taus[level - 1]):
             on_path = digits is not None and digits[level - 1] == t
             with ctx.obs.span("edge_block", level=level, node=node, block=t):
-                tracker.record(link, "down", count=len(kids), floats=d)
+                # An interior node is no membership entity and its subtree
+                # runs whatever became of its leaves, so every child is
+                # sent the block's model.
+                fan_out(ctx, link, kids, floats=d)
                 # Sibling subtrees work concurrently: the block costs the
                 # slowest child's (down + subtree + up) chain.
                 uploads = []
@@ -217,7 +219,7 @@ class MultiLevelHierMinimax(HierMinimax):
                     entries.append((sender, 1.0, w_k))
                     if w_kc is not None:
                         ckpt_entries.append((sender, 1.0, w_kc))
-                tracker.sync_cycle(link)
+                ctx.tracker.sync_cycle(link)
                 # Interior nodes are the generalization of the edge tier: the
                 # policy's edge-slot rule applies at every level below the
                 # cloud.  Both combines reference the block's broadcast model.
@@ -247,7 +249,7 @@ class MultiLevelHierMinimax(HierMinimax):
         kids = self.tree.children_of(level, node)
         link = self._links[level]
         timing = ctx.timing
-        ctx.tracker.record(link, "down", count=len(kids), floats=w.size)
+        fan_out(ctx, link, kids, floats=w.size)
         reports: dict[int, float] = {}
         with timing.parallel():
             for k in kids:

@@ -10,6 +10,8 @@ the cloud.  This module writes it once:
   member's step budget is fixed from the fault plan, the cohort is one
   backend dispatch, the leg is priced on the virtual clock, then each upload
   is compressed, charged and delivered in member order;
+* :func:`fan_out` — one down-link broadcast charged to the tracker for the
+  recipients its sender can reach (the only place a broadcast is charged);
 * :func:`deliver` — one upload charged to the tracker and passed through the
   faulty link (the only caller of ``FaultInjector.receive``);
 * :func:`combine` — the delivered uploads folded into the next model and
@@ -31,7 +33,7 @@ multi-layer tree call the same functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,8 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simtime.null import NullTiming
     from repro.simtime.timeline import SimTimer
 
-__all__ = ["RoundContext", "EdgeServer", "train_leg", "deliver", "combine",
-           "probe_leg", "clip_losses", "mean_loss"]
+__all__ = ["RoundContext", "EdgeServer", "fan_out", "quarantined",
+           "train_leg", "deliver", "combine", "probe_leg", "clip_losses",
+           "mean_loss"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +138,37 @@ def _compress(compressor, sender: int, delta: np.ndarray,
     if hasattr(compressor, "compress_from"):
         return compressor.compress_from(sender, delta, rng)
     return compressor.compress(delta, rng)
+
+
+def fan_out(ctx: RoundContext, link: str, recipients: Iterable[int], *,
+            floats: float,
+            unreachable: Callable[[int], bool] | None = None) -> list[int]:
+    """Charge one down-link broadcast of ``floats`` to each distinct
+    recipient its sender can reach, and return those recipients.
+
+    ``unreachable`` names the recipients the sender knows cannot take part
+    this round (the cloud's rule is
+    :meth:`~repro.core.base.FederatedAlgorithm._unreachable`, the edge
+    tier's :func:`quarantined`); they are sent nothing and charged nothing,
+    just as the virtual clock prices them no leg.  ``None`` charges every
+    recipient.  Recipients the sender cannot know about this round — a
+    fault-plan outage, a dropout, a message lost later — stay charged,
+    because the broadcast went out.  With no recipient left nothing is
+    charged.
+    """
+    live = [key for key in dict.fromkeys(recipients)
+            if unreachable is None or not unreachable(key)]
+    if live:
+        ctx.tracker.record(link, "down", count=len(live), floats=floats)
+    return live
+
+
+def quarantined(faults: FaultInjector, kind: str) -> Callable[[int], bool]:
+    """The :func:`fan_out` rule of a tier that knows only the injector's
+    quarantine set: recipient ``key`` is unreachable once ``<kind>:<key>``
+    has been quarantined as a sender (it then trains and answers nothing)."""
+    gone = faults.quarantined
+    return lambda key: f"{kind}:{key}" in gone
 
 
 def deliver(ctx: RoundContext, link: str, sender: str, *payloads,
@@ -378,7 +412,8 @@ class EdgeServer:
                      ) -> tuple[np.ndarray, np.ndarray | None]:
         """Run the ModelUpdate procedure from global model ``w_start``.
 
-        Each of the ``tau2`` blocks broadcasts the edge model, runs one
+        Each of the ``tau2`` blocks broadcasts the edge model (charged by
+        :func:`fan_out` to the roster's unquarantined members), runs one
         :func:`train_leg` over the roster and folds the delivered uploads
         back with :func:`combine` under the context's ``edge_agg``.  Each
         block is one ``edge_block`` span and one sync cycle on ``link``;
@@ -438,19 +473,20 @@ class EdgeServer:
             weights /= weights.sum()
         else:
             weights = np.full(n0, 1.0 / n0)
-        tracker = ctx.tracker
+        ids = [c.client_id for c in clients]
+        gone = quarantined(ctx.faults, "client")
         w_edge = np.array(w_start, dtype=np.float64, copy=True)
         w_ckpt: np.ndarray | None = None
         for t2 in range(tau2):
             on_ckpt = t2 == c2
             with ctx.obs.span("edge_block", edge=self.edge_id, block=t2):
                 # Edge broadcasts w_edge to its clients (model-sized, down).
-                tracker.record(link, "down", count=n0, floats=d)
+                fan_out(ctx, link, ids, floats=d, unreachable=gone)
                 entries, ckpt_entries = train_leg(
                     ctx, w_edge, clients, weights, tau1=tau1, link=link,
                     checkpoint_step=c1 if on_ckpt else None,
                     scope=f"block:{t2}")
-                tracker.sync_cycle(link)
+                ctx.tracker.sync_cycle(link)
                 w_edge, block_ckpt = combine(
                     ctx, w_edge, entries, ckpt_entries if on_ckpt else None,
                     stage=f"edge:{self.edge_id}:block:{t2}",
@@ -472,7 +508,8 @@ class EdgeServer:
         ``link`` are as in :meth:`model_update`.
         """
         clients = self.clients if roster is None else list(roster)
-        ctx.tracker.record(link, "down", count=len(clients), floats=w.size)
+        fan_out(ctx, link, [c.client_id for c in clients], floats=w.size,
+                unreachable=quarantined(ctx.faults, "client"))
         replies = probe_leg(ctx, w, clients, link=link, scope="probe_fanout")
         ctx.tracker.sync_cycle(link)
         return mean_loss(ctx, replies, "client")

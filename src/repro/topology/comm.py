@@ -26,6 +26,17 @@ is the true wire volume for compressed and uncompressed runs alike.  (Downlink
 broadcasts are always full precision in this repo; only uploads are compressed.)
 Every instrumented call site follows this convention, and the compression tests
 assert that quantized runs report proportionally fewer bytes.
+
+**Fan-out rule.**  A down-link broadcast is charged one message per distinct
+recipient its sender can reach, by :func:`repro.sim.edge.fan_out` alone.
+Recipients the sender knows cannot take part are sent nothing and charged
+nothing: an edge the membership layer reports crashed or partitioned or whose
+roster has no active client, a client it reports departed, and any
+quarantined sender (the edge tier knows only the last).  Recipients the
+sender cannot know about — a fault-plan outage, a dropout, a message lost in
+transit — stay charged, because those bytes were sent.  The virtual clock
+prices a broadcast leg to exactly the recipients that remain.  Point-to-point
+syncs (a membership warm join, re-sync or handoff) charge ``count=1``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import pytest
 
 from tests.conftest import make_blob_fed, round_context
 from repro.baselines.fedavg import FedAvg
+from repro.baselines.registry import make_algorithm
 from repro.core.hierminimax import HierMinimax
 from repro.experiments.presets import fig3_preset
 from repro.experiments.runner import run_experiment
@@ -357,6 +358,18 @@ class TestKillAndResume:
             blob_fed, blob_factory,
             lambda: FedAvg(blob_fed, blob_factory, batch_size=4, eta_w=0.1,
                            tau1=2, seed=0, faults=self.PLAN))
+
+    @pytest.mark.parametrize("faulted", [True, False],
+                             ids=["faulted", "fault_free"])
+    @pytest.mark.parametrize("name", ["drfa", "stochastic_afl"])
+    def test_two_layer_minimax(self, blob_fed, blob_factory, name, faulted):
+        # Their mixing weights q and stale losses live in _extra_state.
+        run = {"faults": self.PLAN} if faulted else {}
+        self._kill_resume(
+            blob_fed, blob_factory,
+            lambda: make_algorithm(name, blob_fed, blob_factory, batch_size=4,
+                                   eta_w=0.1, eta_q=0.05, tau1=2,
+                                   m_clients=4, seed=0, **run))
 
     def test_load_rejects_wrong_algorithm(self, blob_fed, blob_factory,
                                           tmp_path):

@@ -7,8 +7,10 @@ streams are built only by :func:`repro.utils.rng.keyed_rng`, the one place
 a ``SeedSequence`` is constructed; the round's
 plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
 ``robust_combine`` is called only by its ``combine``, ``run_local_steps``
-only by its ``train_leg`` and ``FaultInjector.receive`` only by its
-``deliver``; the run-wide ``faults=``/``timing=``/``churn=`` arguments are
+only by its ``train_leg``, ``FaultInjector.receive`` only by its
+``deliver``, and a down-link broadcast to more than one recipient is
+charged only by its ``fan_out`` (membership's point-to-point syncs charge
+``count=1``); the run-wide ``faults=``/``timing=``/``churn=`` arguments are
 resolved only in ``FederatedAlgorithm.__init__`` (and inside the resolvers'
 own modules), so below it no tier takes a sink that may be ``None``: every
 leg reads the tracker, injector, clock, tracer and backend from its
@@ -69,6 +71,32 @@ def _calls_of(*names: str):
                     found.append((node.lineno, f"{name}(...)"))
         return found
     return finder
+
+
+def _fan_out_charges(tree: ast.AST) -> list[tuple[int, str]]:
+    """``record(<link>, "down", …)`` calls whose ``count`` is not the
+    literal ``1``, outside the body of ``fan_out``."""
+    exempt = {id(node)
+              for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "fan_out"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if (id(node) in exempt or not isinstance(node, ast.Call)
+                or getattr(node.func, "attr", getattr(node.func, "id", None))
+                != "record"):
+            continue
+        direction = (node.args[1] if len(node.args) > 1 else
+                     next((kw.value for kw in node.keywords
+                           if kw.arg == "direction"), None))
+        if not (isinstance(direction, ast.Constant)
+                and direction.value == "down"):
+            continue
+        count = next((kw.value for kw in node.keywords if kw.arg == "count"),
+                     None)
+        if not (isinstance(count, ast.Constant) and count.value == 1):
+            found.append((node.lineno, 'record(link, "down", count=...)'))
+    return found
 
 
 _RESOLVERS = ("resolve_injector", "resolve_timing", "resolve_membership",
@@ -146,8 +174,10 @@ def _offenders(finder, homes: tuple[str, ...], scope) -> list[str]:
                               "membership/plan.py"), ""),
     (_calls_of("SeedSequence"), ("utils/rng.py",), ""),
     (_sink_guards, (), _SINK_SCOPE),
+    (_fan_out_charges, (), ""),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
-        "link-delivery", "run-resolution", "seed-sequence", "sink-guards"])
+        "link-delivery", "run-resolution", "seed-sequence", "sink-guards",
+        "fan-out"])
 def test_mechanism_has_one_home(finder, homes, scope):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes, scope)
@@ -180,9 +210,26 @@ def test_mechanism_has_one_home(finder, homes, scope):
     (_sink_guards, "if timing is not None: timing.transfer(link, cid, d)"),
     (_sink_guards, "if faults is None: return payloads"),
     (_sink_guards, "serial = ctx.backend is None"),
+    (_fan_out_charges,
+     'tracker.record("edge_cloud", "down", count=len(sampled), floats=d)'),
+    (_fan_out_charges, 'ctx.tracker.record(link, "down", count=n0, floats=d)'),
+    (_fan_out_charges, 'record(link, direction="down", count=2, floats=d)'),
+    (_fan_out_charges, 'tracker.record(link, "down", floats=d)'),
+    (_fan_out_charges, "def leg(ctx):\n"
+                       "    ctx.tracker.record(link, 'down', count=k)\n"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))
+
+
+def test_fan_out_finder_exempts_only_fan_out_and_single_syncs():
+    source = ("def fan_out(ctx, link, live, floats):\n"
+              "    ctx.tracker.record(link, 'down', count=len(live))\n"
+              "def sync(ctx, dim):\n"
+              "    ctx.tracker.record('edge_cloud', 'down', count=1)\n"
+              "    ctx.tracker.record('edge_cloud', 'up', count=3)\n"
+              "    ctx.tracker.record('edge_cloud', 'down', count=2)\n")
+    assert [line for line, _ in _fan_out_charges(ast.parse(source))] == [6]
 
 
 def test_sink_guard_finder_exempts_only_the_resolving_constructor():

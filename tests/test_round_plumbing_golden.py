@@ -3,12 +3,14 @@
 Each run stacks client dropouts and stragglers, edge outages, message loss
 with retries, corruption with quarantine, the norm z-score guard, a
 sign-flip adversary, robust aggregation at both tiers with a loss clip,
-client and edge churn, and a heterogeneous cost model.  The digest covers
-the final model and weights, the communication snapshot, the simulated
-clock, the injector's quarantine and suspicion ledgers and the tracer's
-counters, so any change to how a round trains, delivers, combines or
-prices its uploads — at any tier, in any order — moves it.  The serial and
-vectorized backends must reproduce the same bytes.
+client and edge churn, and a heterogeneous cost model.  Each run has two
+digests.  The model digest covers the final model and weights, the
+simulated clock, the injector's quarantine and suspicion ledgers and the
+tracer's counters, so any change to how a round trains, delivers, combines
+or prices its uploads — at any tier, in any order — moves it.  The traffic
+digest covers the communication tracker's snapshot (and so the tracer's
+``edge_cloud_bytes``, its running twin): what the run billed to each link.
+The serial and vectorized backends must reproduce the same bytes.
 """
 
 from __future__ import annotations
@@ -48,28 +50,38 @@ def _scenario() -> dict:
             "obs": Tracer()}
 
 
-def _digest(result, algo) -> str:
+def _sha(payload: dict, *arrays) -> str:
     sha = hashlib.sha256()
-    for array in (result.final_params, result.final_weights):
+    for array in arrays:
         if array is None:
             sha.update(b"none")
             continue
         array = np.ascontiguousarray(array)
         sha.update(f"{array.dtype.str}{array.shape}".encode())
         sha.update(array.tobytes())
-    snap = algo.tracker.snapshot()
+    sha.update(json.dumps(payload, sort_keys=True).encode())
+    return sha.hexdigest()
+
+
+def _model_digest(result, algo) -> str:
     counters = {k: repr(float(v))
                 for k, v in algo.obs.snapshot()["counters"].items()
-                # Dispatch counters differ by backend by design.
-                if not k.startswith("exec_")}
-    sha.update(json.dumps({
-        "cycles": snap.cycles, "messages": snap.messages,
-        "floats": snap.floats,
-        "sim_time_s": repr(float(result.sim_time_s)),
-        "quarantined": sorted(algo.faults.quarantined),
-        "suspicion": algo.faults.suspicion,
-        "counters": counters}, sort_keys=True).encode())
-    return sha.hexdigest()
+                # Dispatch counters differ by backend by design; the
+                # edge-cloud byte counter is traffic.
+                if not k.startswith("exec_") and k != "edge_cloud_bytes"}
+    return _sha({"sim_time_s": repr(float(result.sim_time_s)),
+                 "quarantined": sorted(algo.faults.quarantined),
+                 "suspicion": algo.faults.suspicion,
+                 "counters": counters},
+                result.final_params, result.final_weights)
+
+
+def _traffic_digest(algo) -> str:
+    snap = algo.tracker.snapshot()
+    return _sha({"cycles": snap.cycles, "messages": snap.messages,
+                 "floats": snap.floats,
+                 "edge_cloud_bytes": repr(float(
+                     algo.obs.snapshot()["counters"]["edge_cloud_bytes"]))})
 
 
 def _run_registry(name: str, backend: str, fed, factory):
@@ -96,27 +108,48 @@ def _run_compressed(compressor, fed, factory):
         return algo, algo.run(rounds=ROUNDS, eval_every=ROUNDS)
 
 
-# Recorded before the round's training, delivery and combining were written
-# once for every tier.
-GOLDEN = {
+# Model digests pin what a run computes and must not move for a change to
+# what the tracker bills; only traffic digests may be re-recorded for one.
+MODEL_GOLDEN = {
     "fedavg":
-        "169a967600f0c57adcd7256dcfeece24300e60b9edebf5f1f0da9ae1e8d5f504",
+        "eeeb66190272260970d914c89b9204965779640c5e2dafe82294a4a0261ea2c0",
     "stochastic_afl":
-        "cce2ea4af0bc04b276381919b33f51e21e65b4aa0b89d0a270a776a8b073309b",
+        "58f8c63ea550b00256eb3219c0c200ae1de65072b903ee29d62a6b16d33b59d2",
     "drfa":
-        "703bece9b87f824302fe592f10551925996b4a3a512e2717dcd2be68e83de4b3",
+        "2a10285c09c056d7f54245275e2f1a0ae797bc19dacdc9f0b5ef653759aaac7f",
     "hierfavg":
-        "765a8bd7a0167a23d69efbcda96167415cb85a81a9e78e8b05884cf479503821",
+        "41477ed3344a643c9a058355af671ab5083b34e31ea57368a9da6dc123fd623a",
     "hierminimax":
-        "ea9d40af6435fa159382f9374e732c3bc34129e2db315eb553624c5996227e37",
+        "6f668e08cd99df38de9e365dcd11959907ed46f9a2a501281fcecf38ed30d55e",
     "semiasync_hierminimax":
-        "731f12226a58d2f6730f2f0c927632980c755595195e321f151738409e719aa2",
+        "42d9d91117948a8918aaff95ea785a006e3c1c4de6fa84dba30027504219d698",
     "multilevel_hierminimax":
-        "60d25945a331e1e5fa4ec5ada7ab6ca29e0abb622a9d6c0a90dd08094f6ab129",
+        "f21ad2e83ab986b93080ed9b6cc9509204b947239af6e7bf0493a9df06290fc4",
     "hierminimax+qsgd16":
-        "95407ae8c58c2e0a3ee8001133480b2553d2dffe719588c321d82915b976bd20",
+        "7abbc882fbdd0a13d633b68c6730ac1d1de190935818dd0201778b8a869b42ff",
     "hierminimax+topk0.25":
-        "17ae178ff2eaa83f1593a975cb1e9f907e586fc81a51c8df74a147c6e419d4e7",
+        "0ae3b3bb6e414842f98bc5bc622d434d6c1dbac6d3fdc39816edc6882d9f5cd6",
+}
+
+TRAFFIC_GOLDEN = {
+    "fedavg":
+        "c40ca4cd6d0e92fc0e5904c74c36586fedd12e32de332888b5d7c4d5a067670f",
+    "stochastic_afl":
+        "e89362dbac6ec3d9d30720d81f9b11ae8f2fac0f0ee2d1b35fde34231d1deafd",
+    "drfa":
+        "36c51cdd4ca39f8dc55671a6993a8d68aab0466869cdad18e26a2defe93979ce",
+    "hierfavg":
+        "273cb09a44dcfdf66123573df80b9bf3df66a2180dff7061baf23b9c1168e51e",
+    "hierminimax":
+        "fd3203239d6efbefd75b2c17622c36111d9a398e8eabe6018ed1569a16e557e3",
+    "semiasync_hierminimax":
+        "6405ca273e3c7ca01ea56c7481eb515dc7eaa536ad8391da75b964961000bab9",
+    "multilevel_hierminimax":
+        "a2d3bdfe50ee491e279dc404511eba60619f236a84c870c9e6b35a424544e13c",
+    "hierminimax+qsgd16":
+        "fea5365f1f059155666a4e5261b9f2328ff072268b59465ffecd4e3e59ff3b5a",
+    "hierminimax+topk0.25":
+        "b30771de4090049da590534c7d7242d5e915e9f4bcb6dc516deb47fc2925813e",
 }
 
 _PHASE2 = {"stochastic_afl", "drfa", "hierminimax", "semiasync_hierminimax",
@@ -140,6 +173,13 @@ def _check_exercised(key: str, algo) -> None:
             f"{key}: no re-homing or edge crash"
 
 
+def _check_digests(key: str, result, algo) -> None:
+    assert _model_digest(result, algo) == MODEL_GOLDEN[key], \
+        f"{key}: the model, clock or ledgers moved"
+    assert _traffic_digest(algo) == TRAFFIC_GOLDEN[key], \
+        f"{key}: the billed traffic moved"
+
+
 @pytest.mark.parametrize("backend", ["serial", "vectorized"])
 @pytest.mark.parametrize("name", ["fedavg", "stochastic_afl", "drfa",
                                   "hierfavg", "hierminimax",
@@ -149,13 +189,13 @@ def test_registry_algorithm_golden(name, backend, tiny_image_fed,
     algo, result = _run_registry(name, backend, tiny_image_fed,
                                  tiny_logistic_factory)
     _check_exercised(name, algo)
-    assert _digest(result, algo) == GOLDEN[name]
+    _check_digests(name, result, algo)
 
 
 def test_multilevel_golden():
     algo, result = _run_multilevel()
     _check_exercised("multilevel_hierminimax", algo)
-    assert _digest(result, algo) == GOLDEN["multilevel_hierminimax"]
+    _check_digests("multilevel_hierminimax", result, algo)
 
 
 @pytest.mark.parametrize("key, compressor", [
@@ -167,4 +207,4 @@ def test_compressed_hierminimax_golden(key, compressor, tiny_image_fed,
     algo, result = _run_compressed(compressor(), tiny_image_fed,
                                    tiny_logistic_factory)
     _check_exercised(key, algo)
-    assert _digest(result, algo) == GOLDEN[key]
+    _check_digests(key, result, algo)
