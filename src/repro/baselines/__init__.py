@@ -1,4 +1,10 @@
-"""Baseline algorithms: FedAvg, Stochastic-AFL, DRFA, and HierFAVG."""
+"""Baseline algorithms: FedAvg, Stochastic-AFL, DRFA, and HierFAVG.
+
+Each is a declaration over :class:`~repro.core.engine.RoundEngine` — its
+name, whether it learns mixing weights and uses the hierarchy, its
+constructor keywords and its round configuration — and runs the same cloud
+round as HierMinimax.
+"""
 
 from repro._lazy import lazy_exports
 

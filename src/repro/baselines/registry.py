@@ -4,7 +4,10 @@ The experiment harness and benches refer to algorithms by the names used in the
 paper's figures; :func:`make_algorithm` instantiates them with a uniform keyword
 interface, forwarding only the parameters each algorithm accepts.  Each entry
 names its class as ``"module:Class"``, imported only when that algorithm is
-built, so a run loads the code of the methods it runs and no other.
+built, so a run loads the code of the methods it runs and no other.  Every
+class runs the one round of :class:`~repro.core.engine.RoundEngine`; what
+differs per name is the configuration its class declares and the keywords
+its constructor accepts.
 """
 
 from __future__ import annotations

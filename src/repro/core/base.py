@@ -1,10 +1,12 @@
 """Shared interface of all federated optimization algorithms in this library.
 
 Every algorithm — HierMinimax and the four baselines — subclasses
-:class:`FederatedAlgorithm`, which owns the common machinery: the actor graph, the
-shared compute engine, communication tracking, periodic evaluation, and history
-recording.  Subclasses implement :meth:`run_round` (one cloud training round) and
-declare their per-round slot cost via :attr:`slots_per_round`.
+:class:`FederatedAlgorithm`, which owns the common machinery: the run's sinks,
+the shared compute engine, communication tracking, periodic evaluation,
+history recording and checkpoints.  Subclasses implement :meth:`run_round`
+(one cloud training round) and declare their per-round slot cost via
+:attr:`slots_per_round`; the five methods build their actors and run their
+rounds through :class:`~repro.core.engine.RoundEngine`.
 
 The identical wiring guarantees comparisons are *paired*: for a fixed
 (dataset, seed), all algorithms see the same initial model and the same per-client
@@ -34,21 +36,14 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import EagerPopulation, resolve_population
 from repro.simtime import resolve_timing
-from repro.sim.edge import RoundContext, clip_losses, fan_out, probe_leg, \
-    quarantined, train_leg
+from repro.sim.edge import RoundContext
 from repro.topology.comm import CommSnapshot, CommunicationTracker
-from repro.topology.sampling import sample_uniform_subset
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.utils.logging import NullLogger
 from repro.utils.rng import RngFactory, restore_generator
 from repro.utils.validation import check_positive_float, check_positive_int
 
-__all__ = ["FederatedAlgorithm", "RunResult", "EDGE_UNAVAILABLE"]
-
-#: Sentinel returned by :meth:`FederatedAlgorithm._edge_roster` when the
-#: membership layer has taken an edge out of service for the round (crashed,
-#: partitioned, or left without a single active client).
-EDGE_UNAVAILABLE = object()
+__all__ = ["FederatedAlgorithm", "RunResult"]
 
 
 @dataclass(frozen=True)
@@ -226,9 +221,6 @@ class FederatedAlgorithm(ABC):
         self.timing = resolve_timing(timing)
         self.membership = resolve_membership(churn, obs=self.obs)
         self.w: np.ndarray = self.engine.get_params()
-        # Last loss the cloud saw per probed entity: Phase 2's stale
-        # fallback (minimax algorithms only).
-        self._last_losses: dict[int, float] = {}
         self.rounds_completed = 0
         self._history: TrainingHistory | None = None
         self._resume_history: TrainingHistory | None = None
@@ -587,22 +579,6 @@ class FederatedAlgorithm(ABC):
         self._restore_extra(state.get("extra", {}))
 
     # ---------------------------------------------------------------- helpers
-    def _build_edges(self):
-        """Edge servers (with client actors) from the population.
-
-        For an eager population this is exactly the old
-        ``build_edge_servers(dataset, ...)`` call — same builders, same RNG
-        streams, same actor graph; for a virtual population it returns lazy
-        edge servers that materialize their cohort on access.
-        """
-        return self.population.build_edges(batch_size=self.batch_size,
-                                           rng_factory=self.rng_factory)
-
-    def _build_clients(self):
-        """Flat client roster from the population (two-layer baselines)."""
-        return self.population.build_flat_clients(batch_size=self.batch_size,
-                                                  rng_factory=self.rng_factory)
-
     def _round(self, round_index: int) -> RoundContext:
         """Round ``round_index``'s :class:`~repro.sim.edge.RoundContext`:
         this run's sinks, built once per round and handed to every leg."""
@@ -614,143 +590,6 @@ class FederatedAlgorithm(ABC):
                 self.timing, self._edge_agg, self._cloud_agg,
                 self._loss_clip, self.compressor, self._comp_rng)
         return ctx
-
-    def _edge_roster(self, ctx: RoundContext, edge_id: int):
-        """The edge's membership-adjusted roster for this round.
-
-        ``None`` means "use the construction-time roster" (membership
-        disabled — the byte-identical static path);
-        :data:`EDGE_UNAVAILABLE` means the edge must be skipped this round
-        (dark under the fault plan, crashed, partitioned, or drained of
-        active clients; the fault plan is asked first, so a dark edge's
-        roster is never built); any list is the live roster to train/probe
-        with.
-        """
-        if ctx.faults.edge_dark(ctx.round_index, edge_id):
-            return EDGE_UNAVAILABLE
-        membership = self.membership
-        if not membership.enabled:
-            return None
-        if not membership.edge_available(edge_id):
-            return EDGE_UNAVAILABLE
-        roster = membership.roster(edge_id)
-        if roster is not None and not roster:
-            return EDGE_UNAVAILABLE
-        return roster
-
-    def _unreachable(self, kind: str):
-        """The recipients of ``kind`` (``"edge"`` or ``"client"``) the cloud
-        knows cannot take part this round, as the predicate over ids that
-        :func:`~repro.sim.edge.fan_out` skips.
-
-        Known unreachable: an edge that membership reports crashed or
-        partitioned, or whose roster has no active client; a client that
-        membership reports departed; any quarantined sender.  These are the
-        recipients every tier's leg skips before the virtual clock prices a
-        broadcast, so the tracker and the clock bill the same recipients.  A
-        fault-plan outage or dropout is decided on the recipient's side and
-        stays unknown to the sender.
-        """
-        in_quarantine = quarantined(self.faults, kind)
-        membership = self.membership
-        if not membership.enabled:
-            return in_quarantine
-        if kind == "client":
-            return lambda cid: (in_quarantine(cid)
-                                or not membership.client_active(cid))
-
-        def edge_gone(eid: int) -> bool:
-            if in_quarantine(eid) or not membership.edge_available(eid):
-                return True
-            ids = membership.roster_ids(eid)
-            return ids is not None and not ids
-        return edge_gone
-
-    def _release_area(self, eid: int) -> None:
-        """Area ``eid`` ran its last leg of the phase: a virtual population
-        flushes and drops its roster's clients (eager populations keep
-        theirs)."""
-        population = self.population
-        if population.virtual:
-            ids = self.membership.roster_ids(eid)
-            population.release(self.edges[eid].client_ids() if ids is None
-                               else ids)
-
-    def _client_leg(self, ctx: RoundContext, sampled, *, tau1: int,
-                    checkpoint_step: int | None = None,
-                    down_floats: float | None = None,
-                    weight_by_data: bool = False) -> tuple[list, list]:
-        """Phase 1 of a two-layer baseline: the cloud broadcasts ``w``
-        (``down_floats`` overrides the model size) and the sampled clients
-        still in the federation train from it and upload straight to the
-        cloud.
-
-        Sampled duplicates receive one broadcast and train once per draw,
-        chaining their minibatch streams in the dispatcher.  Returns the
-        delivered entries and checkpoint entries of
-        :func:`~repro.sim.edge.train_leg`, weighted by data size or
-        uniformly.
-        """
-        fan_out(ctx, "client_cloud", map(int, sampled),
-                floats=self.w.size if down_floats is None else down_floats,
-                unreachable=self._unreachable("client"))
-        active = self.membership.client_active
-        cohort = [self.clients[i] for i in map(int, sampled) if active(i)]
-        weights = [float(c.num_samples) if weight_by_data else 1.0
-                   for c in cohort]
-        entries, ckpt_entries = train_leg(
-            ctx, self.w, cohort, weights, tau1=tau1, link="client_cloud",
-            checkpoint_step=checkpoint_step, down_floats=down_floats)
-        self.tracker.sync_cycle("client_cloud")
-        return entries, ckpt_entries
-
-    def _client_probes(self, ctx: RoundContext, w: np.ndarray) -> tuple:
-        """Phase 2 of a two-layer minimax baseline: probe a fresh uniform
-        client subset at ``w``; returns the probed ids and the delivered
-        losses by client id."""
-        probed = [int(i) for i in sample_uniform_subset(
-            len(self.clients), self.m_clients, self.rng)]
-        fan_out(ctx, "client_cloud", probed, floats=w.size,
-                unreachable=self._unreachable("client"))
-        active = self.membership.client_active
-        replies = probe_leg(ctx, w,
-                            [self.clients[i] for i in probed if active(i)],
-                            link="client_cloud")
-        self.tracker.sync_cycle("client_cloud")
-        return probed, replies
-
-    def _ascend(self, ctx: RoundContext, weights: np.ndarray, probed,
-                replies: dict, *, prefix: str, eta: float, tau1: int = 1,
-                tau2: int = 1) -> np.ndarray:
-        """Eq. (7) from Phase 2's replies: the projected ascent step on the
-        mixing weights, returned (``weights`` itself when no loss arrived).
-
-        A probed entity that stayed silent falls back to the last loss the
-        cloud saw for it; the reports are then clipped (see
-        :func:`~repro.sim.edge.clip_losses`) and scaled into the unbiased
-        gradient estimate of §4.2.
-        """
-        faults = ctx.faults
-        losses: dict[int, float] = {}
-        for key in probed:
-            loss = replies.get(key)
-            if loss is None:
-                # Dark or silent, or its reply was lost: the stale loss.
-                loss = self._last_losses.get(key)
-                if loss is None:
-                    continue
-                faults.stale_loss(ctx.round_index, f"{prefix}:{key}", loss)
-            losses[key] = loss
-        losses = clip_losses(ctx, losses, prefix)
-        if not losses:
-            # No loss information at all this round: keep the weights.
-            faults.degraded_round(ctx.round_index, "phase2_weight_update")
-            return weights
-        self._last_losses.update(losses)
-        self.obs.gauge(f"worst_{prefix}_loss", max(losses.values()))
-        v = self.cloud.build_loss_vector(losses)
-        return self.cloud.update_weights(weights, v, eta_p=eta, tau1=tau1,
-                                         tau2=tau2)
 
     def _evaluation_point(self, round_index: int) -> HistoryPoint:
         # eval_edge_ids is None unless an evaluation cohort was requested

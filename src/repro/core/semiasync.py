@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.hierminimax import HierMinimax
 from repro.sim.edge import RoundContext, fan_out
-from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
 
@@ -97,17 +96,13 @@ class SemiAsyncHierMinimax(HierMinimax):
     def run_round(self, round_index: int) -> None:
         """Dispatch to free edges, merge the due-or-arrived flights, Phase 2."""
         ctx = self._round(round_index)
-        d = self._dim
         obs = self.obs
         timing = self.timing
         # Identical Phase-1 sampling to the synchronous algorithm.
-        sampled = sample_by_weight(self.p, self.m_edges, self.rng)
-        c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
-        checkpoint = (c1, c2) if self.use_checkpoint else None
-        upload_floats = self._upload_floats()
+        sampled, checkpoint, fields = self._draw_phase1()
+        upload_floats = self._upload_floats(checkpoint)
         busy = {f["eid"] for f in self._inflight if f["round"] < round_index}
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled), c1=c1, c2=c2,
+        with obs.span("phase1_model_update", round=round_index, **fields,
                       busy_edges=len(busy)):
             # ---- Dispatch to every sampled edge that is not mid-flight.
             # Same-round duplicate samples dispatch again, exactly as the
@@ -116,7 +111,7 @@ class SemiAsyncHierMinimax(HierMinimax):
             # reach.
             fan_out(ctx, self._links[0],
                     [eid for eid in sampled.tolist() if eid not in busy],
-                    floats=d + len(self._links),
+                    floats=self._down_floats(),
                     unreachable=self._unreachable("edge"))
             legs: list[dict] = []
             last_draw = {int(e): i for i, e in enumerate(sampled)}

@@ -80,6 +80,11 @@ class FaultInjector:
         # Round-scoped cohort of per-link array-upload norms for the z-score
         # guard; rebuilt each round (round-boundary resume needs no state).
         self._norm_cohort: dict[str, list[float]] = {}
+        # The round's availability draws, one per (kind, entity): a client's
+        # fate is asked once per aggregation block and again by Phase 2, an
+        # edge's outage by both phases, and each draw is a pure function of
+        # the round, so it is built once and kept until the round changes.
+        self._draws: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------ rng plumbing
     def _rng(self, round_index: int, kind: str, entity: str,
@@ -87,12 +92,23 @@ class FaultInjector:
         """A generator that is a pure function of its arguments and the seed."""
         return keyed_rng(self.plan.seed, kind, round_index, entity, seq)
 
+    def _draw(self, round_index: int, kind: str, entity: str) -> float:
+        """This round's one uniform of ``kind`` for ``entity`` (the caller
+        has entered the round's scope)."""
+        key = (kind, entity)
+        u = self._draws.get(key)
+        if u is None:
+            u = self._draws[key] = self._rng(round_index, kind,
+                                             entity).random()
+        return u
+
     def _round_scope(self, round_index: int) -> None:
         if self._event_round != round_index:
             self._event_round = round_index
             self._emitted.clear()
             self._msg_seq.clear()
             self._norm_cohort.clear()
+            self._draws.clear()
 
     def _emit(self, round_index: int, kind: str, entity: str, *,
               dedup: bool = True, **fields) -> bool:
@@ -125,8 +141,8 @@ class FaultInjector:
             return True
         if self.plan.edge_outage <= 0.0:
             return False
-        gen = self._rng(round_index, "edge_outage", entity)
-        if gen.random() < self.plan.edge_outage:
+        u = self._draw(round_index, "edge_outage", entity)
+        if u < self.plan.edge_outage:
             if self._emit(round_index, "edge_outage", entity):
                 self.obs.count("edge_outages_total")
             return True
@@ -147,8 +163,7 @@ class FaultInjector:
         entity = f"client:{client_id}"
         if entity in self.quarantined:
             return 0
-        gen = self._rng(round_index, "client_fate", entity)
-        u = gen.random()
+        u = self._draw(round_index, "client_fate", entity)
         if u < self.plan.client_dropout:
             if self._emit(round_index, "client_dropout", entity):
                 self.obs.count("clients_dropped_total")
@@ -179,8 +194,8 @@ class FaultInjector:
         entity = f"client:{client_id}"
         if entity in self.quarantined:
             return False
-        gen = self._rng(round_index, "client_fate", entity)
-        if gen.random() < self.plan.client_dropout:
+        u = self._draw(round_index, "client_fate", entity)
+        if u < self.plan.client_dropout:
             if self._emit(round_index, "client_dropout", entity):
                 self.obs.count("clients_dropped_total")
             return False

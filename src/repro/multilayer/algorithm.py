@@ -116,7 +116,8 @@ class MultiLevelHierMinimax(HierMinimax):
         self.tracker = CommunicationTracker(extra_links=self._links)
 
     def _bind_areas(self) -> int:
-        self.clients = self._build_clients()
+        self.clients = self.population.build_flat_clients(
+            batch_size=self.batch_size, rng_factory=self.rng_factory)
         # Level-1 subtrees are structural (a client's leaf position is fixed by
         # the tree), so churn runs in flat mode: arrivals/departures plus
         # crash/partition episodes on the top areas, without re-homing.

@@ -148,7 +148,7 @@ def fan_out(ctx: RoundContext, link: str, recipients: Iterable[int], *,
 
     ``unreachable`` names the recipients the sender knows cannot take part
     this round (the cloud's rule is
-    :meth:`~repro.core.base.FederatedAlgorithm._unreachable`, the edge
+    :meth:`~repro.core.engine.RoundEngine._unreachable`, the edge
     tier's :func:`quarantined`); they are sent nothing and charged nothing,
     just as the virtual clock prices them no leg.  ``None`` charges every
     recipient.  Recipients the sender cannot know about this round — a

@@ -6,9 +6,10 @@ The paper notes that HierMinimax specializes to known algorithms:
   two implementations consume *identical* randomness (same cloud stream, same
   client streams), so their trajectories must match **bit for bit**.
 * ``τ1 = τ2 = 1`` recovers Stochastic-AFL's pattern (single-step local updates,
-  loss estimation at the fresh global model); the equivalence is semantic rather
-  than bitwise because the two consume cloud randomness in different orders, so it
-  is tested distributionally.
+  loss estimation at the fresh global model).  The round's only checkpoint slot
+  draws nothing from the cloud stream, so with one client per edge both consume
+  the same draws in the same order and their final parameters and weights match
+  **bit for bit** on every seed tested.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ ROUNDS = 12
 CHURN = "arrive=0.1,depart=0.15,edge_mttf=4,edge_mttr=2,seed=1"
 
 #: Modules whose legs call ``fan_out`` by name.
-_CALLERS = ("repro.sim.edge", "repro.core.base", "repro.core.hierminimax",
-            "repro.core.semiasync", "repro.baselines.hierfavg",
+_CALLERS = ("repro.sim.edge", "repro.core.engine", "repro.core.semiasync",
             "repro.multilayer.algorithm")
 
 

@@ -371,6 +371,17 @@ class TestKillAndResume:
                                    eta_w=0.1, eta_q=0.05, tau1=2,
                                    m_clients=4, seed=0, **run))
 
+    @pytest.mark.parametrize("faulted", [True, False],
+                             ids=["faulted", "fault_free"])
+    def test_hierfavg(self, blob_fed, blob_factory, faulted):
+        # No mixing weights: everything it resumes lives in the base state.
+        run = {"faults": self.PLAN} if faulted else {}
+        self._kill_resume(
+            blob_fed, blob_factory,
+            lambda: make_algorithm("hierfavg", blob_fed, blob_factory,
+                                   batch_size=4, eta_w=0.1, tau1=2, tau2=2,
+                                   m_edges=2, seed=0, **run))
+
     def test_load_rejects_wrong_algorithm(self, blob_fed, blob_factory,
                                           tmp_path):
         path = tmp_path / "x.ckpt.json"

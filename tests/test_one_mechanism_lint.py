@@ -14,7 +14,10 @@ charged only by its ``fan_out`` (membership's point-to-point syncs charge
 resolved only in ``FederatedAlgorithm.__init__`` (and inside the resolvers'
 own modules), so below it no tier takes a sink that may be ``None``: every
 leg reads the tracker, injector, clock, tracer and backend from its
-``RoundContext``.
+``RoundContext``.  The cloud round itself lives only in
+:mod:`repro.core.engine`: every other ``run_round`` is one delegating call
+(the semi-asynchronous variant aside), and the flat methods' leg, probes
+and ascent, like Phase 1's draws, are called only there.
 AST-based (like the no-wall-clock lint in ``test_simtime.py``), so prose in
 docstrings does not trip it — only real calls, attribute references and
 imports count.
@@ -99,6 +102,30 @@ def _fan_out_charges(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+def _round_logic(tree: ast.AST) -> list[tuple[int, str]]:
+    """``run_round`` bodies holding more than one delegating call (an
+    abstract stub, a docstring alone, holds nothing)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name == "run_round"):
+            continue
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body = body[1:]
+        delegating = (len(body) == 1
+                      and isinstance(body[0], (ast.Expr, ast.Return))
+                      and isinstance(body[0].value, ast.Call))
+        if body and not delegating:
+            found.append((node.lineno, "run_round with its own round logic"))
+    return found
+
+
+#: The round's tiers above the client: the methods and their variants.
+_ROUND_SCOPE = ("core/", "baselines/", "multilayer/")
+
 _RESOLVERS = ("resolve_injector", "resolve_timing", "resolve_membership",
               "make_cost_model")
 
@@ -175,9 +202,14 @@ def _offenders(finder, homes: tuple[str, ...], scope) -> list[str]:
     (_calls_of("SeedSequence"), ("utils/rng.py",), ""),
     (_sink_guards, (), _SINK_SCOPE),
     (_fan_out_charges, (), ""),
+    (_round_logic, ("core/engine.py", "core/semiasync.py"), ""),
+    (_calls_of("_client_leg", "_client_probes", "_ascend"),
+     ("core/engine.py",), ""),
+    (_calls_of("sample_by_weight", "sample_checkpoint_slot",
+               "sample_uniform_subset"), ("core/engine.py",), _ROUND_SCOPE),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
         "link-delivery", "run-resolution", "seed-sequence", "sink-guards",
-        "fan-out"])
+        "fan-out", "round-engine", "engine-legs", "phase-draws"])
 def test_mechanism_has_one_home(finder, homes, scope):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes, scope)
@@ -217,6 +249,18 @@ def test_mechanism_has_one_home(finder, homes, scope):
     (_fan_out_charges, 'tracker.record(link, "down", floats=d)'),
     (_fan_out_charges, "def leg(ctx):\n"
                        "    ctx.tracker.record(link, 'down', count=k)\n"),
+    (_round_logic, "def run_round(self, k):\n"
+                   "    ctx = self._round(k)\n"
+                   "    self._client_leg(ctx, [0], None)\n"),
+    (_round_logic, "def run_round(self, k):\n"
+                   "    self.q = self._ascend(ctx, self.q, [], {})\n"),
+    (_calls_of("_client_leg", "_client_probes", "_ascend"),
+     "entries, ckpt = self._client_leg(ctx, sampled, None)"),
+    (_calls_of("_client_leg", "_client_probes", "_ascend"),
+     "replies = self._client_probes(ctx, probed, w)"),
+    (_calls_of("sample_by_weight", "sample_checkpoint_slot",
+               "sample_uniform_subset"),
+     "sampled = sample_by_weight(self.q, self.m_clients, self.rng)"),
 ])
 def test_finders_catch_each_pattern(finder, source):
     assert finder(ast.parse(source))
@@ -230,6 +274,19 @@ def test_fan_out_finder_exempts_only_fan_out_and_single_syncs():
               "    ctx.tracker.record('edge_cloud', 'up', count=3)\n"
               "    ctx.tracker.record('edge_cloud', 'down', count=2)\n")
     assert [line for line, _ in _fan_out_charges(ast.parse(source))] == [6]
+
+
+def test_round_finder_exempts_only_delegation_and_stubs():
+    source = ("def run_round(self, k):\n"
+              "    \"\"\"One round.\"\"\"\n"
+              "    self._cloud_round(k)\n"
+              "def run_round(self, k):\n"
+              "    return self._cloud_round(k)\n"
+              "def run_round(self, k):\n"
+              "    \"\"\"Abstract.\"\"\"\n"
+              "def run_round(self, k):\n"
+              "    self.w = step(self.w)\n")
+    assert [line for line, _ in _round_logic(ast.parse(source))] == [8]
 
 
 def test_sink_guard_finder_exempts_only_the_resolving_constructor():

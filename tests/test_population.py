@@ -549,7 +549,7 @@ def _resident_probe(monkeypatch, algo):
     it; for a Phase-2 probe, the probed edge alone.  Also records the live
     count after every ``end_round``.
     """
-    import repro.core.hierminimax as hm
+    import repro.core.engine as engine
     from repro.population.virtual import VirtualEdgeServer
 
     pop = algo.population
@@ -557,7 +557,7 @@ def _resident_probe(monkeypatch, algo):
     legs: list[tuple[int, int]] = []
     after_round: list[int] = []
     draws: dict = {"seq": [], "i": 0}
-    sample = hm.sample_by_weight
+    sample = engine.sample_by_weight
 
     def sample_by_weight(*args, **kwargs):
         out = sample(*args, **kwargs)
@@ -588,7 +588,7 @@ def _resident_probe(monkeypatch, algo):
         end_round(round_index)
         after_round.append(len(pop._live))
 
-    monkeypatch.setattr(hm, "sample_by_weight", sample_by_weight)
+    monkeypatch.setattr(engine, "sample_by_weight", sample_by_weight)
     monkeypatch.setattr(VirtualEdgeServer, "model_update", probed_update)
     monkeypatch.setattr(VirtualEdgeServer, "estimate_loss", probed_loss)
     monkeypatch.setattr(pop, "end_round", probed_end_round)
