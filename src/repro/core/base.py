@@ -566,8 +566,9 @@ class FederatedAlgorithm(ABC):
             cycles={k: int(v) for k, v in comm["cycles"].items()},
             messages={k: int(v) for k, v in comm["messages"].items()},
             floats={k: float(v) for k, v in comm["floats"].items()}))
-        if state.get("history") is not None:
-            self._resume_history = history_from_state(state["history"])
+        history = state.get("history")  # pending until run() continues it
+        self._history = self._resume_history = (
+            None if history is None else history_from_state(history))
         self.faults.load_state_dict(state.get("faults", {}))
         # Checkpoints capture the live topology (active set, home map, edge
         # and link episode states), so resume mid-failover is bit-identical.

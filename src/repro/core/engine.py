@@ -47,8 +47,9 @@ import numpy as np
 from repro.core.base import FederatedAlgorithm
 from repro.ops.projections import Projection, project_simplex
 from repro.sim.cloud import CloudServer
-from repro.sim.edge import RoundContext, clip_losses, combine, deliver, \
-    fan_out, probe_leg, quarantined, train_leg
+from repro.sim.edge import RoundContext, clip_losses, combine, \
+    compress_upload, deliver, fan_out, payload_unit, probe_leg, quarantined, \
+    train_leg, upload_floats
 from repro.topology.sampling import (
     sample_by_weight,
     sample_checkpoint_slot,
@@ -137,12 +138,12 @@ class RoundEngine(FederatedAlgorithm):
         if self.uses_hierarchy:
             self.edges = self.population.build_edges(batch_size=batch,
                                                      rng_factory=rngs)
-            self.membership.bind(self.edges)
+            self.membership.bind(self.edges, links=self._links)
             return self.dataset.num_edges
         self.clients = self.population.build_flat_clients(batch_size=batch,
                                                           rng_factory=rngs)
         # Flat topology: client arrivals/departures only (no edges to fail).
-        self.membership.bind_flat(self.clients)
+        self.membership.bind_flat(self.clients, links=self._links)
         return self.dataset.num_clients
 
     # ---------------------------------------------------------- checkpointing
@@ -289,7 +290,6 @@ class RoundEngine(FederatedAlgorithm):
         """Phase 1's legs of the sampled edges: the delivered model and
         checkpoint entries, weighted by data size or uniformly."""
         timing = ctx.timing
-        upload_floats = self._upload_floats(checkpoint)
         entries: list[tuple[str, float, np.ndarray]] = []
         ckpt_entries: list[tuple[str, float, np.ndarray]] = []
         # An edge drawn more than once keeps its roster until its last
@@ -302,8 +302,7 @@ class RoundEngine(FederatedAlgorithm):
             for i, e in enumerate(sampled):
                 eid = int(e)
                 with timing.branch(f"edge:{eid}" if timing.record else None):
-                    delivered = self._edge_upload(ctx, eid, checkpoint,
-                                                  upload_floats)
+                    delivered = self._edge_upload(ctx, eid, checkpoint)
                 # HierFAVG keeps its areas live until the round ends, so
                 # its virtual-population checkpoints keep their
                 # max_live_clients.
@@ -321,7 +320,6 @@ class RoundEngine(FederatedAlgorithm):
 
     def _edge_upload(self, ctx: RoundContext, eid: int,
                      checkpoint: tuple[int, int] | None,
-                     upload_floats: float,
                      ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """One sampled edge's Phase-1 leg: broadcast, ModelUpdate, upload.
 
@@ -340,20 +338,13 @@ class RoundEngine(FederatedAlgorithm):
         update = self._area_update(ctx, eid, checkpoint, roster)
         if update is None:
             return None
-        w_e, w_e_ckpt = update
-        if self.compressor is not None:
-            # Edge transmits compressed deltas against the broadcast w^(k).
-            # No sender is attributed, so top-k error feedback (kept per
-            # client) does not apply on this link.
-            w_e = self.w + self.compressor.compress(w_e - self.w,
-                                                    self._comp_rng)
-            if w_e_ckpt is not None:
-                w_e_ckpt = self.w + self.compressor.compress(
-                    w_e_ckpt - self.w, self._comp_rng)
-        # Edge uploads its round-final model (and its checkpoint model).
-        ctx.timing.transfer(top, eid, upload_floats)
-        return deliver(ctx, top, f"edge:{eid}", w_e, w_e_ckpt,
-                       floats=upload_floats, ref=self.w)
+        # The round-final and checkpoint models; compressed without a sender,
+        # as top-k error feedback is kept per client only.
+        w_e, w_e_ckpt = compress_upload(ctx, self.w, *update)
+        unit = payload_unit(self.w.size, self.compressor)
+        ctx.timing.transfer(top, eid, upload_floats(unit, w_e, w_e_ckpt))
+        return deliver(ctx, top, f"edge:{eid}", w_e, w_e_ckpt, unit=unit,
+                       ref=self.w)
 
     def _area_update(self, ctx: RoundContext, eid: int,
                      checkpoint: tuple[int, int] | None, roster,
@@ -365,14 +356,6 @@ class RoundEngine(FederatedAlgorithm):
             ctx, self.w, tau1=self.tau1, tau2=self.tau2,
             checkpoint=checkpoint, weight_by_data=self.weight_by_data,
             roster=roster, link=self._links[-1])
-
-    def _upload_floats(self, checkpoint: tuple[int, int] | None) -> float:
-        """Edge→cloud payload per Phase-1 upload (model + optional
-        checkpoint)."""
-        d = self.w.size
-        unit_floats = (float(d) if self.compressor is None
-                       else self.compressor.payload_floats(d))
-        return (1 if checkpoint is None else 2) * unit_floats
 
     def _area_probes(self, ctx: RoundContext, probed: list[int],
                      w: np.ndarray) -> dict[int, float]:
@@ -392,7 +375,7 @@ class RoundEngine(FederatedAlgorithm):
                         if est is not None:
                             timing.transfer(top, eid, 1)
                             delivered = deliver(ctx, top, f"edge:{eid}", est,
-                                                floats=1.0)
+                                                unit=w.size)
                             if delivered is not None:
                                 replies[eid] = delivered[0]
                 self._release_area(eid)

@@ -100,7 +100,6 @@ class SemiAsyncHierMinimax(HierMinimax):
         timing = self.timing
         # Identical Phase-1 sampling to the synchronous algorithm.
         sampled, checkpoint, fields = self._draw_phase1()
-        upload_floats = self._upload_floats(checkpoint)
         busy = {f["eid"] for f in self._inflight if f["round"] < round_index}
         with obs.span("phase1_model_update", round=round_index, **fields,
                       busy_edges=len(busy)):
@@ -121,8 +120,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                     continue
                 with timing.measure(f"edge:{eid}" if timing.record
                                     else None) as leg:
-                    delivered = self._edge_upload(ctx, eid, checkpoint,
-                                                  upload_floats)
+                    delivered = self._edge_upload(ctx, eid, checkpoint)
                 if last_draw[eid] == i:
                     self._release_area(eid)
                 w_e, w_ckpt = (None, None) if delivered is None else delivered

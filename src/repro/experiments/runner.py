@@ -267,9 +267,7 @@ def _run_roster(preset, roster, dataset, model_factory, results, phase_times,
                     checkpoint_path=ckpt_path, checkpoint_every=checkpoint_every)
             else:
                 # Checkpoint already covers the full budget: report as-is.
-                history = (algo._resume_history
-                           if algo._resume_history is not None
-                           else algo._history)
+                history = algo._history  # the restored one
                 if history is None:
                     from repro.metrics.history import TrainingHistory
                     history = TrainingHistory(algo.name)

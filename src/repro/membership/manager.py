@@ -101,6 +101,10 @@ class MembershipManager:
         self._bound = False
         self._rehoming = False        # rosters exist (hierarchical binding)
         self._num_edges = 0
+        # The bound algorithm's cloud and client links, where every
+        # membership message is billed and priced (see bind).
+        self._top_link = "edge_cloud"
+        self._leaf_link = "client_edge"
         self._actors: dict[int, object] = {}
         self._client_ids: tuple[int, ...] = ()
         self._initial_home: dict[int, int] = {}
@@ -127,8 +131,13 @@ class MembershipManager:
                        entity=entity, active=len(self.active), **fields)
 
     # ---------------------------------------------------------------- binding
-    def bind(self, edges) -> None:
+    def bind(self, edges, *,
+             links: tuple[str, ...] = ("edge_cloud", "client_edge")) -> None:
         """Bind a hierarchical topology: rosters, homes, and re-homing apply.
+
+        ``links`` are the algorithm's links, top first: membership traffic
+        between the cloud and an edge goes on the first, a warm sync to a
+        client on the last.
 
         Virtual edge servers (anything exposing ``client_ids()`` +
         ``resolve_client``) bind *lazily*: the manager keeps ids and homes
@@ -139,6 +148,7 @@ class MembershipManager:
         """
         if not self.enabled:
             return
+        self._top_link, self._leaf_link = links[0], links[-1]
         self._num_edges = len(edges)
         if edges and hasattr(edges[0], "client_ids"):
             self._actors = _LazyActorMap(edges[0].resolve_client)
@@ -152,7 +162,8 @@ class MembershipManager:
         self._rehoming = True
         self._init_population(sorted(self._initial_home))
 
-    def bind_flat(self, clients, num_edges: int = 0) -> None:
+    def bind_flat(self, clients, num_edges: int = 0, *,
+                  links: tuple[str, ...] = ("client_cloud",)) -> None:
         """Bind a flat topology: client churn only (no rosters to move).
 
         ``num_edges > 0`` additionally arms crash/partition episodes for the
@@ -161,10 +172,12 @@ class MembershipManager:
         assignment is structural there; documented limitation).
 
         A virtual client roster (exposing ``client_ids()``) binds by id
-        without materializing a single client.
+        without materializing a single client.  ``links`` are as in
+        :meth:`bind`.
         """
         if not self.enabled:
             return
+        self._top_link, self._leaf_link = links[0], links[-1]
         self._num_edges = int(num_edges)
         self._actors = {}
         self._initial_home = {}
@@ -258,6 +271,13 @@ class MembershipManager:
         if plan.arrive > 0.0 or plan.depart > 0.0:
             self._client_churn(ctx, dim)
 
+    @staticmethod
+    def _sync(ctx: RoundContext, link: str, entity: int,
+              floats: float) -> None:
+        """One point-to-point message down ``link``, billed and priced."""
+        ctx.tracker.record(link, "down", count=1, floats=floats)
+        ctx.timing.transfer(link, entity, floats)
+
     def _detect(self, ctx: RoundContext, entity: str) -> None:
         """Heartbeat failure detection: the cloud notices a dead edge/link
         only after the plan's timeout budget of missed heartbeats."""
@@ -265,7 +285,7 @@ class MembershipManager:
             ctx.timing.advance(self.plan.heartbeat_timeout_s,
                                f"detect:{entity}")
         # The heartbeat probe that went unanswered.
-        ctx.tracker.record("edge_cloud", "up", count=1,
+        ctx.tracker.record(self._top_link, "up", count=1,
                            floats=HEARTBEAT_FLOATS)
         self.obs.count("membership_detections_total")
 
@@ -290,8 +310,7 @@ class MembershipManager:
                 self._emit(round_index, "edge_recover", entity)
                 self.obs.count("membership_recovered_total")
                 # The cloud re-syncs the anchor model to the reborn edge.
-                ctx.tracker.record("edge_cloud", "down", count=1, floats=dim)
-                ctx.timing.transfer("edge_cloud", eid, dim)
+                self._sync(ctx, self._top_link, eid, dim)
 
     def _rehome_orphans(self, ctx: RoundContext, dead_eid: int,
                         dim: int) -> None:
@@ -300,7 +319,7 @@ class MembershipManager:
         Target selection is deterministic: least current load (clients homed
         there, active or not), then shortest ring distance from the dead
         edge, then lowest edge id.  Active orphans are charged a warm model
-        sync on their new ``client_edge`` link; each distinct target edge is
+        sync on their new edge's client link; each distinct target edge is
         charged the state handoff (the dead edge's anchor model, cached loss
         estimate, and quarantine summary, replayed down from the cloud).
         """
@@ -327,15 +346,12 @@ class MembershipManager:
                            src=dead_eid, dst=target)
                 self.obs.count("membership_rehomed_total")
                 # Warm sync: the new edge ships the current model down.
-                ctx.tracker.record("client_edge", "down", count=1, floats=dim)
-                ctx.timing.transfer("client_edge", cid, dim)
+                self._sync(ctx, self._leaf_link, cid, dim)
         for target in sorted(handoff_targets):
             # Edge-state handoff: anchor model + loss estimate + quarantine
             # summary, shipped to each adopting edge.
-            ctx.tracker.record("edge_cloud", "down", count=1,
-                               floats=dim + HANDOFF_EXTRA_FLOATS)
-            ctx.timing.transfer("edge_cloud", target,
-                                dim + HANDOFF_EXTRA_FLOATS)
+            self._sync(ctx, self._top_link, target,
+                       dim + HANDOFF_EXTRA_FLOATS)
             self.obs.count("membership_handoffs_total")
 
     def _link_episodes(self, ctx: RoundContext, dim: int) -> None:
@@ -358,9 +374,10 @@ class MembershipManager:
                 self.obs.count("membership_heals_total")
                 # Reconcile the diverged edge: anchor re-sync down, the
                 # edge's cached loss estimate back up.
-                ctx.tracker.record("edge_cloud", "down", count=1, floats=dim)
-                ctx.tracker.record("edge_cloud", "up", count=1, floats=1.0)
-                ctx.timing.transfer("edge_cloud", eid, dim + 1)
+                ctx.tracker.record(self._top_link, "down", count=1,
+                                   floats=dim)
+                ctx.tracker.record(self._top_link, "up", count=1, floats=1.0)
+                ctx.timing.transfer(self._top_link, eid, dim + 1)
                 self._emit(round_index, "reconcile", f"edge:{eid}",
                            floats=dim + 1)
 
@@ -399,8 +416,7 @@ class MembershipManager:
                 self.obs.count("membership_joined_total")
                 # Warm join: the current model is shipped down before the
                 # client can participate.
-                ctx.tracker.record("client_edge", "down", count=1, floats=dim)
-                ctx.timing.transfer("client_edge", cid, dim)
+                self._sync(ctx, self._leaf_link, cid, dim)
 
     # ------------------------------------------------------------ persistence
     def state_dict(self) -> dict:

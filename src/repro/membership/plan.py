@@ -143,10 +143,10 @@ class NullMembership:
     enabled = False
     plan = ChurnPlan.none()
 
-    def bind(self, edges) -> None:
+    def bind(self, edges, *, links=()) -> None:
         """No-op: a static topology has nothing to bind."""
 
-    def bind_flat(self, clients, num_edges: int = 0) -> None:
+    def bind_flat(self, clients, num_edges=0, *, links=()) -> None:
         """No-op: a static topology has nothing to bind."""
 
     def begin_round(self, ctx) -> None:

@@ -42,7 +42,7 @@ from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection
 from repro.population import resolve_population
 from repro.sim.edge import EdgeServer, RoundContext, combine, deliver, \
-    fan_out, mean_loss
+    fan_out, mean_loss, upload_floats
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_int
 
@@ -122,7 +122,8 @@ class MultiLevelHierMinimax(HierMinimax):
         # the tree), so churn runs in flat mode: arrivals/departures plus
         # crash/partition episodes on the top areas, without re-homing.
         self.membership.bind_flat(self.clients,
-                                  num_edges=self.tree.num_top_areas)
+                                  num_edges=self.tree.num_top_areas,
+                                  links=self._links)
         return self.tree.num_top_areas
 
     # -------------------------------------------------------------- recursion
@@ -202,8 +203,8 @@ class MultiLevelHierMinimax(HierMinimax):
                                 ctx, level + 1, k, w,
                                 digits if on_path else None)
                             if out is not None:
-                                timing.transfer(link, k, d * (
-                                    1 if out[1] is None else 2))
+                                timing.transfer(link, k,
+                                                upload_floats(d, *out))
                             uploads.append((k, out))
                 entries = []
                 ckpt_entries = []
@@ -211,9 +212,8 @@ class MultiLevelHierMinimax(HierMinimax):
                     if out is None:
                         continue
                     sender = f"node:{level + 1}:{k}"
-                    delivered = deliver(
-                        ctx, link, sender, *out,
-                        floats=d * (1 if out[1] is None else 2), ref=w)
+                    delivered = deliver(ctx, link, sender, *out, unit=d,
+                                        ref=w)
                     if delivered is None:
                         continue
                     w_k, w_kc = delivered
@@ -261,7 +261,7 @@ class MultiLevelHierMinimax(HierMinimax):
                         continue
                     timing.transfer(link, k, 1)
                     delivered = deliver(ctx, link, f"node:{level + 1}:{k}",
-                                        loss, floats=1.0)
+                                        loss, unit=w.size)
                     if delivered is not None:
                         reports[k] = delivered[0]
         ctx.tracker.sync_cycle(link)

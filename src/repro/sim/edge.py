@@ -8,12 +8,12 @@ the cloud.  This module writes it once:
 
 * :func:`train_leg` — a cohort of clients runs local SGD from one model: each
   member's step budget is fixed from the fault plan, the cohort is one
-  backend dispatch, the leg is priced on the virtual clock, then each upload
-  is compressed, charged and delivered in member order;
+  backend dispatch, each upload is compressed, the leg is priced on the
+  virtual clock, then each upload is charged and delivered in member order;
 * :func:`fan_out` — one down-link broadcast charged to the tracker for the
   recipients its sender can reach (the only place a broadcast is charged);
-* :func:`deliver` — one upload charged to the tracker and passed through the
-  faulty link (the only caller of ``FaultInjector.receive``);
+* :func:`deliver` — one upload charged its :func:`upload_floats` and passed
+  through the faulty link (the only caller of ``FaultInjector.receive``);
 * :func:`combine` — the delivered uploads folded into the next model and
   checkpoint model: the policy's robust rule, else the in-order weighted sum;
 * :func:`probe_leg`, :func:`clip_losses` and :func:`mean_loss` — Phase 2's
@@ -55,8 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simtime.timeline import SimTimer
 
 __all__ = ["RoundContext", "EdgeServer", "fan_out", "quarantined",
-           "train_leg", "deliver", "combine", "probe_leg", "clip_losses",
-           "mean_loss"]
+           "train_leg", "compress_upload", "payload_unit", "upload_floats",
+           "deliver", "combine", "probe_leg", "clip_losses", "mean_loss"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +127,22 @@ class RoundContext:
     comp_rng: np.random.Generator | None
 
 
-def _compress(compressor, sender: int, delta: np.ndarray,
-              rng: np.random.Generator | None) -> np.ndarray:
-    """Apply a compressor to an upload delta, with sender attribution if supported."""
+def compress_upload(ctx: RoundContext, w: np.ndarray, *payloads,
+                    sender: int | None = None) -> tuple:
+    """``payloads`` as the receiver decodes them: each one's delta against
+    the broadcast ``w`` compressed from ``comp_rng`` (with ``sender``'s error
+    feedback, if kept); unchanged without a compressor."""
+    compressor, rng = ctx.compressor, ctx.comp_rng
+    if compressor is None:
+        return payloads
     if rng is None:
-        # A fixed fallback generator would silently re-seed on every call,
-        # making "random" quantization identical across all uploads — require
-        # the caller to thread a real stream instead.
+        # A fixed fallback generator would re-seed on every call, making
+        # "random" quantization identical across all uploads.
         raise ValueError("compression requires an explicit comp_rng generator")
-    if hasattr(compressor, "compress_from"):
-        return compressor.compress_from(sender, delta, rng)
-    return compressor.compress(delta, rng)
+    per_sender = sender is not None and hasattr(compressor, "compress_from")
+    return tuple(None if p is None else w + (
+        compressor.compress_from(sender, p - w, rng) if per_sender
+        else compressor.compress(p - w, rng)) for p in payloads)
 
 
 def fan_out(ctx: RoundContext, link: str, recipients: Iterable[int], *,
@@ -171,16 +176,36 @@ def quarantined(faults: FaultInjector, kind: str) -> Callable[[int], bool]:
     return lambda key: f"{kind}:{key}" in gone
 
 
+def payload_unit(d: int, compressor: Compressor | None) -> float:
+    """Wire floats of one uploaded ``d``-vector (compressed or not)."""
+    return float(d) if compressor is None else compressor.payload_floats(d)
+
+
+def upload_floats(unit: float, *payloads) -> float:
+    """Wire floats of one upload: ``unit`` per distinct model vector, one per
+    scalar.  A checkpoint bit-equal to its model is sent once: the receiver
+    expects the checkpoint it indexed, and a one-vector upload says so."""
+    floats, sent = 0.0, []
+    for p in payloads:
+        if not isinstance(p, np.ndarray):
+            floats += 0.0 if p is None else 1.0
+        elif not any(np.array_equal(p, v) for v in sent):
+            sent.append(p)
+            floats += unit
+    return floats
+
+
 def deliver(ctx: RoundContext, link: str, sender: str, *payloads,
-            floats: float, ref: np.ndarray | None = None):
-    """Charge one upload of ``floats`` to the tracker and pass it through the
-    faulty link.
+            unit: float, ref: np.ndarray | None = None):
+    """Charge one upload (and each retransmission) :func:`upload_floats` of
+    model vectors of ``unit`` floats, and pass it through the faulty link.
 
     Returns the delivered payloads, or ``None`` when the upload was lost
     after all retries or rejected by the payload guard (see
     :meth:`~repro.faults.FaultInjector.receive`).  Without an enabled
     injector the payloads pass through untouched.
     """
+    floats = upload_floats(unit, *payloads)
     ctx.tracker.record(link, "up", count=1, floats=floats)
     if not ctx.faults.enabled:
         # Fault-free runs never enter the faulty link.
@@ -204,10 +229,10 @@ def train_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client],
     member's (down + compute + up) chain, a straggler computing at the plan's
     ``straggler_slowdown`` pace; ``down_floats`` overrides the model-sized
     broadcast, and the ``scope`` label (and, with it, ``client:<id>`` branch
-    labels) names the leg in a recorded timing tree.  The results are then
-    compressed (deltas against ``w``), charged and delivered in member
-    order, which is the order ``comp_rng``, the per-sender message counters
-    and the norm guard's cohort consume.
+    labels) names the leg in a recorded timing tree.  The results are
+    compressed (deltas against ``w``), priced, charged and delivered in
+    member order, which is the order ``comp_rng``, the per-sender message
+    counters and the norm guard's cohort consume.
 
     Returns the delivered ``(sender, weight, w_end)`` entries and the
     ``(sender, weight, w_checkpoint)`` entries of the members that delivered
@@ -215,7 +240,6 @@ def train_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client],
     """
     faults = ctx.faults
     timing = ctx.timing
-    compressor = ctx.compressor
     d = w.size
     work: list[ClientWork] = []
     kept = []
@@ -230,11 +254,14 @@ def train_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client],
     results = run_local_steps(ctx.backend, ctx.engine, w, work, lr=ctx.lr,
                               projection=ctx.projection,
                               obs=ctx.obs) if work else []
-    upload = float(d) if compressor is None else compressor.payload_floats(d)
+    uploads = [compress_upload(ctx, w, r.w_end, r.w_checkpoint,
+                               sender=item.client.client_id)
+               for item, r in zip(work, results)]
+    unit = payload_unit(d, ctx.compressor)
     if timing.enabled:
         labelled = scope is not None and timing.record
         with timing.parallel(scope):
-            for item in work:
+            for item, upload in zip(work, uploads):
                 cid = item.client.client_id
                 scale = (faults.plan.straggler_slowdown
                          if item.steps < tau1 else 1.0)
@@ -242,21 +269,12 @@ def train_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client],
                     timing.transfer(link, cid,
                                     d if down_floats is None else down_floats)
                     timing.compute(cid, item.steps, scale=scale)
-                    timing.transfer(link, cid, upload * (
-                        1 if item.checkpoint_after is None else 2))
+                    timing.transfer(link, cid, upload_floats(unit, *upload))
     entries: list[tuple[str, float, np.ndarray]] = []
     ckpt_entries: list[tuple[str, float, np.ndarray]] = []
-    for weight, item, result in zip(kept, work, results):
-        cid = item.client.client_id
-        w_end, w_c = result.w_end, result.w_checkpoint
-        if compressor is not None:
-            # Transmit compressed deltas against the broadcast model.
-            w_end = w + _compress(compressor, cid, w_end - w, ctx.comp_rng)
-            if w_c is not None:
-                w_c = w + _compress(compressor, cid, w_c - w, ctx.comp_rng)
-        sender = f"client:{cid}"
-        delivered = deliver(ctx, link, sender, w_end, w_c,
-                            floats=upload * (1 if w_c is None else 2), ref=w)
+    for weight, item, upload in zip(kept, work, uploads):
+        sender = f"client:{item.client.client_id}"
+        delivered = deliver(ctx, link, sender, *upload, unit=unit, ref=w)
         if delivered is None:
             continue
         w_end, w_c = delivered
@@ -337,7 +355,7 @@ def probe_leg(ctx: RoundContext, w: np.ndarray, cohort: Sequence[Client], *,
             continue
         loss = client.estimate_loss(ctx.engine, w)
         probed.append(cid)
-        delivered = deliver(ctx, link, f"client:{cid}", loss, floats=1.0)
+        delivered = deliver(ctx, link, f"client:{cid}", loss, unit=w.size)
         if delivered is not None:
             replies[cid] = delivered[0]
     if timing.enabled:

@@ -19,13 +19,13 @@ theory's complexity measure), and immutable snapshots for time series.
 
 **Payload-unit convention.**  The ``floats`` argument of :meth:`record` is the
 *encoded payload size in float64 equivalents* (wire bytes ÷ 8), not the logical
-vector length.  Full-precision messages record their dimension ``d``; compressed
-uploads must record ``Compressor.payload_floats(d)`` — e.g. a 4-bit quantizer
-reports ``1 + d·4/64`` for a ``d``-vector — so that ``total_bytes = floats × 8``
-is the true wire volume for compressed and uncompressed runs alike.  (Downlink
-broadcasts are always full precision in this repo; only uploads are compressed.)
-Every instrumented call site follows this convention, and the compression tests
-assert that quantized runs report proportionally fewer bytes.
+vector length.  A full-precision vector is ``d`` floats, a compressed upload
+``Compressor.payload_floats(d)`` — e.g. ``1 + d·4/64`` for a 4-bit quantizer —
+so ``total_bytes = floats × 8`` is the true wire volume either way (broadcasts
+are full precision; only uploads are compressed).  An upload costs one unit
+per *distinct* model vector and one float per scalar (a checkpoint equal to
+its model is sent once), as :func:`repro.sim.edge.upload_floats` computes it
+for the tracker and the virtual clock alike.
 
 **Fan-out rule.**  A down-link broadcast is charged one message per distinct
 recipient its sender can reach, by :func:`repro.sim.edge.fan_out` alone.

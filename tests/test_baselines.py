@@ -122,14 +122,27 @@ class TestDRFA:
 
     def test_comm_accounting(self, blob_fed, blob_factory):
         algo = DRFA(blob_fed, blob_factory, m_clients=4, eta_w=0.1, seed=0)
-        K = 2
+        drawn = []
+        draw = algo._draw_phase1
+
+        def recording_draw():
+            sampled, checkpoint, fields = draw()
+            drawn.append(checkpoint[0])
+            return sampled, checkpoint, fields
+
+        algo._draw_phase1 = recording_draw
+        K = 4
         for k in range(K):
             algo.run_round(k)
         snap = algo.tracker.snapshot()
         assert snap.cycles["client_cloud"] == 2 * K
-        # uploads carry model + checkpoint (2d floats per sampled client)
+        # Each sampled client uploads its model and its checkpoint (2d
+        # floats), or one copy (d) when the slot drawn is the last step and
+        # the two are equal; each then reports one loss.
         d = algo.engine.num_parameters
-        assert snap.floats["client_cloud:up"] == K * (4 * 2 * d + 4 * 1)
+        assert algo.tau1 in drawn and min(drawn) < algo.tau1
+        assert snap.floats["client_cloud:up"] == sum(
+            4 * (d if c1 == algo.tau1 else 2 * d) + 4 * 1 for c1 in drawn)
 
     def test_learning(self, blob_fed, blob_factory):
         algo = DRFA(blob_fed, blob_factory, eta_w=0.2, eta_q=0.01, batch_size=4,

@@ -26,16 +26,16 @@ from .conftest import make_blob_fed
 # sha256 of each file, keyed by its name relative to the run directory.
 _FAULTED_DIGESTS = {
     "ckpt.json":
-        "545deac412a4e30fccab312f356cb3e5fa479afec33bff67f54f97cca7649bed",
+        "ac1a13cf2c618e71bfe9670b418f9e7ba83499ba4b053b1bb0024dca29dac2ce",
     "ckpt.json.prev":
         "80bd2978df6b5652d527196c23476c4fe656c226d8f01b8db5789d4ba1f7a952",
 }
 
 _POPULATION_DIGESTS = {
     "ckpt.json":
-        "9372013d541f298f2671c5cee00a4cd8709c4a64bf6ec6ada1321a3bf408ccbe",
+        "f016d432871ff1110e8cdb5bc56787057be1db05eaf22f048e555b321baef7b6",
     "ckpt.json.prev":
-        "b458a4f87b5b78f699ed491d34c9de74efd47713c84b544eb7381a6452e20d38",
+        "34d37ed230454f57bd4cd4ca68ace5688628cfb476ab90174c8556ac3f8bf0ca",
     "shards/shard-00000.json":
         "8e743c920bdca2b5a35ab370ed3a0e2b5889c799341d81a16a61651628e09e97",
     "shards/shard-00000.json.prev":

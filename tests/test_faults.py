@@ -516,10 +516,11 @@ class TestInputValidation:
 
     def test_compress_requires_explicit_rng(self):
         from repro.compression import QSGDQuantizer
-        from repro.sim.edge import _compress
+        from repro.sim.edge import compress_upload
 
+        ctx = round_context(compressor=QSGDQuantizer(), comp_rng=None)
         with pytest.raises(ValueError, match="comp_rng"):
-            _compress(QSGDQuantizer(), 0, np.ones(8), None)
+            compress_upload(ctx, np.zeros(8), np.ones(8), sender=0)
 
     def test_run_rejects_bad_round_counts(self, blob_fed, blob_factory):
         algo = make_hmm(blob_fed, blob_factory)

@@ -8,9 +8,10 @@ a ``SeedSequence`` is constructed; the round's
 plumbing lives only in :mod:`repro.sim.edge`, which every tier calls —
 ``robust_combine`` is called only by its ``combine``, ``run_local_steps``
 only by its ``train_leg``, ``FaultInjector.receive`` only by its
-``deliver``, and a down-link broadcast to more than one recipient is
-charged only by its ``fan_out`` (membership's point-to-point syncs charge
-``count=1``); the run-wide ``faults=``/``timing=``/``churn=`` arguments are
+``deliver``, an upload is compressed and sized (``compress``,
+``payload_floats``) only there, and a down-link broadcast to more than one
+recipient is charged only by its ``fan_out`` (membership's point-to-point
+syncs charge ``count=1``); the run-wide ``faults=``/``timing=``/``churn=`` arguments are
 resolved only in ``FederatedAlgorithm.__init__`` (and inside the resolvers'
 own modules), so below it no tier takes a sink that may be ``None``: every
 leg reads the tracker, injector, clock, tracer and backend from its
@@ -196,6 +197,8 @@ def _offenders(finder, homes: tuple[str, ...], scope) -> list[str]:
     (_calls_of("robust_combine"), ("sim/edge.py",), ""),
     (_calls_of("run_local_steps"), ("sim/edge.py",), ""),
     (_calls_of("receive"), ("sim/edge.py",), ""),
+    (_calls_of("compress", "compress_from", "payload_floats"),
+     ("sim/edge.py",), ""),
     (_calls_of(*_RESOLVERS), ("core/base.py", "faults/injector.py",
                               "simtime/null.py", "simtime/cost.py",
                               "membership/plan.py"), ""),
@@ -208,8 +211,8 @@ def _offenders(finder, homes: tuple[str, ...], scope) -> list[str]:
     (_calls_of("sample_by_weight", "sample_checkpoint_slot",
                "sample_uniform_subset"), ("core/engine.py",), _ROUND_SCOPE),
 ], ids=["spec-grammar", "durable-write", "robust-combine", "local-steps",
-        "link-delivery", "run-resolution", "seed-sequence", "sink-guards",
-        "fan-out", "round-engine", "engine-legs", "phase-draws"])
+        "link-delivery", "upload-size", "run-resolution", "seed-sequence",
+        "sink-guards", "fan-out", "round-engine", "engine-legs", "phase-draws"])
 def test_mechanism_has_one_home(finder, homes, scope):
     assert all((SRC / home).is_file() for home in homes)
     offenders = _offenders(finder, homes, scope)
@@ -230,6 +233,10 @@ def test_mechanism_has_one_home(finder, homes, scope):
     (_calls_of("robust_combine"), "policy.robust_combine(agg, entries)"),
     (_calls_of("run_local_steps"), "run_local_steps(backend, engine, w, work)"),
     (_calls_of("receive"), "faults.receive(k, link, sender, w, floats=d)"),
+    (_calls_of("compress", "compress_from", "payload_floats"),
+     "floats = 2 * self.compressor.payload_floats(d)"),
+    (_calls_of("compress", "compress_from", "payload_floats"),
+     "w_e = w + compressor.compress(w_e - w, rng)"),
     (_calls_of(*_RESOLVERS), "timing = resolve_timing(cost_model)"),
     (_calls_of(*_RESOLVERS), "inj = faults.resolve_injector(plan, obs=obs)"),
     (_calls_of("SeedSequence"),

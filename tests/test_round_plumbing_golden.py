@@ -108,23 +108,25 @@ def _run_compressed(compressor, fed, factory):
         return algo, algo.run(rounds=ROUNDS, eval_every=ROUNDS)
 
 
-# Model digests pin what a run computes and must not move for a change to
-# what the tracker bills; only traffic digests may be re-recorded for one.
+# Model digests pin what a run computes, its simulated clock included: a
+# change to what the tracker bills alone moves only the traffic digests, and
+# the model digests move with it only where the clock prices the same change
+# (an upload whose checkpoint equals its model is one model long on both).
 MODEL_GOLDEN = {
     "fedavg":
-        "eeeb66190272260970d914c89b9204965779640c5e2dafe82294a4a0261ea2c0",
+        "dabbbaad2ab6f29d54c4880d736eb0aea594be38fd43c277f2eef9216758792a",
     "stochastic_afl":
-        "58f8c63ea550b00256eb3219c0c200ae1de65072b903ee29d62a6b16d33b59d2",
+        "b4bb5a68902aab5cb042bcd218407b9e11e8fb2ddd92c7bb4317d8a4dc47dc57",
     "drfa":
-        "2a10285c09c056d7f54245275e2f1a0ae797bc19dacdc9f0b5ef653759aaac7f",
+        "c0493d852720790d827590b8a26d45825441e790c0a2de05e026cc61bb685523",
     "hierfavg":
         "41477ed3344a643c9a058355af671ab5083b34e31ea57368a9da6dc123fd623a",
     "hierminimax":
-        "6f668e08cd99df38de9e365dcd11959907ed46f9a2a501281fcecf38ed30d55e",
+        "8191268a184d8bf6521bfa38c9124ab241c69400e640651a52b237ac78cf4206",
     "semiasync_hierminimax":
         "42d9d91117948a8918aaff95ea785a006e3c1c4de6fa84dba30027504219d698",
     "multilevel_hierminimax":
-        "f21ad2e83ab986b93080ed9b6cc9509204b947239af6e7bf0493a9df06290fc4",
+        "ea265820e9a18502d60c947a64c18e31fde0789aa53ac70d96aa3ebf39c6cdc9",
     "hierminimax+qsgd16":
         "7abbc882fbdd0a13d633b68c6730ac1d1de190935818dd0201778b8a869b42ff",
     "hierminimax+topk0.25":
@@ -133,23 +135,23 @@ MODEL_GOLDEN = {
 
 TRAFFIC_GOLDEN = {
     "fedavg":
-        "c40ca4cd6d0e92fc0e5904c74c36586fedd12e32de332888b5d7c4d5a067670f",
+        "4b7b9862dcfea2ddeecda8224f40ea564b929c98f6adf5d4379829afad392766",
     "stochastic_afl":
-        "e89362dbac6ec3d9d30720d81f9b11ae8f2fac0f0ee2d1b35fde34231d1deafd",
+        "cd7938a845880f598799a27ecb00745786a2258223dd3ce3c4d05edffe542961",
     "drfa":
-        "36c51cdd4ca39f8dc55671a6993a8d68aab0466869cdad18e26a2defe93979ce",
+        "30ea5df227b302773bdea8cdbd898201bb57ae55bad4999d0ad66a596707fe13",
     "hierfavg":
         "273cb09a44dcfdf66123573df80b9bf3df66a2180dff7061baf23b9c1168e51e",
     "hierminimax":
-        "fd3203239d6efbefd75b2c17622c36111d9a398e8eabe6018ed1569a16e557e3",
+        "284c9bd612f6498640ffd98b39b00e0579ba5d3f974f07424fe499b46a0bbe4d",
     "semiasync_hierminimax":
-        "6405ca273e3c7ca01ea56c7481eb515dc7eaa536ad8391da75b964961000bab9",
+        "bd6115b0714852efec7aa064ae2bba7ad423e256160fb5ded8c47a97dff1b6a8",
     "multilevel_hierminimax":
-        "a2d3bdfe50ee491e279dc404511eba60619f236a84c870c9e6b35a424544e13c",
+        "58a51d515987e3f703904fb4af4cccea318c0123c6b86af9bf7e0e3821eca5c5",
     "hierminimax+qsgd16":
         "fea5365f1f059155666a4e5261b9f2328ff072268b59465ffecd4e3e59ff3b5a",
     "hierminimax+topk0.25":
-        "b30771de4090049da590534c7d7242d5e915e9f4bcb6dc516deb47fc2925813e",
+        "edb75831d65143e60d76f559034aeb12181d9f42e6df4590e2ece61f4d7a4c74",
 }
 
 _PHASE2 = {"stochastic_afl", "drfa", "hierminimax", "semiasync_hierminimax",
@@ -196,6 +198,15 @@ def test_multilevel_golden():
     algo, result = _run_multilevel()
     _check_exercised("multilevel_hierminimax", algo)
     _check_digests("multilevel_hierminimax", result, algo)
+    # Churn traffic (heartbeats, re-syncs, warm joins) goes on the tree's
+    # own links, level_1 … level_L, like every other message of the run.
+    snap = algo.tracker.snapshot()
+    stray = {key: value for key, value in {**snap.messages,
+                                           **snap.floats}.items()
+             if key.startswith(("edge_cloud", "client_edge")) and value}
+    assert not stray, f"billed off the tree's links: {stray}"
+    assert not any(snap.cycles[link] for link in ("edge_cloud",
+                                                  "client_edge"))
 
 
 @pytest.mark.parametrize("key, compressor", [
